@@ -13,19 +13,19 @@
 //! | Table 3 (per-connection / per-packet overheads) | — | `cargo bench` (`table3_overheads`) |
 //! | §4.2 (3.06 % QoS overhead) | [`overhead`] | `overhead_analysis` |
 //! | §4.3 (throughput scaling + RDN utilization) | [`scalability`] | `scalability` |
-//! | Hot-path perf baseline (`BENCH_hotpath.json`) | [`hotpath`] | `bench_json` |
 //!
 //! Absolute numbers come from this repository's calibrated simulator, not
 //! the authors' 2002 testbed; the *shape* of each result (who wins, by what
 //! factor, where knees fall) is the reproduction target. `EXPERIMENTS.md`
-//! records paper-vs-measured for every row.
+//! records paper-vs-measured for every row. Simulator wall-clock
+//! performance is measured by the separate `simbench` package at the
+//! repository root, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;
 pub mod fig3;
-pub mod hotpath;
 pub mod microbench;
 pub mod overhead;
 pub mod scalability;

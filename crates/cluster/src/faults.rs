@@ -8,9 +8,9 @@
 //! (the chaos suite enforces this on trace dumps); changing only the plan
 //! seed replays the same workload under a different fault schedule.
 //!
-//! The plan subsumes the older ad-hoc knobs: `ClusterSim::schedule_rpn_crash`
-//! is now a one-event plan without recovery, and `report_loss_prob` a
-//! whole-run loss window (both keep working).
+//! The plan is the only way to inject faults: a lone crash is a one-event
+//! plan (`crash_at` without a recovery) and whole-run report loss is a
+//! loss window from `SimTime::ZERO` to `SimTime::MAX`.
 //!
 //! ```rust
 //! use gage_cluster::FaultPlan;
@@ -87,7 +87,7 @@ impl FaultEvent {
 }
 
 /// A window during which accounting reports are dropped with probability
-/// `prob` (overrides `ClusterParams::report_loss_prob` while active).
+/// `prob`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossWindow {
     /// Window start (inclusive).
@@ -342,7 +342,7 @@ impl FaultState {
     }
 
     /// The active loss probability at `now`, or `None` when no window
-    /// covers it (fall back to `ClusterParams::report_loss_prob`).
+    /// covers it.
     pub(crate) fn report_loss_at(&self, now: SimTime) -> Option<f64> {
         self.loss_windows
             .iter()

@@ -292,10 +292,6 @@ pub struct ClusterParams {
     /// shoulder the TCP handshake emulation, leaving the primary with
     /// classification, scheduling and forwarding. 0 = primary does it all.
     pub secondary_rdns: usize,
-    /// Probability that an accounting report is lost in transit (failure
-    /// injection; the control loop must tolerate gaps). For scripted loss
-    /// windows prefer a `FaultPlan`.
-    pub report_loss_prob: f64,
     /// Optional CGI-style dynamic request handling.
     pub dynamic: Option<DynamicRequests>,
     /// Report-watchdog grace window, in accounting cycles: a node whose
@@ -331,7 +327,6 @@ impl Default for ClusterParams {
             network: NetworkParams::default(),
             rpn_speed: 1.0,
             secondary_rdns: 0,
-            report_loss_prob: 0.0,
             dynamic: None,
             watchdog_grace_cycles: 4.5,
             client_retry: ClientRetryParams::default(),

@@ -420,6 +420,8 @@ fn response_wire_bytes(net: &NetworkParams, size: u64) -> f64 {
 /// A client's record of one outstanding request attempt.
 #[derive(Debug, Clone, Copy)]
 struct PendingClientReq {
+    /// What the attempt is requesting.
+    url: UrlInfo,
     /// When the *first* attempt was issued; latency on eventual success
     /// spans retries.
     first_issued: SimTime,
@@ -468,8 +470,6 @@ pub struct World {
     fronts: Vec<RdnFront>,
     rpns: Vec<Rpn>,
     clients: Vec<ClientSide>,
-    /// What each outstanding connection is requesting.
-    client_url: DetMap<FourTuple, UrlInfo>,
     rr_next: usize,
     isn_counter: u32,
     /// Next run-wide logical request id. Assigned unconditionally at issue
@@ -607,12 +607,12 @@ impl World {
         self.clients[sub as usize].pending.insert(
             conn,
             PendingClientReq {
+                url,
                 first_issued,
                 attempt,
                 timeout,
             },
         );
-        self.client_url.insert(conn, url);
         self.isn_counter = self.isn_counter.wrapping_add(64_223);
         let hop = self.hop();
         ctx.schedule_in(hop * 3, Ev::UrlArrive { sub, conn });
@@ -632,25 +632,21 @@ impl World {
             return; // stale timer from an earlier attempt on a reused tuple
         }
         self.clients[sub as usize].pending.remove(&conn);
-        let url = self.client_url.remove(&conn);
-        let req = url.map_or(0, |u| u.req);
-        let retry = self.params.client_retry;
-        if attempt < retry.max_retries {
-            if let Some(url) = url {
-                self.tracer.emit(TraceEvent::RequestRetry {
-                    sub,
-                    req,
-                    attempt: attempt + 1,
-                });
-                self.issue_request(ctx, sub, url, entry.first_issued, attempt + 1);
-                return;
-            }
+        let url = entry.url;
+        if attempt < self.params.client_retry.max_retries {
+            self.tracer.emit(TraceEvent::RequestRetry {
+                sub,
+                req: url.req,
+                attempt: attempt + 1,
+            });
+            self.issue_request(ctx, sub, url, entry.first_issued, attempt + 1);
+            return;
         }
         // Out of retries: the request terminally fails at the client.
         self.metrics[sub as usize].failed.record(ctx.now(), 1.0);
         self.tracer.emit(TraceEvent::RequestFailed {
             sub,
-            req,
+            req: url.req,
             attempts: attempt + 1,
         });
     }
@@ -659,30 +655,27 @@ impl World {
     /// dispatch): the request resolves as dropped and its retry timer is
     /// disarmed.
     fn on_client_rst(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let url = self.client_url.remove(&conn);
         if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
             ctx.cancel(entry.timeout);
             self.metrics[sub as usize].dropped.record(ctx.now(), 1.0);
             self.tracer.emit(TraceEvent::ReqDropped {
                 sub,
-                req: url.map_or(0, |u| u.req),
+                req: entry.url.req,
             });
         }
     }
 
     fn on_response_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let url = self.client_url.remove(&conn);
         if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
             ctx.cancel(entry.timeout);
             let latency = ctx.now().saturating_since(entry.first_issued);
             self.metrics[sub as usize].served.record(ctx.now(), 1.0);
-            self.metrics[sub as usize].latency.record(latency);
             self.metrics[sub as usize]
                 .latency_ms
                 .observe(latency.as_secs_f64() * 1e3);
             self.tracer.emit(TraceEvent::ReqServed {
                 sub,
-                req: url.map_or(0, |u| u.req),
+                req: entry.url.req,
             });
         }
     }
@@ -723,7 +716,7 @@ impl World {
     /// and queues or dispatches the request. Credits the three collapsed
     /// packet events (SYN, SYN-ACK, ACK) to the engine's logical count.
     fn on_url_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let Some(url) = self.client_url.get(&conn).copied() else {
+        let Some(url) = self.clients[sub as usize].pending.get(&conn).map(|p| p.url) else {
             return; // resolved before the exchange finished
         };
         // The subscriber's home-shard owner answers its cluster address.
@@ -1389,16 +1382,13 @@ impl World {
         };
         let hop = self.hop();
         for (dest, report) in reports.into_iter().enumerate() {
-            // A fault-plan loss window overrides the whole-run knob, and
-            // draws from the plan's own RNG stream so the traffic stream
-            // is untouched. One draw per destination, in fixed order.
-            let lost = match self.faults.report_loss_at(ctx.now()) {
-                Some(p) => self.faults.chance(p),
-                None => {
-                    let p = self.params.report_loss_prob;
-                    p > 0.0 && ctx.rng().chance(p)
-                }
-            };
+            // Loss windows draw from the fault plan's own RNG stream so the
+            // traffic stream is untouched. One draw per destination, in
+            // fixed order.
+            let lost = self
+                .faults
+                .report_loss_at(ctx.now())
+                .is_some_and(|p| self.faults.chance(p));
             if lost {
                 self.lost_reports += 1;
             } else if !self.dead_rdns[dest] {
@@ -1803,7 +1793,6 @@ impl ClusterSim {
             sched_ticks: 0,
             last_event_at: SimTime::ZERO,
             tracer: Tracer::disabled(),
-            client_url: DetMap::new(),
             traces: sites.iter().map(|s| s.trace.clone()).collect(),
             registry,
             params,
@@ -2005,21 +1994,6 @@ impl ClusterSim {
         self.sim.model_mut().faults.install(plan);
     }
 
-    /// Schedules a fail-stop crash of `rpn` at the given instant — the
-    /// one-event special case of [`ClusterSim::apply_fault_plan`], kept for
-    /// convenience. The RDN learns of the crash via the report watchdog.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rpn` is out of range.
-    pub fn schedule_rpn_crash(&mut self, at: SimTime, rpn: u16) {
-        assert!(
-            (rpn as usize) < self.sim.model().rpns.len(),
-            "rpn {rpn} out of range"
-        );
-        self.sim.schedule_at(at, Ev::CrashRpn { rpn });
-    }
-
     /// Mean CPU utilization of each secondary RDN over `[from, to)`.
     pub fn secondary_utilizations(&self, from: SimTime, to: SimTime) -> Vec<f64> {
         let bw = crate::metrics::METRIC_BIN;
@@ -2060,8 +2034,8 @@ impl ClusterSim {
 
     /// Events the underlying DES kernel has processed so far: physical
     /// pops plus the logical per-packet events the batched handlers
-    /// collapse. With wall time this yields the events/sec figure the
-    /// hot-path bench tracks.
+    /// collapse. Subtract the pops (`queue_stats()`: scheduled − cancelled
+    /// − depth) to get the credited share.
     pub fn events_processed(&self) -> u64 {
         self.sim.events_processed()
     }
@@ -2095,10 +2069,9 @@ impl ClusterSim {
                 served,
                 dropped: rate_in_window(&m.dropped, from, to),
                 failed: rate_in_window(&m.failed, from, to),
-                mean_latency_ms: m.latency.mean().as_secs_f64() * 1e3,
+                mean_latency_ms: m.latency_ms.mean(),
             });
         }
-        let elapsed = to.saturating_since(from);
         // Busy within the window: approximate with total busy scaled by
         // per-bin utilization over the window. With several fronts,
         // report the busiest one — the front that limits scale-out.
@@ -2120,7 +2093,6 @@ impl ClusterSim {
                 }
             })
             .fold(0.0, f64::max);
-        let _ = elapsed;
         let (conn_lookups, _) = w.fronts[0].conn_table.stats();
         ClusterReport {
             subscribers: rows,

@@ -4,6 +4,7 @@
 
 use gage_cluster::params::{ClusterParams, DynamicRequests, ServiceCostModel};
 use gage_cluster::sim::{ClusterSim, SiteSpec};
+use gage_cluster::FaultPlan;
 use gage_core::resource::Grps;
 use gage_des::SimTime;
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace};
@@ -80,11 +81,11 @@ fn report_loss_is_tolerated() {
         let sites = vec![site("s.example.com", 150.0, 150.0, horizon, 3)];
         let params = ClusterParams {
             rpn_count: 2,
-            report_loss_prob: loss,
             service: ServiceCostModel::generic_requests(),
             ..Default::default()
         };
         let mut sim = ClusterSim::new(params, sites, 7);
+        sim.apply_fault_plan(FaultPlan::new(7).report_loss(SimTime::ZERO, SimTime::MAX, loss));
         sim.run_until(SimTime::from_secs(25));
         let rep = sim.report(SimTime::from_secs(10), SimTime::from_secs(23));
         (rep.subscribers[0].served, sim.world().lost_reports)
@@ -115,7 +116,7 @@ fn rpn_crash_fails_over_via_watchdog() {
         ..Default::default()
     };
     let mut sim = ClusterSim::new(params, sites, 7);
-    sim.schedule_rpn_crash(SimTime::from_secs(10), 1);
+    sim.apply_fault_plan(FaultPlan::new(7).crash_at(SimTime::from_secs(10), 1));
     sim.run_until(SimTime::from_secs(40));
 
     let before = sim.report(SimTime::from_secs(4), SimTime::from_secs(10));
@@ -188,7 +189,7 @@ fn crash_of_all_rpns_stops_service_without_panicking() {
         ..Default::default()
     };
     let mut sim = ClusterSim::new(params, sites, 7);
-    sim.schedule_rpn_crash(SimTime::from_secs(5), 0);
+    sim.apply_fault_plan(FaultPlan::new(7).crash_at(SimTime::from_secs(5), 0));
     sim.run_until(SimTime::from_secs(12));
     let before = sim.report(SimTime::from_secs(2), SimTime::from_secs(5));
     let after = sim.report(SimTime::from_secs(8), SimTime::from_secs(11));

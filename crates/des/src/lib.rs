@@ -11,8 +11,8 @@
 //!   until the event queue drains,
 //! * [`SimRng`] — seeded, splittable random streams so that independent
 //!   components draw from independent deterministic sequences,
-//! * [`stats`] — counters, rate meters, time-weighted gauges, windowed series
-//!   and log-bucket histograms used by the evaluation harnesses.
+//! * [`stats`] — binned time series, deviation from a target and busy-time
+//!   tracking used by the evaluation harnesses.
 //!
 //! # Example
 //!

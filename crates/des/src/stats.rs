@@ -1,9 +1,10 @@
-//! Measurement utilities: binned time series, histograms, running moments
-//! and busy-time tracking.
+//! Measurement utilities: binned time series, deviation from a target and
+//! busy-time tracking.
 //!
 //! These are the instruments the evaluation harnesses use to turn raw
 //! simulation events into the paper's tables and figures (served/dropped
-//! rates, deviation-from-reservation, CPU utilization, latency quantiles).
+//! rates, deviation-from-reservation, CPU utilization). Latency
+//! distributions live in `gage_obs::Histogram`.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -105,134 +106,6 @@ pub fn deviation_pct(observed: &[f64], target: f64) -> Option<f64> {
     Some(100.0 * sum / observed.len() as f64)
 }
 
-/// Running mean and variance (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl MeanVar {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// Histogram of durations with logarithmic buckets (powers of two in
-/// nanoseconds), supporting approximate quantiles.
-#[derive(Debug, Clone)]
-pub struct DurationHistogram {
-    // bucket i counts durations with floor(log2(ns)) == i (ns==0 -> bucket 0)
-    buckets: [u64; 64],
-    count: u64,
-    sum: SimDuration,
-    max: SimDuration,
-}
-
-impl Default for DurationHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DurationHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        DurationHistogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: SimDuration::ZERO,
-            max: SimDuration::ZERO,
-        }
-    }
-
-    /// Records one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let idx = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += d;
-        self.max = self.max.max(d);
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean duration (zero if empty).
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Largest recorded duration.
-    pub fn max(&self) -> SimDuration {
-        self.max
-    }
-
-    /// Approximate quantile (bucket upper bound containing the q-quantile).
-    /// `q` is clamped to `[0, 1]`. Returns zero if empty.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let upper = if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-                return SimDuration::from_nanos(upper);
-            }
-        }
-        self.max
-    }
-}
-
 /// Accumulates busy time for a serially-used resource (e.g. the RDN CPU) so
 /// utilization can be reported over arbitrary spans, and per-bin so a
 /// utilization-vs-time curve can be extracted.
@@ -317,42 +190,6 @@ mod tests {
         // data point.
         let d = deviation_pct(&[0.0, 200.0, 0.0, 200.0], 100.0).unwrap();
         assert!((d - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn meanvar_matches_closed_form() {
-        let mut mv = MeanVar::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            mv.push(x);
-        }
-        assert!((mv.mean() - 5.0).abs() < 1e-12);
-        assert!((mv.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(mv.count(), 8);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_values() {
-        let mut h = DurationHistogram::new();
-        for us in 1..=1000u64 {
-            h.record(SimDuration::from_micros(us));
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5);
-        // Median is 500us; bucket upper bound must be >= that and within 2x.
-        assert!(p50 >= SimDuration::from_micros(500));
-        assert!(p50 <= SimDuration::from_micros(1024));
-        assert_eq!(h.max(), SimDuration::from_micros(1000));
-        assert!(h.mean() > SimDuration::from_micros(400));
-        assert!(h.mean() < SimDuration::from_micros(600));
-    }
-
-    #[test]
-    fn histogram_empty_and_zero() {
-        let mut h = DurationHistogram::new();
-        assert_eq!(h.quantile(0.9), SimDuration::ZERO);
-        h.record(SimDuration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), SimDuration::ZERO);
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub enum TraceEvent {
         /// The node readmitted.
         rpn: u16,
     },
-    /// A fault plan (or `schedule_rpn_crash`) fail-stopped an RPN: all its
+    /// A fault plan fail-stopped an RPN: all its
     /// in-flight work is lost and its accounting chain goes silent.
     RpnCrash {
         /// The crashed node.

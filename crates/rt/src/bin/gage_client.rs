@@ -62,11 +62,14 @@ fn main() -> ExitCode {
         "attempted {}  ok {}  dropped {}  errors {}",
         stats.attempted, stats.ok, stats.dropped, stats.errors
     );
+    let lat = &stats.latency_ms;
     println!(
-        "goodput {:.1} req/s  mean latency {:.1} ms  max {:.1} ms  bytes {}",
+        "goodput {:.1} req/s  latency mean {:.1} ms  p50 {:.1} ms  p99 {:.1} ms  max {:.1} ms  bytes {}",
         stats.goodput(duration),
-        stats.mean_latency().as_secs_f64() * 1e3,
-        stats.latency_max.as_secs_f64() * 1e3,
+        lat.mean(),
+        lat.p50(),
+        lat.p99(),
+        lat.max(),
         stats.bytes
     );
     ExitCode::SUCCESS

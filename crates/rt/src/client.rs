@@ -66,22 +66,12 @@ pub struct LoadStats {
     pub retries: u64,
     /// Total body bytes received.
     pub bytes: u64,
-    /// Sum of latencies of `ok` responses.
-    pub latency_sum: Duration,
-    /// Maximum latency of `ok` responses.
-    pub latency_max: Duration,
+    /// Latency of `ok` responses in milliseconds, in the same histogram
+    /// the simulator records client latency in.
+    pub latency_ms: gage_obs::Histogram,
 }
 
 impl LoadStats {
-    /// Mean latency of successful requests.
-    pub fn mean_latency(&self) -> Duration {
-        if self.ok == 0 {
-            Duration::ZERO
-        } else {
-            self.latency_sum / self.ok as u32
-        }
-    }
-
     /// Goodput in requests/second over `elapsed`.
     pub fn goodput(&self, elapsed: Duration) -> f64 {
         if elapsed.is_zero() {
@@ -94,11 +84,10 @@ impl LoadStats {
     fn record(&mut self, started: Instant, outcome: std::io::Result<(u16, u64)>) {
         match outcome {
             Ok((200, body)) => {
-                let lat = started.elapsed();
                 self.ok += 1;
                 self.bytes += body;
-                self.latency_sum += lat;
-                self.latency_max = self.latency_max.max(lat);
+                self.latency_ms
+                    .observe(started.elapsed().as_secs_f64() * 1e3);
             }
             Ok((503, _)) => self.dropped += 1,
             _ => self.errors += 1,
@@ -235,10 +224,12 @@ mod tests {
     #[test]
     fn stats_math() {
         let mut s = LoadStats::default();
-        assert_eq!(s.mean_latency(), Duration::ZERO);
+        assert_eq!(s.latency_ms.mean(), 0.0);
         s.ok = 4;
-        s.latency_sum = Duration::from_millis(100);
-        assert_eq!(s.mean_latency(), Duration::from_millis(25));
+        for ms in [10.0, 20.0, 30.0, 40.0] {
+            s.latency_ms.observe(ms);
+        }
+        assert!((s.latency_ms.mean() - 25.0).abs() < 1e-12);
         assert!((s.goodput(Duration::from_secs(2)) - 2.0).abs() < 1e-12);
         assert_eq!(s.goodput(Duration::ZERO), 0.0);
     }

@@ -62,7 +62,7 @@ fn main() {
             stats.ok,
             stats.dropped,
             stats.errors,
-            stats.mean_latency().as_secs_f64() * 1e3
+            stats.latency_ms.mean()
         );
     }
     println!(
