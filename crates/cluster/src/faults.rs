@@ -379,6 +379,22 @@ impl FaultState {
     pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.rng.chance(p)
     }
+
+    /// Delivery delay of a frame crossing a link whose active fault (from
+    /// [`FaultState::link_fault_at`] or [`FaultState::rdn_link_fault_at`])
+    /// is `fault`: `hop` plus the fault's extra delay, or `None` when the
+    /// fault's drop draw loses the frame.
+    pub(crate) fn transit(
+        &mut self,
+        fault: Option<(f64, SimDuration)>,
+        hop: SimDuration,
+    ) -> Option<SimDuration> {
+        match fault {
+            Some((drop_prob, _)) if self.chance(drop_prob) => None,
+            Some((_, extra)) => Some(hop + extra),
+            None => Some(hop),
+        }
+    }
 }
 
 #[cfg(test)]

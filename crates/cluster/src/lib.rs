@@ -5,8 +5,8 @@
 //! PIII-450 front end on switched Fast Ethernet. This crate reproduces that
 //! testbed mechanistically:
 //!
-//! * [`server`] — work-conserving FIFO servers modeling each RPN's CPU,
-//!   disk and NIC,
+//! * [`server`] — the work-conserving FIFO service lines ([`server::BusyLine`])
+//!   that model each RPN's CPU, disk and NIC,
 //! * [`cache`] — a byte-budget LRU page cache (the source of per-request
 //!   disk variability under SPECWeb99-shaped load),
 //! * [`process`] — per-process resource accounting with charging entities

@@ -173,6 +173,24 @@ pub fn rate_in_window(series: &BinnedSeries, from: SimTime, to: SimTime) -> f64 
     sum / secs
 }
 
+/// Mean per-bin utilization of a [`METRIC_BIN`]-binned busy tracker over
+/// `[from, to)`.
+///
+/// Returns 0 for an empty window.
+pub fn utilization_in_window(busy: &BusyTracker, from: SimTime, to: SimTime) -> f64 {
+    let bw = METRIC_BIN.as_nanos();
+    let lo = (from.as_nanos() / bw) as usize;
+    let hi = (to.as_nanos() / bw) as usize;
+    if hi <= lo {
+        return 0.0;
+    }
+    let bins = busy.per_bin_utilization();
+    (lo..hi)
+        .map(|i| bins.get(i).copied().unwrap_or(0.0))
+        .sum::<f64>()
+        / (hi - lo) as f64
+}
+
 /// Computes the Figure-3 deviation metric for one subscriber: observed
 /// usage (GRPS) over `[from, to)` re-aggregated into `interval`-long
 /// windows, compared against `reservation_grps`.

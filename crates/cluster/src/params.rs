@@ -345,6 +345,12 @@ impl ClusterParams {
             + self.rpn_costs.remap_in_us * ack_packets as f64
     }
 
+    /// How long a silent node or a dead front end is given before the
+    /// watchdog writes it off: `watchdog_grace_cycles` accounting cycles.
+    pub fn watchdog_grace(&self) -> SimDuration {
+        self.accounting_cycle.mul_f64(self.watchdog_grace_cycles)
+    }
+
     /// The home shard of subscriber `sub`: the explicit override when one
     /// exists, otherwise a splitmix64-style hash of the subscriber index
     /// modulo [`ClusterParams::rdn_count`] (consistent-hash flavour: the

@@ -13,10 +13,11 @@
 //!    dispatch installs a connection-table route and forwards the request
 //!    to the chosen RPN (7 µs),
 //! 4. the RPN's local service manager sets up the second-leg connection
-//!    (27.2 µs), builds the [`SpliceMap`], and hands the request to its
-//!    *lane*: a per-RPN batch of CPU → disk → NIC service stages evaluated
-//!    in struct-of-arrays fashion at the next scheduling-cycle barrier
-//!    (see [module docs on lanes](#deterministic-per-rpn-lanes)),
+//!    (27.2 µs), builds the [`SpliceMap`](gage_net::SpliceMap), and hands
+//!    the request to its *lane*: a per-RPN batch of CPU → disk → NIC
+//!    service stages evaluated in struct-of-arrays fashion at the next
+//!    scheduling-cycle barrier (see
+//!    [module docs on lanes](#deterministic-per-rpn-lanes)),
 //! 5. the response flows *directly* to the client (sequence/address
 //!    remapped, 4.6 µs per data packet); client ACKs flow back through the
 //!    RDN bridge (7 µs each) to the RPN (1.3 µs remap each) — all charged
@@ -34,14 +35,13 @@
 //! Each RPN owns an *inbox* of newly arrived requests. Between two
 //! scheduling-cycle barriers nothing reads another RPN's inbox, so
 //! flushing an inbox — chaining each request through the node's CPU, disk
-//! and NIC [`BusyLine`]s and recording its finish times — is independent
-//! per RPN. At the barrier ([`Ev::SchedTick`]) every lane is flushed,
+//! and NIC [`BusyLine`](crate::server::BusyLine)s and recording its finish
+//! times — is independent per RPN. At the barrier ([`Ev::SchedTick`]) every lane is flushed,
 //! optionally on `params.lanes` worker threads over disjoint RPN chunks,
 //! and the resulting completions are merged back **in fixed RPN order**
 //! and scheduled at their exact finish times. Because a lane's arithmetic
 //! depends only on its own RPN's state and the merge order is static,
-//! same-seed runs are byte-identical for every lane count — the
-//! determinism regression matrix pins `lanes = 1` against `lanes = 4`.
+//! same-seed runs are byte-identical for every lane count.
 //! Finish times earlier than the barrier clamp to the barrier instant
 //! (the engine never schedules into the past), so a sub-cycle response
 //! completes at the next tick — bounded by one 10 ms cycle, well inside
@@ -78,7 +78,7 @@
 //! outstanding backlog) so the front ends never share mutable state.
 //!
 //! Accounting converges through a conflict-free merge: every front keeps
-//! an [`AcctTable`] of per-`(origin RDN, subscriber)` monotone usage
+//! an [`AcctTable`](gage_core::merge::AcctTable) of per-`(origin RDN, subscriber)` monotone usage
 //! rows and gossips its full table to its peers once per accounting
 //! cycle ([`TraceEvent::ReportGossip`] / [`TraceEvent::AcctMerge`]).
 //! Rows merge by epoch-then-componentwise-max, so report loss,
@@ -97,30 +97,46 @@
 //! the scripted crash schedule — partitions only delay gossip, so there
 //! is no split-brain. With `rdn_count == 1` all of this machinery is
 //! inert and the run is byte-identical to the single-RDN simulator.
+//!
+//! # Layout
+//!
+//! This file holds the [`World`], the [`Ev`] event set, the event dispatch
+//! and the [`ClusterSim`] builder. Each role's state and handlers live in a
+//! child module: `client` (issue, timeouts, retries), `front` (the RDN
+//! peers), `rpn` (the back ends and their lanes) and `shard` (which front
+//! answers for which subscribers). Each role has one constructor, used at
+//! start-up and again when a crash reboots it cold. Roles call each other
+//! synchronously at five points — the front reads a client's pending URL,
+//! a completion charges the dispatching front's ACK bridge, a dispatch to a
+//! dead RPN bounces back to its front, the scheduling tick runs the lane
+//! barrier and the accounting tick reads shard owners — because turning
+//! any of them into an event would reorder same-instant events.
+
+mod client;
+mod front;
+mod rpn;
+mod shard;
 
 use std::net::Ipv4Addr;
 
-use gage_collections::DetMap;
-use gage_core::accounting::{SubscriberUsage, UsageReport};
-use gage_core::conn_table::{ConnTable, Route};
-use gage_core::merge::{AcctDelta, AcctRow, AcctTable};
-use gage_core::node::{NodeScheduler, RpnId};
-use gage_core::resource::{Grps, ResourceVector};
-use gage_core::scheduler::RequestScheduler;
+use gage_core::accounting::UsageReport;
+use gage_core::merge::AcctRow;
+use gage_core::node::RpnId;
+use gage_core::resource::Grps;
+use gage_core::scheduler::{Dispatch, SubscriberCounters};
 use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
-use gage_des::{Context, EventId, Model, SimDuration, SimTime, Simulation};
-use gage_net::addr::{Endpoint, FourTuple, MacAddr, Port};
-use gage_net::splice::SpliceMap;
-use gage_net::SeqNum;
+use gage_des::{Context, Model, SimDuration, SimTime, Simulation};
+use gage_net::addr::{Endpoint, FourTuple, Port};
 use gage_obs::{Registry, TraceEvent, Tracer};
 use gage_workload::Trace;
 
-use crate::cache::LruCache;
 use crate::faults::{FaultEvent, FaultPlan, FaultState};
-use crate::metrics::{RdnMetrics, SubscriberMetrics};
-use crate::params::{ClusterParams, DiskPolicy, GageMode, NetworkParams};
-use crate::process::{Pid, ProcessTable};
-use crate::server::BusyLine;
+use crate::metrics::{utilization_in_window, SubscriberMetrics};
+use crate::params::{ClusterParams, GageMode};
+
+use front::{DispatchMeta, PendingRequest, RdnFront};
+use rpn::Rpn;
+use shard::ShardMap;
 
 /// One hosted site: its host name, reservation and offered workload.
 #[derive(Debug, Clone)]
@@ -131,58 +147,6 @@ pub struct SiteSpec {
     pub reservation: Grps,
     /// The requests its clients will issue.
     pub trace: Trace,
-}
-
-/// Everything the RDN attaches to a dispatched request so the RPN's local
-/// service manager can build the splice and echo predictions.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct DispatchMeta {
-    sub: SubscriberId,
-    /// Run-wide logical request id (stable across retries).
-    req: u64,
-    predicted: ResourceVector,
-    rdn_isn: SeqNum,
-    path: String,
-    size: u64,
-    /// The client↔cluster connection the dispatch serves.
-    conn: FourTuple,
-    /// The front end that booked the dispatch, and its boot epoch at
-    /// dispatch time — a bounced dispatch can only be refunded to the
-    /// same life of the same front.
-    rdn: u16,
-    rdn_epoch: u32,
-}
-
-/// A request sitting in an RDN subscriber queue.
-#[derive(Debug, Clone)]
-struct PendingRequest {
-    conn: FourTuple,
-    /// Run-wide logical request id (stable across retries).
-    req: u64,
-    rdn_isn: SeqNum,
-    path: String,
-    size: u64,
-    /// When this request (re-)entered the scheduler queue, for the
-    /// queue-wait histogram.
-    enqueued_at: SimTime,
-}
-
-impl gage_core::scheduler::TraceTag for PendingRequest {
-    fn trace_tag(&self) -> u64 {
-        self.req
-    }
-}
-
-/// What an outstanding client connection is requesting. The URL itself is
-/// not copied here: `idx` points back into the subscriber's immutable
-/// trace, so issuing (and re-issuing on retry) allocates nothing.
-#[derive(Debug, Clone, Copy)]
-struct UrlInfo {
-    /// Trace entry index within the owning subscriber's trace.
-    idx: u32,
-    /// Run-wide logical request id (stable across retries).
-    req: u64,
 }
 
 /// Cluster events (public only because [`World`] implements
@@ -247,218 +211,6 @@ pub enum Ev {
     },
 }
 
-/// An in-service request on an RPN.
-#[derive(Debug)]
-struct ActiveReq {
-    sub: SubscriberId,
-    /// Run-wide logical request id (stable across retries).
-    req: u64,
-    predicted: ResourceVector,
-    splice: SpliceMap,
-    size: u64,
-    disk_us: f64,
-    cpu_us: f64,
-    net_bytes: f64,
-    /// Process the usage is charged to: the subscriber's worker, or a
-    /// forked CGI child for dynamic requests.
-    pid: Pid,
-    /// True if `pid` is a one-shot CGI child to reap on completion.
-    reap_pid: bool,
-    /// The front end (and its boot epoch) that dispatched the request;
-    /// the completion only bridges ACKs through that same life of it.
-    rdn: u16,
-    rdn_epoch: u32,
-    /// Per-stage finish times, filled in when the owning lane flushes
-    /// (until then the request is inbox-resident and all three read as
-    /// [`SimTime::MAX`], i.e. "still in the CPU stage").
-    cpu_fin: SimTime,
-    disk_fin: SimTime,
-    nic_fin: SimTime,
-}
-
-/// One entry of an RPN lane's inbox: a request waiting for the next
-/// barrier flush, in arrival order (struct-of-arrays style — service
-/// parameters travel here, identity/accounting state lives in
-/// [`ActiveReq`]).
-#[derive(Debug)]
-struct LaneJob {
-    conn: FourTuple,
-    /// Arrival instant: service chains from here, not from the barrier,
-    /// so batching never costs capacity.
-    ready: SimTime,
-    path: String,
-    size: u64,
-    /// CGI cost multiplier (1.0 for static requests).
-    cpu_mult: f64,
-    /// Per-request Gage overhead in reference-machine µs (0 in bypass).
-    overhead_us: f64,
-}
-
-/// One entry of an RPN lane's outbox: a finish time the barrier merge
-/// turns into an [`Ev::Complete`].
-#[derive(Debug, Clone, Copy)]
-struct LaneDone {
-    conn: FourTuple,
-    fin: SimTime,
-    /// Whether the request took the disk stage (its collapsed completion
-    /// covers one more legacy event).
-    has_disk: bool,
-}
-
-/// Per-subscriber completion accumulator between accounting reports.
-#[derive(Debug, Clone, Copy, Default)]
-struct CycleAccum {
-    settled_predicted: ResourceVector,
-    completed: u32,
-}
-
-#[derive(Debug)]
-struct Rpn {
-    ip: Ipv4Addr,
-    mac: MacAddr,
-    cpu: BusyLine,
-    disk: BusyLine,
-    nic: BusyLine,
-    cache: Option<LruCache>,
-    processes: ProcessTable,
-    workers: Vec<Pid>,
-    active: DetMap<FourTuple, ActiveReq>,
-    /// Requests arrived since the last barrier, in arrival order.
-    inbox: Vec<LaneJob>,
-    /// Completions produced by the last flush, merged at the barrier.
-    outbox: Vec<LaneDone>,
-    /// Running sums of predicted vectors of in-service requests, one per
-    /// dispatching front end — each accounting tick reports the slice a
-    /// front booked itself, without walking `active`.
-    outstanding_by_rdn: Vec<ResourceVector>,
-    isn_counter: u32,
-    cycle: Vec<CycleAccum>,
-    total_cycle_usage: ResourceVector,
-    completed_requests: u64,
-    /// Multiplier on this node's timer periods (1.0 ± a few hundred ppm).
-    clock_skew: f64,
-    /// Boot generation: bumped on every crash so events scheduled against a
-    /// previous life of the node (completions, accounting ticks) are
-    /// recognizably stale and ignored.
-    epoch: u32,
-}
-
-/// Flushes one RPN's lane: chains every inbox request through the node's
-/// CPU → disk → NIC service lines in arrival order, records per-stage
-/// finish times on the matching [`ActiveReq`], and queues a [`LaneDone`]
-/// per request for the barrier merge.
-///
-/// Deliberately a free function over `(&mut Rpn, &ClusterParams)`: it
-/// touches no RDN, tracer, RNG or cross-node state, which is what makes
-/// flushing all lanes from worker threads sound (the `lane-shared-state`
-/// lint keeps interior mutability out of everything reachable from here).
-fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
-    let speed = params.rpn_speed;
-    let mut inbox = std::mem::take(&mut rpn.inbox);
-    for job in inbox.drain(..) {
-        let service_cpu_us = params.service.cpu_us(job.size) * job.cpu_mult;
-        let cpu_us = (service_cpu_us + job.overhead_us) / speed;
-        let cpu_fin = rpn
-            .cpu
-            .offer(job.ready, SimDuration::from_secs_f64(cpu_us / 1e6));
-        let disk_us = match params.service.disk {
-            DiskPolicy::None => 0.0,
-            DiskPolicy::PerRequest { us } => us,
-            DiskPolicy::Cache {
-                seek_us,
-                transfer_bytes_per_sec,
-                ..
-            } => match rpn.cache.as_mut() {
-                Some(cache) => {
-                    if cache.access(&job.path, job.size) {
-                        0.0
-                    } else {
-                        seek_us + job.size as f64 / transfer_bytes_per_sec * 1e6
-                    }
-                }
-                None => 0.0,
-            },
-        };
-        let disk_fin = if disk_us > 0.0 {
-            rpn.disk
-                .offer(cpu_fin, SimDuration::from_secs_f64(disk_us / 1e6))
-        } else {
-            cpu_fin
-        };
-        let wire = response_wire_bytes(&params.network, job.size);
-        let nic_fin = rpn.nic.offer(
-            disk_fin,
-            SimDuration::from_secs_f64(wire / params.network.rpn_egress_bytes_per_sec),
-        );
-        if let Some(req) = rpn.active.get_mut(&job.conn) {
-            req.cpu_us = cpu_us * speed; // account in reference-machine µs
-            req.disk_us = disk_us;
-            req.net_bytes = wire;
-            req.cpu_fin = cpu_fin;
-            req.disk_fin = disk_fin;
-            req.nic_fin = nic_fin;
-        }
-        rpn.outbox.push(LaneDone {
-            conn: job.conn,
-            fin: nic_fin,
-            has_disk: disk_us > 0.0,
-        });
-    }
-    rpn.inbox = inbox;
-}
-
-fn response_packet_counts(net: &NetworkParams, size: u64) -> (u64, u64) {
-    let data_pkts = (size + 200).div_ceil(net.mss as u64).max(1);
-    (data_pkts, data_pkts) // one ACK per data packet, per the paper
-}
-
-fn response_wire_bytes(net: &NetworkParams, size: u64) -> f64 {
-    let (data_pkts, _) = response_packet_counts(net, size);
-    (size + 200 + data_pkts * 54) as f64
-}
-
-/// A client's record of one outstanding request attempt.
-#[derive(Debug, Clone, Copy)]
-struct PendingClientReq {
-    /// What the attempt is requesting.
-    url: UrlInfo,
-    /// When the *first* attempt was issued; latency on eventual success
-    /// spans retries.
-    first_issued: SimTime,
-    /// 0 for the initial send, incremented per retry.
-    attempt: u32,
-    /// The armed [`Ev::ClientTimeout`], cancelled when the request resolves.
-    timeout: EventId,
-}
-
-#[derive(Debug)]
-struct ClientSide {
-    /// Outstanding requests keyed by their client→cluster tuple.
-    pending: DetMap<FourTuple, PendingClientReq>,
-    issued: u64,
-}
-
-/// One front-end RDN: the per-peer slice of dispatch state. Every front
-/// owns a full request scheduler (non-owned subscribers' reservations
-/// masked to zero) over its share of RPN capacity, its own connection
-/// table, CPU/interrupt metrics, report watchdog and accounting table —
-/// fronts never share mutable state, they exchange only messages.
-#[derive(Debug)]
-struct RdnFront {
-    scheduler: RequestScheduler<PendingRequest>,
-    conn_table: ConnTable,
-    metrics: RdnMetrics,
-    /// When each RPN's last report addressed here arrived (watchdog
-    /// input).
-    last_report: Vec<SimTime>,
-    /// Conflict-free per-(origin RDN, subscriber) usage rows, converged
-    /// by gossip.
-    acct: AcctTable,
-    /// Boot generation: bumped on every crash so reports, gossip ticks
-    /// and dispatch refunds addressed to a previous life are stale.
-    epoch: u32,
-}
-
 /// The simulation world.
 #[derive(Debug)]
 pub struct World {
@@ -469,7 +221,10 @@ pub struct World {
     /// The front-end RDNs, `params.rdn_count` of them.
     fronts: Vec<RdnFront>,
     rpns: Vec<Rpn>,
-    clients: Vec<ClientSide>,
+    /// Each subscriber's clients.
+    clients: Vec<client::ClientSide>,
+    /// Which front answers for which subscribers.
+    shards: ShardMap,
     rr_next: usize,
     isn_counter: u32,
     /// Next run-wide logical request id. Assigned unconditionally at issue
@@ -486,28 +241,13 @@ pub struct World {
     /// CPU busy time of each secondary RDN (handshake offload).
     pub secondary_busy: Vec<gage_des::stats::BusyTracker>,
     secondary_rr: usize,
-    /// Home shard of each subscriber, from [`ClusterParams::shard_of`].
-    sub_shard: Vec<u16>,
-    /// Current owner of each shard (index = shard = home RDN); mutated
-    /// only by failover/failback at the scheduling tick.
-    shard_owner: Vec<u16>,
-    /// Fail-stopped front ends.
-    dead_rdns: Vec<bool>,
-    /// When each currently-dead front end crashed (failover grace input).
-    rdn_died_at: Vec<SimTime>,
-    /// Per-RPN capacity share a single front schedules against
-    /// (`1/rdn_count` of the node), kept for scheduler rebuilds on RDN
-    /// crash.
-    front_capacity: ResourceVector,
-    /// Fail-stopped RPNs.
-    dead_rpns: Vec<bool>,
     /// Reports dropped by the injected loss process.
     pub lost_reports: u64,
     /// Runtime state of the installed [`FaultPlan`] (inactive by default).
     faults: FaultState,
     /// Reused scratch buffer for the 10 ms scheduler tick, so the steady
     /// state allocates no dispatch `Vec` per cycle.
-    dispatch_buf: Vec<gage_core::scheduler::Dispatch<PendingRequest>>,
+    dispatch_buf: Vec<Dispatch<PendingRequest>>,
     /// Scheduling ticks handled so far (drives the periodic queue-stats
     /// trace record).
     sched_ticks: u64,
@@ -522,1101 +262,6 @@ pub struct World {
 impl World {
     fn hop(&self) -> SimDuration {
         self.params.network.hop_latency
-    }
-
-    /// Endpoint a subscriber's client uses for its `n`-th request. Each
-    /// subscriber owns a /24 of client addresses so the ephemeral-port space
-    /// never collides within a run.
-    fn client_endpoint(&self, sub: u32, n: u64) -> Endpoint {
-        let ip_idx = ((n / 60_000) % 250) as u8;
-        let port = 1_024 + (n % 60_000) as u16;
-        Endpoint::new(
-            Ipv4Addr::new(10, 10 + (sub / 250) as u8, (sub % 250) as u8, ip_idx + 2),
-            Port::new(port),
-        )
-    }
-
-    /// The front end currently responsible for `sub`: its home shard's
-    /// owner (the home RDN itself except during failover).
-    fn owner_rdn(&self, sub: u32) -> u16 {
-        self.shard_owner[self.sub_shard[sub as usize] as usize]
-    }
-
-    /// Builds a fresh front-end scheduler: full node set at the per-front
-    /// capacity share, every reservation masked to zero. Shard ownership
-    /// (initial assignment, recovery, takeover) unmasks the owned ones.
-    fn make_front_scheduler(&self) -> RequestScheduler<PendingRequest> {
-        let mut nodes = NodeScheduler::new(self.params.scheduler.node_lookahead_secs);
-        for _ in 0..self.params.rpn_count {
-            nodes.add_rpn(self.front_capacity);
-        }
-        let mut scheduler = RequestScheduler::new(&self.registry, self.params.scheduler, nodes);
-        for i in 0..self.registry.len() {
-            scheduler.set_reservation(SubscriberId(i as u32), Grps(0.0));
-        }
-        scheduler.set_tracer(self.tracer.clone());
-        scheduler
-    }
-
-    /// Charges front end `rdn`'s CPU for handling `packets` packets'
-    /// interrupts plus `op_us` of protocol work at `now` — one batched
-    /// record regardless of the packet count.
-    fn charge_rdn(&mut self, rdn: usize, now: SimTime, packets: u64, op_us: f64) {
-        let m = &mut self.fronts[rdn].metrics;
-        let rate = m.recent_packet_rate(now);
-        let int_us = self.params.interrupts.cost_us(rate) * packets as f64;
-        m.packets.record(now, packets as f64);
-        m.packet_count += packets;
-        m.busy
-            .add(now, SimDuration::from_secs_f64((op_us + int_us) / 1e6));
-    }
-
-    // ---- client ----
-
-    fn on_issue(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, idx: u32) {
-        let req = self.next_req;
-        self.next_req += 1;
-        // `offered` counts logical requests once; retries re-send without
-        // re-counting, so offered == served + dropped + failed holds exactly.
-        self.metrics[sub as usize].offered.record(ctx.now(), 1.0);
-        self.tracer.emit(TraceEvent::ReqArrival { sub, req });
-        let first_issued = ctx.now();
-        self.issue_request(ctx, sub, UrlInfo { idx, req }, first_issued, 0);
-    }
-
-    /// Sends attempt `attempt` of a request: opens a fresh connection, arms
-    /// the per-attempt timeout (base timeout × backoff^attempt) and starts
-    /// the first-leg exchange. The SYN / SYN-ACK / ACK+URL volley is three
-    /// network hops, so the URL reaches the RDN at `now + 3·hop`.
-    fn issue_request(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        sub: u32,
-        url: UrlInfo,
-        first_issued: SimTime,
-        attempt: u32,
-    ) {
-        // Copy-cheap: `url` names the trace entry, it doesn't own the URL.
-        let n = self.clients[sub as usize].issued;
-        self.clients[sub as usize].issued += 1;
-        let client_ep = self.client_endpoint(sub, n);
-        let conn = FourTuple::new(client_ep, self.cluster_ep);
-        let retry = self.params.client_retry;
-        let timeout_in = retry.timeout.mul_f64(retry.backoff.powi(attempt as i32));
-        let timeout = ctx.schedule_in(timeout_in, Ev::ClientTimeout { sub, conn, attempt });
-        self.clients[sub as usize].pending.insert(
-            conn,
-            PendingClientReq {
-                url,
-                first_issued,
-                attempt,
-                timeout,
-            },
-        );
-        self.isn_counter = self.isn_counter.wrapping_add(64_223);
-        let hop = self.hop();
-        ctx.schedule_in(hop * 3, Ev::UrlArrive { sub, conn });
-    }
-
-    fn on_client_timeout(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        sub: u32,
-        conn: FourTuple,
-        attempt: u32,
-    ) {
-        let Some(entry) = self.clients[sub as usize].pending.get(&conn).copied() else {
-            return; // resolved (served or reset) before the timer fired
-        };
-        if entry.attempt != attempt {
-            return; // stale timer from an earlier attempt on a reused tuple
-        }
-        self.clients[sub as usize].pending.remove(&conn);
-        let url = entry.url;
-        if attempt < self.params.client_retry.max_retries {
-            self.tracer.emit(TraceEvent::RequestRetry {
-                sub,
-                req: url.req,
-                attempt: attempt + 1,
-            });
-            self.issue_request(ctx, sub, url, entry.first_issued, attempt + 1);
-            return;
-        }
-        // Out of retries: the request terminally fails at the client.
-        self.metrics[sub as usize].failed.record(ctx.now(), 1.0);
-        self.tracer.emit(TraceEvent::RequestFailed {
-            sub,
-            req: url.req,
-            attempts: attempt + 1,
-        });
-    }
-
-    /// An RST from the RDN (queue overflow, unknown host, unrecoverable
-    /// dispatch): the request resolves as dropped and its retry timer is
-    /// disarmed.
-    fn on_client_rst(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
-            ctx.cancel(entry.timeout);
-            self.metrics[sub as usize].dropped.record(ctx.now(), 1.0);
-            self.tracer.emit(TraceEvent::ReqDropped {
-                sub,
-                req: entry.url.req,
-            });
-        }
-    }
-
-    fn on_response_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
-            ctx.cancel(entry.timeout);
-            let latency = ctx.now().saturating_since(entry.first_issued);
-            self.metrics[sub as usize].served.record(ctx.now(), 1.0);
-            self.metrics[sub as usize]
-                .latency_ms
-                .observe(latency.as_secs_f64() * 1e3);
-            self.tracer.emit(TraceEvent::ReqServed {
-                sub,
-                req: entry.url.req,
-            });
-        }
-    }
-
-    // ---- RDN ----
-
-    /// Refuses a client request: charges front end `rdn` for the reset
-    /// packet and RSTs the connection so the client resolves it as
-    /// dropped.
-    fn refuse(&mut self, ctx: &mut Context<'_, Ev>, rdn: usize, sub: u32, conn: FourTuple) {
-        self.charge_rdn(rdn, ctx.now(), 1, 0.0);
-        let hop = self.hop();
-        ctx.schedule_in(hop, Ev::ClientRst { sub, conn });
-    }
-
-    /// Forwards a dispatched request onto the RDN→RPN link, subject to any
-    /// active link fault: the frame may vanish (recovery is the client's
-    /// timeout) or be delayed.
-    fn send_to_rpn(&mut self, ctx: &mut Context<'_, Ev>, rpn: u16, meta: DispatchMeta) {
-        let mut delay = self.hop();
-        if let Some((drop_prob, extra)) = self.faults.link_fault_at(ctx.now(), rpn) {
-            if self.faults.chance(drop_prob) {
-                return; // frame lost on the degraded link
-            }
-            delay += extra;
-        }
-        ctx.schedule_in(
-            delay,
-            Ev::RpnArrive {
-                rpn,
-                meta: Box::new(meta),
-            },
-        );
-    }
-
-    /// The collapsed first-leg exchange: charges the SYN + SYN-ACK (setup)
-    /// and ACK + URL (classification) packet batches, resolves the Host,
-    /// and queues or dispatches the request. Credits the three collapsed
-    /// packet events (SYN, SYN-ACK, ACK) to the engine's logical count.
-    fn on_url_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let Some(url) = self.clients[sub as usize].pending.get(&conn).map(|p| p.url) else {
-            return; // resolved before the exchange finished
-        };
-        // The subscriber's home-shard owner answers its cluster address.
-        // A dead front end answers nothing: the exchange vanishes on the
-        // wire and the client's timeout/retry resolves the request
-        // (failover re-homes the shard within the watchdog grace).
-        let rdn = self.owner_rdn(sub) as usize;
-        if self.dead_rdns[rdn] {
-            return;
-        }
-        // Resolve the URL from the immutable trace before any `&mut self`
-        // work below; only `path` is ever cloned, and only on the
-        // successfully-classified path.
-        let entry = &self.traces[sub as usize].entries[url.idx as usize];
-        let size = entry.size_bytes;
-        let classified = self.registry.classify_host(&entry.host);
-        let path = classified.map(|_| entry.path.clone());
-        ctx.count_logical(3);
-        // Handshake emulation: SYN in, SYN-ACK out. With an asymmetric
-        // front-end cluster the setup CPU work moves to a secondary RDN;
-        // the primary still sees the packets.
-        if self.secondary_busy.is_empty() {
-            self.charge_rdn(rdn, ctx.now(), 2, self.params.rdn_costs.conn_setup_us);
-        } else {
-            self.charge_rdn(rdn, ctx.now(), 2, 0.0);
-            let i = self.secondary_rr % self.secondary_busy.len();
-            self.secondary_rr += 1;
-            self.secondary_busy[i].add(
-                ctx.now(),
-                SimDuration::from_secs_f64(self.params.rdn_costs.conn_setup_us / 1e6),
-            );
-        }
-        self.isn_counter = self.isn_counter.wrapping_add(88_651);
-        let rdn_isn = SeqNum::new(self.isn_counter);
-        // The handshake ACK and the URL packet itself, classified at 3 µs.
-        self.charge_rdn(rdn, ctx.now(), 2, self.params.rdn_costs.classification_us);
-        let (Some(sub_id), Some(path)) = (classified, path) else {
-            self.unknown_host_drops += 1;
-            // Still terminate the connection: the issuing client resolves
-            // the request as dropped.
-            self.refuse(ctx, rdn, sub, conn);
-            return;
-        };
-        let req = PendingRequest {
-            conn,
-            req: url.req,
-            rdn_isn,
-            path,
-            size,
-            enqueued_at: ctx.now(),
-        };
-        match self.params.mode {
-            GageMode::Enabled => {
-                if let Err(req) = self.fronts[rdn].scheduler.enqueue(sub_id, req) {
-                    self.refuse(ctx, rdn, sub_id.0, req.conn);
-                }
-            }
-            GageMode::Bypass => {
-                let rpn = RpnId((self.rr_next % self.rpns.len()) as u16);
-                self.rr_next += 1;
-                self.dispatch_to_rpn(ctx, rdn, sub_id, rpn, req, ResourceVector::ZERO);
-            }
-        }
-    }
-
-    fn dispatch_to_rpn(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        rdn: usize,
-        sub: SubscriberId,
-        rpn: RpnId,
-        req: PendingRequest,
-        predicted: ResourceVector,
-    ) {
-        self.fronts[rdn].conn_table.insert(
-            req.conn,
-            Route {
-                rpn,
-                rpn_mac: self.rpns[rpn.0 as usize].mac,
-            },
-        );
-        self.charge_rdn(rdn, ctx.now(), 1, self.params.rdn_costs.forwarding_us);
-        let wait_ms = ctx.now().saturating_since(req.enqueued_at).as_secs_f64() * 1e3;
-        self.metrics[sub.0 as usize].queue_wait_ms.observe(wait_ms);
-        let meta = DispatchMeta {
-            sub,
-            req: req.req,
-            predicted,
-            rdn_isn: req.rdn_isn,
-            path: req.path,
-            size: req.size,
-            conn: req.conn,
-            rdn: rdn as u16,
-            rdn_epoch: self.fronts[rdn].epoch,
-        };
-        self.send_to_rpn(ctx, rpn.0, meta);
-    }
-
-    /// Flushes every RPN lane (see [`flush_lane`]). With `params.lanes > 1`
-    /// the RPN array is split into contiguous chunks flushed by scoped
-    /// worker threads; each lane's arithmetic is confined to its own RPN,
-    /// so the result is independent of the thread count.
-    ///
-    /// Threads are only spawned when the barrier batch is large enough to
-    /// amortize the ~tens-of-µs spawn/join cost; below
-    /// [`LANE_PARALLEL_THRESHOLD`] jobs the flush runs inline. The
-    /// threshold is a pure function of deterministic state (inbox sizes),
-    /// and inline vs threaded flushing computes identical results, so the
-    /// cutover cannot perturb determinism.
-    fn flush_lanes(&mut self) {
-        /// Minimum jobs in a barrier batch before worker threads pay off.
-        const LANE_PARALLEL_THRESHOLD: usize = 1024;
-        let jobs: usize = self.rpns.iter().map(|r| r.inbox.len()).sum();
-        if jobs == 0 {
-            return;
-        }
-        let params = &self.params;
-        let rpns = &mut self.rpns;
-        let lanes = params.lanes.max(1).min(rpns.len());
-        if lanes <= 1 || jobs < LANE_PARALLEL_THRESHOLD {
-            for rpn in rpns.iter_mut() {
-                flush_lane(rpn, params);
-            }
-        } else {
-            let chunk = rpns.len().div_ceil(lanes);
-            std::thread::scope(|s| {
-                for slice in rpns.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for rpn in slice {
-                            flush_lane(rpn, params);
-                        }
-                    });
-                }
-            });
-        }
-    }
-
-    /// Merges RPN `r`'s outbox into the event queue: every completion is
-    /// scheduled at its exact finish time (clamped to now by the engine)
-    /// and the collapsed per-stage events are credited as logical events.
-    /// Always called in fixed RPN order — this is the determinism barrier.
-    fn merge_outbox(&mut self, ctx: &mut Context<'_, Ev>, r: usize) {
-        let epoch = self.rpns[r].epoch;
-        let mut outbox = std::mem::take(&mut self.rpns[r].outbox);
-        for done in outbox.drain(..) {
-            // One legacy CpuDone + NicDone pair collapses into Complete
-            // (+1 logical), plus DiskDone when the disk stage ran.
-            ctx.count_logical(1 + u64::from(done.has_disk));
-            ctx.schedule_at(
-                done.fin,
-                Ev::Complete {
-                    rpn: r as u16,
-                    epoch,
-                    conn: done.conn,
-                },
-            );
-        }
-        self.rpns[r].outbox = outbox;
-    }
-
-    fn on_sched_tick(&mut self, ctx: &mut Context<'_, Ev>) {
-        // Barrier first: flush every lane (possibly in parallel), then
-        // merge completions back in fixed RPN order.
-        self.flush_lanes();
-        for r in 0..self.rpns.len() {
-            self.merge_outbox(ctx, r);
-        }
-        // Shard failover/failback precedes dispatch, so every cycle
-        // dispatches against settled ownership.
-        if self.params.rdn_count > 1 {
-            self.rebalance_shards(ctx);
-        }
-        // Watchdog: a node that has gone silent for `watchdog_grace_cycles`
-        // accounting cycles is declared down, excluded from dispatch (its
-        // in-flight work is written off) and its splice routes are purged.
-        // Each live front judges silence by its own report stream.
-        let grace = self
-            .params
-            .accounting_cycle
-            .mul_f64(self.params.watchdog_grace_cycles);
-        let cycle = self.params.scheduler.scheduling_cycle_secs;
-        for f in 0..self.fronts.len() {
-            if self.dead_rdns[f] {
-                continue;
-            }
-            for r in 0..self.rpns.len() {
-                let rpn = RpnId(r as u16);
-                if self.fronts[f].scheduler.nodes().is_up(rpn)
-                    && ctx.now().saturating_since(self.fronts[f].last_report[r]) > grace
-                {
-                    self.fronts[f].scheduler.nodes_mut().set_up(rpn, false);
-                    self.tracer.emit(TraceEvent::NodeDown { rpn: r as u16 });
-                    let purged = self.fronts[f].conn_table.purge_rpn(rpn);
-                    if purged > 0 {
-                        self.tracer.emit(TraceEvent::RoutesPurged {
-                            rpn: r as u16,
-                            count: purged as u32,
-                        });
-                    }
-                }
-            }
-            // Move the scratch buffer out while dispatching
-            // (dispatch_to_rpn needs `&mut self`), then park it back,
-            // allocation intact — one buffer serves every front in turn.
-            let mut dispatches = std::mem::take(&mut self.dispatch_buf);
-            self.fronts[f]
-                .scheduler
-                .run_cycle_into(cycle, &mut dispatches);
-            for d in dispatches.drain(..) {
-                if d.funded_by_spare {
-                    self.spare_dispatches += 1;
-                } else {
-                    self.reserved_dispatches += 1;
-                }
-                self.dispatch_to_rpn(ctx, f, d.subscriber, d.rpn, d.request, d.predicted);
-            }
-            self.dispatch_buf = dispatches;
-        }
-        self.sched_ticks += 1;
-        // Every 64th cycle, snapshot the DES queue's operational counters
-        // into the trace so tracedump --stats can plot queue health.
-        if self.sched_ticks % 64 == 1 && self.tracer.is_enabled() {
-            let s = ctx.queue_stats();
-            self.tracer.emit(TraceEvent::QueueStats {
-                depth: s.depth as u32,
-                scheduled: s.scheduled,
-                cancelled: s.cancelled,
-                cascades: s.cascades,
-            });
-        }
-        ctx.schedule_in(SimDuration::from_secs_f64(cycle), Ev::SchedTick);
-    }
-
-    /// Decides who should own each shard and executes the moves. The
-    /// policy is deliberately simple and deterministic: a live home RDN
-    /// always owns its shard; a shard whose owner has been dead longer
-    /// than the watchdog grace is adopted by the lowest-numbered live
-    /// peer. Partitions never influence ownership — only the scripted
-    /// crash schedule does — so peers cannot disagree (no split-brain).
-    fn rebalance_shards(&mut self, ctx: &mut Context<'_, Ev>) {
-        let grace = self
-            .params
-            .accounting_cycle
-            .mul_f64(self.params.watchdog_grace_cycles);
-        for shard in 0..self.shard_owner.len() {
-            let home = shard as u16;
-            let owner = self.shard_owner[shard];
-            let desired = if !self.dead_rdns[home as usize] {
-                home
-            } else if self.dead_rdns[owner as usize]
-                && ctx.now().saturating_since(self.rdn_died_at[owner as usize]) > grace
-            {
-                (0..self.fronts.len() as u16)
-                    .find(|&r| !self.dead_rdns[r as usize])
-                    .unwrap_or(owner)
-            } else {
-                owner
-            };
-            if desired != owner {
-                self.move_shard(ctx, shard as u16, owner, desired);
-            }
-        }
-    }
-
-    /// Moves shard `shard` from front `from` to front `to`: masks the
-    /// shard's reservations at the old owner and drains its queues across
-    /// (refusing what no longer fits), then unmasks full reservations at
-    /// the adopter — whose graceful-degradation pass rescales them
-    /// proportionally if they oversubscribe its capacity share.
-    fn move_shard(&mut self, ctx: &mut Context<'_, Ev>, shard: u16, from: u16, to: u16) {
-        let mut subs = 0u32;
-        for i in 0..self.sub_shard.len() {
-            if self.sub_shard[i] != shard {
-                continue;
-            }
-            subs += 1;
-            let sub = SubscriberId(i as u32);
-            if !self.dead_rdns[from as usize] {
-                let f = &mut self.fronts[from as usize];
-                f.scheduler.set_reservation(sub, Grps(0.0));
-                let drained = f.scheduler.drain_queue(sub);
-                for req in drained {
-                    let conn = req.conn;
-                    if self.fronts[to as usize]
-                        .scheduler
-                        .enqueue(sub, req)
-                        .is_err()
-                    {
-                        self.refuse(ctx, to as usize, sub.0, conn);
-                    }
-                }
-            }
-            let full = self.registry.get(sub).expect("registered").reservation;
-            self.fronts[to as usize]
-                .scheduler
-                .set_reservation(sub, full);
-        }
-        self.shard_owner[shard as usize] = to;
-        self.tracer.emit(TraceEvent::ShardTakeover {
-            shard,
-            from,
-            to,
-            subs,
-        });
-    }
-
-    fn on_report(&mut self, ctx: &mut Context<'_, Ev>, to_rdn: u16, report: UsageReport) {
-        let f = to_rdn as usize;
-        if self.dead_rdns[f] {
-            return; // addressed to a front that died while it was in flight
-        }
-        let r = report.rpn.0 as usize;
-        let epoch = self.fronts[f].epoch;
-        let front = &mut self.fronts[f];
-        if r < front.last_report.len() {
-            front.last_report[r] = ctx.now();
-            // A report from a node the watchdog had written off means it is
-            // back: either a rebooted node re-announcing itself (its first
-            // post-recovery report) or a live node whose reports were merely
-            // lost. Either way the node rejoins the dispatch set.
-            if !front.scheduler.nodes().is_up(report.rpn) && !self.dead_rpns[r] {
-                front.scheduler.nodes_mut().set_up(report.rpn, true);
-                self.tracer.emit(TraceEvent::NodeUp { rpn: report.rpn.0 });
-            }
-        }
-        for line in &report.per_subscriber {
-            let i = line.subscriber.0 as usize;
-            if i < self.metrics.len() {
-                self.metrics[i]
-                    .observed_usage
-                    .record(ctx.now(), line.actual.generic_equivalents());
-                self.metrics[i]
-                    .observed_completions
-                    .record(ctx.now(), f64::from(line.completed));
-            }
-        }
-        let front = &mut self.fronts[f];
-        front.scheduler.on_report(&report);
-        // Fold the report into this front's own accounting rows (it is
-        // the single writer of origin `f`); gossip carries them to peers.
-        for line in &report.per_subscriber {
-            front.acct.accumulate(
-                to_rdn,
-                line.subscriber.0,
-                epoch,
-                AcctDelta {
-                    as_of_ns: ctx.now().as_nanos(),
-                    usage: line.actual,
-                    settled_predicted: line.settled_predicted,
-                    completed: line.completed as u64,
-                },
-            );
-        }
-        if self.tracer.is_enabled() {
-            let completed: u32 = report.per_subscriber.iter().map(|l| l.completed).sum();
-            self.tracer.emit(TraceEvent::AcctReport {
-                rpn: report.rpn.0,
-                subscribers: report.per_subscriber.len() as u32,
-                completed,
-            });
-            // Load as reconciled by the report: the node's outstanding
-            // predicted work relative to its dispatch window.
-            self.tracer.emit(TraceEvent::NodeLoad {
-                rpn: report.rpn.0,
-                load: self.fronts[f].scheduler.nodes().load_fraction(report.rpn),
-            });
-        }
-    }
-
-    /// A front's gossip timer: snapshot its accounting rows and send them
-    /// to every peer, subject to any active inter-RDN partition window.
-    fn on_gossip_tick(&mut self, ctx: &mut Context<'_, Ev>, rdn: u16, epoch: u32) {
-        let f = rdn as usize;
-        if self.dead_rdns[f] || self.fronts[f].epoch != epoch {
-            return; // a previous life's chain; recovery armed a fresh one
-        }
-        let rows = self.fronts[f].acct.rows();
-        let hop = self.hop();
-        for peer in 0..self.fronts.len() as u16 {
-            if peer == rdn {
-                continue;
-            }
-            let mut delay = hop;
-            let mut lost = false;
-            if let Some((drop_prob, extra)) = self.faults.rdn_link_fault_at(ctx.now(), rdn, peer) {
-                if self.faults.chance(drop_prob) {
-                    lost = true; // partitioned: the snapshot vanishes
-                } else {
-                    delay += extra;
-                }
-            }
-            self.tracer.emit(TraceEvent::ReportGossip {
-                from: rdn,
-                to: peer,
-                rows: rows.len() as u32,
-            });
-            if !lost {
-                ctx.schedule_in(
-                    delay,
-                    Ev::GossipArrive {
-                        to: peer,
-                        from: rdn,
-                        rows: Box::new(rows.clone()),
-                    },
-                );
-            }
-        }
-        ctx.schedule_in(self.params.accounting_cycle, Ev::GossipTick { rdn, epoch });
-    }
-
-    /// A peer's gossiped snapshot arrives: merge it. The merge is
-    /// conflict-free (epoch-then-componentwise-max), so loss, duplication
-    /// and reordering — and transitive relay once a partition heals —
-    /// all converge to the same table.
-    fn on_gossip_arrive(&mut self, to: u16, from: u16, rows: &[AcctRow]) {
-        let f = to as usize;
-        if self.dead_rdns[f] {
-            return;
-        }
-        let changed = self.fronts[f].acct.merge_rows(rows);
-        self.tracer.emit(TraceEvent::AcctMerge {
-            rdn: to,
-            from,
-            changed: changed as u32,
-        });
-    }
-
-    // ---- RPN ----
-
-    fn on_rpn_arrive(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, meta: DispatchMeta) {
-        if self.dead_rpns[rpn_idx as usize] {
-            // The node is down; delivery failure is visible at the link
-            // layer, so the RDN pulls the dispatch back: its booking is
-            // voided and it rejoins the head of its queue for another node.
-            self.requeue_undelivered(ctx, rpn_idx, meta);
-            return;
-        }
-        let (data_pkts, ack_pkts) = response_packet_counts(&self.params.network, meta.size);
-        let overhead_us = match self.params.mode {
-            GageMode::Enabled => self.params.gage_rpn_overhead_us(data_pkts, ack_pkts),
-            GageMode::Bypass => 0.0,
-        };
-        // CGI-style dynamic requests fork a child of the subscriber's
-        // worker and burn a multiple of the static CPU cost; the child's
-        // usage rolls up to the charging entity through the process tree.
-        let dynamic = self
-            .params
-            .dynamic
-            .as_ref()
-            .filter(|d| meta.path.starts_with(&d.path_prefix))
-            .map(|d| d.cpu_multiplier);
-        let rpn = &mut self.rpns[rpn_idx as usize];
-        rpn.isn_counter = rpn.isn_counter.wrapping_add(104_729);
-        let splice = SpliceMap::new_traced(
-            meta.conn.src,
-            self.cluster_ep,
-            rpn.ip,
-            meta.rdn_isn,
-            SeqNum::new(rpn.isn_counter),
-            meta.req,
-            &self.tracer,
-        );
-        let worker = rpn.workers[meta.sub.0 as usize];
-        let (pid, reap_pid) = if dynamic.is_some() {
-            match rpn.processes.spawn_child(worker) {
-                Some(child) => (child, true),
-                None => (worker, false),
-            }
-        } else {
-            (worker, false)
-        };
-        rpn.outstanding_by_rdn[meta.rdn as usize] += meta.predicted;
-        rpn.active.insert(
-            meta.conn,
-            ActiveReq {
-                sub: meta.sub,
-                req: meta.req,
-                predicted: meta.predicted,
-                splice,
-                size: meta.size,
-                disk_us: 0.0,
-                cpu_us: 0.0,
-                net_bytes: 0.0,
-                pid,
-                reap_pid,
-                rdn: meta.rdn,
-                rdn_epoch: meta.rdn_epoch,
-                cpu_fin: SimTime::MAX,
-                disk_fin: SimTime::MAX,
-                nic_fin: SimTime::MAX,
-            },
-        );
-        rpn.inbox.push(LaneJob {
-            conn: meta.conn,
-            ready: ctx.now(),
-            path: meta.path,
-            size: meta.size,
-            cpu_mult: dynamic.unwrap_or(1.0),
-            overhead_us,
-        });
-        if self.params.mode == GageMode::Bypass {
-            // No scheduling tick exists to act as the barrier: flush this
-            // lane inline, which reproduces exact unbatched timing.
-            flush_lane(&mut self.rpns[rpn_idx as usize], &self.params);
-            self.merge_outbox(ctx, rpn_idx as usize);
-        }
-    }
-
-    /// Pulls back a dispatch that bounced off a dead node: removes its
-    /// route, refunds its scheduler booking and puts it back at the head of
-    /// its queue (or refuses it if the queue has since filled). The refund
-    /// targets the life of the front that booked it; if that front has
-    /// since crashed, the dispatch simply evaporates and the client's
-    /// timeout/retry resolves the request.
-    fn requeue_undelivered(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, meta: DispatchMeta) {
-        let f = meta.rdn as usize;
-        if self.dead_rdns[f] || self.fronts[f].epoch != meta.rdn_epoch {
-            return;
-        }
-        self.fronts[f].conn_table.remove(meta.conn);
-        match self.params.mode {
-            GageMode::Enabled => {
-                self.fronts[f]
-                    .scheduler
-                    .void_dispatch(meta.sub, RpnId(rpn_idx), meta.predicted);
-                self.tracer.emit(TraceEvent::DispatchRequeued {
-                    sub: meta.sub.0,
-                    req: meta.req,
-                    rpn: rpn_idx,
-                });
-                let req = PendingRequest {
-                    conn: meta.conn,
-                    req: meta.req,
-                    rdn_isn: meta.rdn_isn,
-                    path: meta.path,
-                    size: meta.size,
-                    enqueued_at: ctx.now(),
-                };
-                if let Err(req) = self.fronts[f].scheduler.requeue(meta.sub, req) {
-                    self.refuse(ctx, f, meta.sub.0, req.conn);
-                }
-            }
-            GageMode::Bypass => {
-                // No scheduler queues to return to: refuse outright.
-                self.refuse(ctx, f, meta.sub.0, meta.conn);
-            }
-        }
-    }
-
-    /// True if an event stamped with `epoch` belongs to a previous life of
-    /// the node (or the node is down) and must be ignored.
-    fn stale_epoch(&self, rpn_idx: u16, epoch: u32) -> bool {
-        self.dead_rpns[rpn_idx as usize] || self.rpns[rpn_idx as usize].epoch != epoch
-    }
-
-    /// A request's NIC stage drained: settle its accounting, charge the
-    /// bridged ACK/FIN stream, tear the splice down and send the response
-    /// on its final hop to the client.
-    fn on_complete(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        rpn_idx: u16,
-        epoch: u32,
-        conn: FourTuple,
-    ) {
-        if self.stale_epoch(rpn_idx, epoch) {
-            return;
-        }
-        let Some(req) = self.rpns[rpn_idx as usize].active.remove(&conn) else {
-            return;
-        };
-        let sub = req.sub;
-        req.splice.trace_teardown(req.req, &self.tracer);
-        self.tracer.emit(TraceEvent::ReqComplete {
-            sub: sub.0,
-            req: req.req,
-            rpn: rpn_idx,
-        });
-        let actual = ResourceVector::new(req.cpu_us, req.disk_us, req.net_bytes);
-
-        // Charge the owning process (the worker, or the CGI child for
-        // dynamic requests) — per-process accounting, paper §3.5.
-        {
-            let rpn = &mut self.rpns[rpn_idx as usize];
-            rpn.processes.charge(req.pid, actual);
-            if req.reap_pid {
-                rpn.processes.exit(req.pid);
-            }
-            let acc = &mut rpn.cycle[sub.0 as usize];
-            acc.settled_predicted += req.predicted;
-            acc.completed += 1;
-            rpn.total_cycle_usage += actual;
-            rpn.completed_requests += 1;
-            rpn.outstanding_by_rdn[req.rdn as usize] -= req.predicted;
-        }
-
-        // The client's ACK/FIN stream transits the dispatching front's
-        // bridge. If that life of the front is gone, there is no bridge
-        // (and no route) left to charge — the response itself still flows
-        // directly RPN → client, so the request serves either way.
-        let f = req.rdn as usize;
-        if !self.dead_rdns[f] && self.fronts[f].epoch == req.rdn_epoch {
-            let (_data_pkts, ack_pkts) = response_packet_counts(&self.params.network, req.size);
-            self.charge_rdn(
-                f,
-                ctx.now(),
-                ack_pkts + 1,
-                self.params.rdn_costs.forwarding_us * (ack_pkts + 1) as f64,
-            );
-            self.fronts[f].conn_table.remove(conn);
-        }
-        let hop = self.hop();
-        ctx.schedule_in(hop, Ev::ResponseArrive { sub: sub.0, conn });
-    }
-
-    fn on_acct_tick(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, epoch: u32) {
-        if self.stale_epoch(rpn_idx, epoch) {
-            return; // crashed nodes stop reporting until recovery reboots them
-        }
-        // One report per front end, each carrying the usage lines of the
-        // subscribers that front currently owns plus the backlog it
-        // booked itself. A front with no owned activity still gets an
-        // empty report — the heartbeat its watchdog runs on.
-        let n_rdn = self.fronts.len();
-        let owner_of: Vec<usize> = (0..self.metrics.len())
-            .map(|i| self.owner_rdn(i as u32) as usize)
-            .collect();
-        let reports = {
-            let rpn = &mut self.rpns[rpn_idx as usize];
-            let rollup = rpn.processes.rollup();
-            let mut lines: Vec<Vec<SubscriberUsage>> = (0..n_rdn).map(|_| Vec::new()).collect();
-            for (i, acc) in rpn.cycle.iter_mut().enumerate() {
-                let sub = SubscriberId(i as u32);
-                let actual = rollup.get(&sub).copied().unwrap_or(ResourceVector::ZERO);
-                if acc.completed == 0 && actual == ResourceVector::ZERO {
-                    continue;
-                }
-                lines[owner_of[i]].push(SubscriberUsage {
-                    subscriber: sub,
-                    actual,
-                    settled_predicted: acc.settled_predicted,
-                    completed: acc.completed,
-                });
-                *acc = CycleAccum::default();
-            }
-            let total = rpn.total_cycle_usage;
-            rpn.total_cycle_usage = ResourceVector::ZERO;
-            // Each node reports its remaining predicted backlog so every
-            // front's outstanding estimate re-anchors to ground truth —
-            // sliced per front, since each front booked only its own
-            // dispatches. The whole-node `total` goes to every front (it
-            // is observational, not a booking).
-            lines
-                .into_iter()
-                .enumerate()
-                .map(|(dest, per_subscriber)| UsageReport {
-                    rpn: RpnId(rpn_idx),
-                    total,
-                    outstanding_predicted: rpn.outstanding_by_rdn[dest],
-                    per_subscriber,
-                })
-                .collect::<Vec<_>>()
-        };
-        let hop = self.hop();
-        for (dest, report) in reports.into_iter().enumerate() {
-            // Loss windows draw from the fault plan's own RNG stream so the
-            // traffic stream is untouched. One draw per destination, in
-            // fixed order.
-            let lost = self
-                .faults
-                .report_loss_at(ctx.now())
-                .is_some_and(|p| self.faults.chance(p));
-            if lost {
-                self.lost_reports += 1;
-            } else if !self.dead_rdns[dest] {
-                // A report to a dead front vanishes on the wire; it is
-                // not an injected loss, so it is not counted as one.
-                ctx.schedule_in(
-                    hop,
-                    Ev::Report {
-                        to_rdn: dest as u16,
-                        report: Box::new(report),
-                    },
-                );
-            }
-        }
-        // Each node's periodic timer runs on its own crystal: a fixed skew
-        // of a few hundred ppm. Reports therefore stay clustered across the
-        // cluster (the nodes started together) while the cluster-wide phase
-        // drifts slowly relative to measurement windows, as on real
-        // hardware.
-        let skew = self.rpns[rpn_idx as usize].clock_skew;
-        // Kernel timers also fire with small scheduling noise (±1% of the
-        // period here); without it the perfectly-periodic reports alias
-        // against averaging windows that are exact multiples of the cycle.
-        let noise = 0.99 + 0.02 * ctx.rng().f64();
-        ctx.schedule_in(
-            self.params.accounting_cycle.mul_f64(skew * noise),
-            Ev::AcctTick {
-                rpn: rpn_idx,
-                epoch,
-            },
-        );
-    }
-
-    // ---- fault injection ----
-
-    /// Fail-stop crash: the node's in-flight work (inbox included),
-    /// process table, cache and service lines are lost, and its boot epoch
-    /// advances so every event scheduled against the old life is stale.
-    /// Idempotent.
-    fn on_crash(&mut self, rpn_idx: u16) {
-        let idx = rpn_idx as usize;
-        if self.dead_rpns[idx] {
-            return; // already down
-        }
-        self.dead_rpns[idx] = true;
-        let n_sites = self.registry.len();
-        let rpn = &mut self.rpns[idx];
-        rpn.epoch = rpn.epoch.wrapping_add(1);
-        rpn.active.clear();
-        rpn.inbox.clear();
-        rpn.outbox.clear();
-        rpn.outstanding_by_rdn.fill(ResourceVector::ZERO);
-        rpn.cpu = BusyLine::new();
-        rpn.disk = BusyLine::new();
-        rpn.nic = BusyLine::new();
-        let mut processes = ProcessTable::new();
-        rpn.workers = (0..n_sites)
-            .map(|s| processes.launch_entity_root(SubscriberId(s as u32)))
-            .collect();
-        rpn.processes = processes;
-        if let DiskPolicy::Cache { capacity_bytes, .. } = self.params.service.disk {
-            rpn.cache = Some(LruCache::new(capacity_bytes));
-        }
-        for acc in rpn.cycle.iter_mut() {
-            *acc = CycleAccum::default();
-        }
-        rpn.total_cycle_usage = ResourceVector::ZERO;
-        self.tracer.emit(TraceEvent::RpnCrash { rpn: rpn_idx });
-    }
-
-    /// Reboot of a crashed node: it comes back cold and restarts its
-    /// accounting chain; its first report is what re-registers it with the
-    /// RDN (the watchdog's up-path). Idempotent.
-    fn on_recover(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16) {
-        let idx = rpn_idx as usize;
-        if !self.dead_rpns[idx] {
-            return; // already up
-        }
-        self.dead_rpns[idx] = false;
-        self.tracer.emit(TraceEvent::RpnRecover { rpn: rpn_idx });
-        if self.params.mode == GageMode::Enabled {
-            let skew = self.rpns[idx].clock_skew;
-            let epoch = self.rpns[idx].epoch;
-            ctx.schedule_in(
-                self.params.accounting_cycle.mul_f64(skew),
-                Ev::AcctTick {
-                    rpn: rpn_idx,
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// Fail-stop crash of front end `rdn`: its queued requests, dispatch
-    /// bookings, connection routes and accounting rows are lost, and its
-    /// boot epoch advances so reports, gossip and refunds addressed to
-    /// the old life are recognizably stale. In-flight requests it
-    /// dispatched still complete (responses flow directly RPN → client);
-    /// queued ones resolve through client timeout and retry against the
-    /// shard's next owner. Idempotent.
-    fn on_rdn_crash(&mut self, now: SimTime, rdn: u16) {
-        let f = rdn as usize;
-        if self.dead_rdns[f] {
-            return; // already down
-        }
-        self.dead_rdns[f] = true;
-        self.rdn_died_at[f] = now;
-        let scheduler = self.make_front_scheduler();
-        let front = &mut self.fronts[f];
-        front.epoch = front.epoch.wrapping_add(1);
-        front.scheduler = scheduler;
-        front.conn_table = ConnTable::new();
-        front.acct = AcctTable::new();
-        self.tracer.emit(TraceEvent::RdnCrash { rdn });
-    }
-
-    /// Reboot of a crashed front end: it comes back with empty queues, a
-    /// cold accounting table (gossip refills peer rows; its own restart
-    /// at a higher epoch supersedes stale copies of it elsewhere) and a
-    /// re-armed watchdog and gossip chain. Shards it still owns get
-    /// their reservations back immediately; adopted ones return at the
-    /// next scheduling tick. Idempotent.
-    fn on_rdn_recover(&mut self, ctx: &mut Context<'_, Ev>, rdn: u16) {
-        let f = rdn as usize;
-        if !self.dead_rdns[f] {
-            return; // already up
-        }
-        self.dead_rdns[f] = false;
-        self.tracer.emit(TraceEvent::RdnRecover { rdn });
-        let now = ctx.now();
-        self.fronts[f].last_report = vec![now; self.rpns.len()];
-        // Unmask reservations for shards whose ownership never left this
-        // front (no peer adopted them inside the grace window) — the
-        // rebalance pass only acts on ownership *changes*.
-        for i in 0..self.sub_shard.len() {
-            if self.shard_owner[self.sub_shard[i] as usize] == rdn {
-                let sub = SubscriberId(i as u32);
-                let full = self.registry.get(sub).expect("registered").reservation;
-                self.fronts[f].scheduler.set_reservation(sub, full);
-            }
-        }
-        if self.params.mode == GageMode::Enabled && self.fronts.len() > 1 {
-            let epoch = self.fronts[f].epoch;
-            ctx.schedule_in(self.params.accounting_cycle, Ev::GossipTick { rdn, epoch });
-        }
-    }
-
-    /// Debug view: per-RPN load fractions and per-subscriber (backlog,
-    /// balance, predicted) from front end 0's embedded scheduler (the
-    /// whole cluster with a single RDN).
-    pub fn scheduler_snapshot(&self) -> (Vec<f64>, Vec<(usize, ResourceVector, ResourceVector)>) {
-        let s = &self.fronts[0].scheduler;
-        let loads = s
-            .nodes()
-            .rpn_ids()
-            .map(|id| s.nodes().load_fraction(id))
-            .collect();
-        let subs = (0..self.registry.len())
-            .map(|i| {
-                let sub = SubscriberId(i as u32);
-                (s.backlog(sub), s.balance(sub), s.predicted_usage(sub))
-            })
-            .collect();
-        (loads, subs)
-    }
-
-    /// Front end `rdn`'s measurement state (packet counts, CPU busy).
-    pub fn rdn_metrics(&self, rdn: usize) -> &RdnMetrics {
-        &self.fronts[rdn].metrics
-    }
-
-    /// Whether front end `rdn` is currently live.
-    pub fn rdn_alive(&self, rdn: usize) -> bool {
-        !self.dead_rdns[rdn]
-    }
-
-    /// Current owner of each shard (index = shard = home RDN).
-    pub fn shard_owners(&self) -> &[u16] {
-        &self.shard_owner
-    }
-
-    /// Front end `rdn`'s converged accounting rows, sorted by
-    /// (origin, subscriber) — the convergence probe for chaos tests.
-    pub fn acct_rows(&self, rdn: usize) -> Vec<AcctRow> {
-        self.fronts[rdn].acct.rows()
-    }
-
-    /// Every front end's graceful-degradation multiplier.
-    pub fn degrade_scales(&self) -> Vec<f64> {
-        self.fronts
-            .iter()
-            .map(|f| f.scheduler.degrade_scale())
-            .collect()
-    }
-
-    /// Debug view: per-RPN (active requests, cpu stage, disk stage, nic
-    /// stage) occupancy. A request counts toward the stage whose finish
-    /// time is still in the future at the last handled event (inbox-
-    /// resident requests count as CPU-stage: they have not started).
-    pub fn rpn_occupancy(&self) -> Vec<(usize, usize, usize, usize)> {
-        let now = self.last_event_at;
-        self.rpns
-            .iter()
-            .map(|r| {
-                let (mut cpu, mut disk, mut nic) = (0, 0, 0);
-                for a in r.active.values() {
-                    if a.cpu_fin > now {
-                        cpu += 1;
-                    } else if a.disk_fin > now {
-                        disk += 1;
-                    } else {
-                        nic += 1;
-                    }
-                }
-                (r.active.len(), cpu, disk, nic)
-            })
-            .collect()
-    }
-
-    /// The cluster's graceful-degradation multiplier (1.0 = full
-    /// capacity, <1.0 = reservations scaled down, 0.0 = no live nodes):
-    /// the minimum over the front ends. A dead front's fresh scheduler
-    /// reads 1.0 (zero demand), so it never drags the minimum down.
-    pub fn degrade_scale(&self) -> f64 {
-        self.fronts
-            .iter()
-            .map(|f| f.scheduler.degrade_scale())
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -1644,8 +289,8 @@ impl Model for World {
             // Fail-stop: the node vanishes. The RDN only learns of it when
             // the report watchdog fires; until then dispatches bounce off
             // the dead node and are re-queued.
-            Ev::CrashRpn { rpn } => self.on_crash(rpn),
-            Ev::RecoverRpn { rpn } => self.on_recover(ctx, rpn),
+            Ev::CrashRpn { rpn } => self.on_rpn_crash(rpn),
+            Ev::RecoverRpn { rpn } => self.on_rpn_recover(ctx, rpn),
             // Fail-stop of a front end: peers only react through the
             // failover grace; clients through timeout and retry.
             Ev::CrashRdn { rdn } => self.on_rdn_crash(ctx.now(), rdn),
@@ -1687,89 +332,18 @@ impl ClusterSim {
                 .register(s.host.clone(), s.reservation)
                 .expect("duplicate site host");
         }
-        // Each front end schedules against its 1/rdn_count share of every
-        // node, so the peer set as a whole never oversubscribes an RPN.
-        // With a single RDN the share is exactly the whole node.
-        let share = 1.0 / params.rdn_count as f64;
-        let front_capacity = ResourceVector::new(
-            1e6 * params.rpn_speed * share,
-            1e6 * share,
-            params.network.rpn_egress_bytes_per_sec * share,
-        );
-        let sub_shard: Vec<u16> = (0..sites.len())
-            .map(|i| params.shard_of(i as u32))
-            .collect();
-        let shard_owner: Vec<u16> = (0..params.rdn_count as u16).collect();
-        let mut fronts = Vec::new();
-        for f in 0..params.rdn_count {
-            let mut nodes = NodeScheduler::new(params.scheduler.node_lookahead_secs);
-            for _ in 0..params.rpn_count {
-                nodes.add_rpn(front_capacity);
-            }
-            let mut scheduler = RequestScheduler::new(&registry, params.scheduler, nodes);
-            for (i, &shard) in sub_shard.iter().enumerate() {
-                if shard as usize != f {
-                    scheduler.set_reservation(SubscriberId(i as u32), Grps(0.0));
-                }
-            }
-            fronts.push(RdnFront {
-                scheduler,
-                conn_table: ConnTable::new(),
-                metrics: RdnMetrics::default(),
-                last_report: vec![SimTime::ZERO; params.rpn_count],
-                acct: AcctTable::new(),
-                epoch: 0,
-            });
-        }
-        let mut rpns = Vec::new();
-        for i in 0..params.rpn_count {
-            let mut processes = ProcessTable::new();
-            let workers = (0..sites.len())
-                .map(|s| processes.launch_entity_root(SubscriberId(s as u32)))
-                .collect();
-            let cache = match params.service.disk {
-                DiskPolicy::Cache { capacity_bytes, .. } => Some(LruCache::new(capacity_bytes)),
-                _ => None,
-            };
-            rpns.push(Rpn {
-                ip: Ipv4Addr::new(10, 0, 2, (i + 1) as u8),
-                mac: MacAddr::from_node_id((i + 1) as u16),
-                cpu: BusyLine::new(),
-                disk: BusyLine::new(),
-                nic: BusyLine::new(),
-                cache,
-                processes,
-                workers,
-                active: DetMap::new(),
-                inbox: Vec::new(),
-                outbox: Vec::new(),
-                outstanding_by_rdn: vec![ResourceVector::ZERO; params.rdn_count],
-                isn_counter: 7,
-                cycle: vec![CycleAccum::default(); sites.len()],
-                total_cycle_usage: ResourceVector::ZERO,
-                completed_requests: 0,
-                epoch: 0,
-                // Deterministic per-node crystal skew in ±200 ppm.
-                clock_skew: {
-                    let h = seed
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add((i as u64).wrapping_mul(1_442_695_040_888_963_407));
-                    let ppm = ((h >> 33) % 401) as f64 - 200.0;
-                    1.0 + ppm * 1e-6
-                },
-            });
-        }
         let n_sites = sites.len();
-        let world = World {
+        let tracer = Tracer::disabled();
+        let mut world = World {
             cluster_ep: Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
-            fronts,
-            rpns,
-            clients: (0..n_sites)
-                .map(|_| ClientSide {
-                    pending: DetMap::new(),
-                    issued: 0,
-                })
+            fronts: (0..params.rdn_count)
+                .map(|_| RdnFront::boot(&params, &registry, &tracer, 0))
                 .collect(),
+            rpns: (0..params.rpn_count)
+                .map(|i| Rpn::boot(i, &params, n_sites, rpn::clock_skew(seed, i)))
+                .collect(),
+            clients: (0..n_sites).map(|_| Default::default()).collect(),
+            shards: ShardMap::new(&params, n_sites),
             rr_next: 0,
             isn_counter: 1,
             next_req: 0,
@@ -1781,22 +355,19 @@ impl ClusterSim {
                 .map(|_| gage_des::stats::BusyTracker::new(crate::metrics::METRIC_BIN))
                 .collect(),
             secondary_rr: 0,
-            sub_shard,
-            shard_owner,
-            dead_rdns: vec![false; params.rdn_count],
-            rdn_died_at: vec![SimTime::ZERO; params.rdn_count],
-            front_capacity,
-            dead_rpns: vec![false; params.rpn_count],
             lost_reports: 0,
             faults: FaultState::inactive(),
             dispatch_buf: Vec::new(),
             sched_ticks: 0,
             last_event_at: SimTime::ZERO,
-            tracer: Tracer::disabled(),
+            tracer,
             traces: sites.iter().map(|s| s.trace.clone()).collect(),
             registry,
             params,
         };
+        for f in 0..world.fronts.len() {
+            world.unmask_owned(f as u16);
+        }
         let mut sim = Simulation::new(world, seed);
         // Pre-schedule all trace issues and the periodic ticks.
         for (s, site) in sites.iter().enumerate() {
@@ -1883,7 +454,7 @@ impl ClusterSim {
             world.tracer.emit(TraceEvent::Reservation {
                 sub: i as u32,
                 grps,
-                shard: world.sub_shard[i],
+                shard: world.shards.home(i),
             });
         }
     }
@@ -1919,18 +490,16 @@ impl ClusterSim {
         reg.set_counter("reports.lost", w.lost_reports);
         for i in 0..w.registry.len() {
             let sub = SubscriberId(i as u32);
-            let (mut accepted, mut dropped, mut dispatched, mut completed) = (0, 0, 0, 0);
-            for f in &w.fronts {
-                let c = f.scheduler.counters(sub);
-                accepted += c.accepted;
-                dropped += c.dropped;
-                dispatched += c.dispatched;
-                completed += c.completed;
-            }
-            reg.set_counter(&format!("sub{i}.accepted"), accepted);
-            reg.set_counter(&format!("sub{i}.dropped"), dropped);
-            reg.set_counter(&format!("sub{i}.dispatched"), dispatched);
-            reg.set_counter(&format!("sub{i}.completed"), completed);
+            let sum = |get: fn(SubscriberCounters) -> u64| {
+                w.fronts
+                    .iter()
+                    .map(|f| get(f.scheduler.counters(sub)))
+                    .sum()
+            };
+            reg.set_counter(&format!("sub{i}.accepted"), sum(|c| c.accepted));
+            reg.set_counter(&format!("sub{i}.dropped"), sum(|c| c.dropped));
+            reg.set_counter(&format!("sub{i}.dispatched"), sum(|c| c.dispatched));
+            reg.set_counter(&format!("sub{i}.completed"), sum(|c| c.completed));
             reg.set_counter(
                 &format!("sub{i}.failed"),
                 w.metrics[i].failed.total() as u64,
@@ -1972,55 +541,32 @@ impl ClusterSim {
         let n = self.sim.model().rpns.len();
         let n_rdn = self.sim.model().fronts.len();
         for ev in plan.normalized_events() {
-            match ev {
-                FaultEvent::Crash { at, rpn } => {
-                    assert!((rpn as usize) < n, "rpn {rpn} out of range");
-                    self.sim.schedule_at(at, Ev::CrashRpn { rpn });
-                }
-                FaultEvent::Recover { at, rpn } => {
-                    assert!((rpn as usize) < n, "rpn {rpn} out of range");
-                    self.sim.schedule_at(at, Ev::RecoverRpn { rpn });
-                }
-                FaultEvent::RdnCrash { at, rdn } => {
-                    assert!((rdn as usize) < n_rdn, "rdn {rdn} out of range");
-                    self.sim.schedule_at(at, Ev::CrashRdn { rdn });
-                }
+            let (at, event, (role, id, count)) = match ev {
+                FaultEvent::Crash { at, rpn } => (at, Ev::CrashRpn { rpn }, ("rpn", rpn, n)),
+                FaultEvent::Recover { at, rpn } => (at, Ev::RecoverRpn { rpn }, ("rpn", rpn, n)),
+                FaultEvent::RdnCrash { at, rdn } => (at, Ev::CrashRdn { rdn }, ("rdn", rdn, n_rdn)),
                 FaultEvent::RdnRecover { at, rdn } => {
-                    assert!((rdn as usize) < n_rdn, "rdn {rdn} out of range");
-                    self.sim.schedule_at(at, Ev::RecoverRdn { rdn });
+                    (at, Ev::RecoverRdn { rdn }, ("rdn", rdn, n_rdn))
                 }
-            }
+            };
+            assert!((id as usize) < count, "{role} {id} out of range");
+            self.sim.schedule_at(at, event);
         }
         self.sim.model_mut().faults.install(plan);
     }
 
     /// Mean CPU utilization of each secondary RDN over `[from, to)`.
     pub fn secondary_utilizations(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        let bw = crate::metrics::METRIC_BIN;
-        let lo = (from.as_nanos() / bw.as_nanos()) as usize;
-        let hi = (to.as_nanos() / bw.as_nanos()) as usize;
-        self.sim
-            .model()
+        self.world()
             .secondary_busy
             .iter()
-            .map(|b| {
-                let bins = b.per_bin_utilization();
-                if hi > lo {
-                    (lo..hi)
-                        .map(|i| bins.get(i).copied().unwrap_or(0.0))
-                        .sum::<f64>()
-                        / (hi - lo) as f64
-                } else {
-                    0.0
-                }
-            })
+            .map(|b| utilization_in_window(b, from, to))
             .collect()
     }
 
     /// Live process count on each RPN (workers + any CGI children).
     pub fn rpn_live_processes(&self) -> Vec<usize> {
-        self.sim
-            .model()
+        self.world()
             .rpns
             .iter()
             .map(|r| r.processes.live_count())
@@ -2072,26 +618,12 @@ impl ClusterSim {
                 mean_latency_ms: m.latency_ms.mean(),
             });
         }
-        // Busy within the window: approximate with total busy scaled by
-        // per-bin utilization over the window. With several fronts,
-        // report the busiest one — the front that limits scale-out.
-        let bw = crate::metrics::METRIC_BIN;
-        let lo = (from.as_nanos() / bw.as_nanos()) as usize;
-        let hi = (to.as_nanos() / bw.as_nanos()) as usize;
+        // With several fronts, report the busiest one — the front that
+        // limits scale-out.
         let rdn_utilization = w
             .fronts
             .iter()
-            .map(|f| {
-                let util_bins = f.metrics.busy.per_bin_utilization();
-                if hi > lo {
-                    (lo..hi)
-                        .map(|i| util_bins.get(i).copied().unwrap_or(0.0))
-                        .sum::<f64>()
-                        / (hi - lo) as f64
-                } else {
-                    0.0
-                }
-            })
+            .map(|f| utilization_in_window(&f.metrics.busy, from, to))
             .fold(0.0, f64::max);
         let (conn_lookups, _) = w.fronts[0].conn_table.stats();
         ClusterReport {
@@ -2102,70 +634,6 @@ impl ClusterSim {
             conn_hit_rate: w.fronts[0].conn_table.hit_rate(),
             conn_evictions: w.fronts[0].conn_table.evictions(),
             window: (from, to),
-        }
-    }
-}
-
-#[cfg(test)]
-mod lane_tests {
-    use super::*;
-
-    fn sim_with_lanes(lanes: usize) -> ClusterSim {
-        let params = ClusterParams {
-            rpn_count: 8,
-            lanes,
-            ..Default::default()
-        };
-        ClusterSim::new(params, Vec::new(), 7)
-    }
-
-    fn stuff_inboxes(world: &mut World, per_rpn: usize) {
-        for (r, rpn) in world.rpns.iter_mut().enumerate() {
-            for j in 0..per_rpn {
-                let i = (r * per_rpn + j) as u32;
-                let conn = FourTuple::new(
-                    Endpoint::new(
-                        Ipv4Addr::new(10, 1, (i >> 8) as u8, i as u8),
-                        Port::new(2_000),
-                    ),
-                    Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
-                );
-                rpn.inbox.push(LaneJob {
-                    conn,
-                    ready: SimTime::from_nanos(u64::from(i) * 1_000),
-                    path: format!("/f{}.html", i % 37),
-                    size: 1_000 + u64::from(i % 5_000),
-                    cpu_mult: 1.0,
-                    overhead_us: 75.0,
-                });
-            }
-        }
-    }
-
-    /// The scoped-thread flush path (reached only above the parallel
-    /// threshold, which no small workload crosses) must compute exactly
-    /// what the inline path computes.
-    #[test]
-    fn threaded_flush_matches_inline_flush() {
-        let mut inline = sim_with_lanes(1);
-        let mut threaded = sim_with_lanes(4);
-        // 8 RPNs x 200 jobs = 1600, comfortably above the 1024-job
-        // threshold, so lanes=4 genuinely takes std::thread::scope.
-        stuff_inboxes(inline.sim.model_mut(), 200);
-        stuff_inboxes(threaded.sim.model_mut(), 200);
-        inline.sim.model_mut().flush_lanes();
-        threaded.sim.model_mut().flush_lanes();
-        for (a, b) in inline.world().rpns.iter().zip(threaded.world().rpns.iter()) {
-            assert!(a.inbox.is_empty() && b.inbox.is_empty());
-            assert_eq!(a.outbox.len(), 200);
-            for (x, y) in a.outbox.iter().zip(b.outbox.iter()) {
-                assert_eq!(x.conn, y.conn);
-                assert_eq!(x.fin, y.fin);
-                assert_eq!(x.has_disk, y.has_disk);
-            }
-            assert_eq!(a.cpu.busy_until(), b.cpu.busy_until());
-            assert_eq!(a.disk.busy_until(), b.disk.busy_until());
-            assert_eq!(a.nic.busy_until(), b.nic.busy_until());
         }
     }
 }

@@ -8,7 +8,6 @@
 use gage_cluster::metrics::deviation_for_interval;
 use gage_cluster::params::{ClusterParams, ServiceCostModel};
 use gage_cluster::sim::{ClusterSim, SiteSpec};
-use gage_cluster::FaultPlan;
 use gage_core::resource::Grps;
 use gage_des::{SimDuration, SimTime};
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace};
@@ -52,28 +51,12 @@ fn sites(horizon: f64, seed: u64) -> Vec<SiteSpec> {
 /// to exact bits: served/dropped/offered/usage bins per subscriber, the
 /// deviation series, and the rendered report table.
 fn run_digest(seed: u64, horizon: u64) -> String {
-    run_digest_lanes(seed, horizon, 1, false)
-}
-
-/// Like [`run_digest`] but with an explicit lane count and optional fault
-/// plan — the lane-parallelism axis of the determinism matrix.
-fn run_digest_lanes(seed: u64, horizon: u64, lanes: usize, faults: bool) -> String {
     let params = ClusterParams {
         rpn_count: 4,
-        lanes,
         service: ServiceCostModel::generic_requests(),
         ..Default::default()
     };
     let mut sim = ClusterSim::new(params, sites(horizon as f64, seed), seed);
-    if faults {
-        // Mid-run crash + recovery and a lossy report window: the digest
-        // must stay lane-invariant through requeues, epoch bumps and
-        // watchdog write-offs, not just on the happy path.
-        let mut plan = FaultPlan::new(seed);
-        plan.crash_for(SimTime::from_secs(4), 1, SimDuration::from_secs(3));
-        plan.report_loss(SimTime::from_secs(2), SimTime::from_secs(8), 0.5);
-        sim.apply_fault_plan(&plan);
-    }
     sim.run_until(SimTime::from_secs(horizon));
 
     let from = SimTime::from_secs(2);
@@ -124,38 +107,6 @@ fn same_seed_runs_are_byte_identical() {
     assert!(
         first == second,
         "two runs with seed 42 diverged; the simulator is nondeterministic"
-    );
-}
-
-#[test]
-fn lane_counts_are_byte_identical() {
-    // The per-RPN lanes only parallelize service-time computation between
-    // scheduling-cycle barriers; merging back in fixed RPN order makes the
-    // simulation bit-equal for every lane count.
-    let lanes1 = run_digest_lanes(42, 12, 1, false);
-    for lanes in [2usize, 4] {
-        let lanesn = run_digest_lanes(42, 12, lanes, false);
-        assert!(
-            lanes1 == lanesn,
-            "lanes=1 and lanes={lanes} diverged; lane merge is nondeterministic"
-        );
-    }
-}
-
-#[test]
-fn lane_counts_are_byte_identical_under_faults() {
-    let lanes1 = run_digest_lanes(42, 12, 1, true);
-    let lanes4 = run_digest_lanes(42, 12, 4, true);
-    assert!(lanes1.len() > 1_000, "faulted digest covers real data");
-    assert!(
-        lanes1 == lanes4,
-        "lanes=1 and lanes=4 diverged under a fault plan"
-    );
-    // The fault plan must actually perturb the run, or the assertion above
-    // is vacuous.
-    assert!(
-        lanes1 != run_digest_lanes(42, 12, 1, false),
-        "fault plan had no observable effect"
     );
 }
 

@@ -1,7 +1,10 @@
 //! Deterministic discrete-event simulation kernel.
 //!
-//! `gage-des` is the substrate on which the packet-accurate Gage cluster
-//! simulation (`gage-cluster`) runs. It provides:
+//! `gage-des` is the substrate on which the Gage cluster simulation
+//! (`gage-cluster`) runs. That simulation models each request's packets
+//! in aggregate: a batched handler credits the packets it stands for
+//! through [`Context::count_logical`] instead of popping one event per
+//! packet. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time
 //!   newtypes with saturating arithmetic,

@@ -133,20 +133,25 @@ pub const HOT_PATH_MODULES: &[(&str, &[&str])] = &[
     ("gage-net", &["splice", "tcp", "packet"]),
 ];
 
+/// The simulator's module stems in `gage-cluster`: `sim.rs` and its role
+/// modules under `sim/`. Every stem-keyed scope covering the simulator
+/// covers all of them, so code moving between them never leaves a rule.
+pub const SIM_MODULES: &[&str] = &["sim", "client", "front", "rpn", "shard"];
+
 /// (crate, module stems) holding per-connection/per-event tables that PR 2
 /// moved to O(1) structures; an ordered tree creeping back in would put the
 /// O(log n) walk back on every packet.
 pub const HOT_PATH_BTREE_MODULES: &[(&str, &[&str])] = &[
     ("gage-core", &["conn_table"]),
     ("gage-des", &["event"]),
-    ("gage-cluster", &["sim"]),
+    ("gage-cluster", SIM_MODULES),
 ];
 
 /// (crate, module stems) instrumented by gage-obs: observability must flow
 /// through `Tracer`/`Registry`, never ad-hoc process output.
 pub const OBS_MODULES: &[(&str, &[&str])] = &[
     ("gage-core", &["scheduler"]),
-    ("gage-cluster", &["sim"]),
+    ("gage-cluster", SIM_MODULES),
     ("gage-net", &["splice"]),
     ("gage-obs", &["ring", "registry", "lib", "spans", "audit"]),
 ];
@@ -159,7 +164,8 @@ pub const TRACE_EXHAUSTIVE_MODULES: &[(&str, &[&str])] = &[("gage-obs", &["spans
 /// `NodeScheduler::set_up`.
 pub const SET_UP_MODULES: &[(&str, &[&str])] = &[
     ("gage-core", &["node"]),
-    ("gage-cluster", &["sim", "faults"]),
+    ("gage-cluster", SIM_MODULES),
+    ("gage-cluster", &["faults"]),
 ];
 
 /// Float-carrying field names whose equality comparison is almost always a

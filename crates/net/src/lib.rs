@@ -17,9 +17,13 @@
 //! * [`splice`] — the per-connection splice map performing the paper's
 //!   sequence-number/address remapping (Section 3.2),
 //! * [`endpoint`] — a userspace TCP endpoint state machine (handshake, data
-//!   transfer, retransmission, teardown) used by the simulated clients and
-//!   servers,
-//! * [`switch`] — an L2 learning switch model.
+//!   transfer, retransmission, teardown).
+//!
+//! The cluster simulator (`gage-cluster`) uses [`SpliceMap`] and the
+//! address types on every request, but it does not exchange [`Packet`]s:
+//! it aggregates each request's packets and credits them to the event
+//! count in one batch. [`Packet`] and [`endpoint::TcpEndpoint`] serve the
+//! Table 3 microbenchmarks and the splice tests.
 //!
 //! # Example: splicing two connections
 //!
@@ -48,7 +52,6 @@ pub mod ipv4;
 pub mod packet;
 pub mod seq;
 pub mod splice;
-pub mod switch;
 pub mod tcp;
 
 pub use addr::{Endpoint, FourTuple, MacAddr, Port};

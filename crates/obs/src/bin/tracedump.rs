@@ -14,6 +14,9 @@
 //! * `--check`    validate only: parse every line, print a summary, exit
 //!   non-zero on any malformed line (used by the CI trace-smoke step).
 //! * `--stats`    print per-kind record counts instead of the records.
+//!
+//! A missing or unparsable flag value is a usage error (exit 1), never a
+//! silently dropped filter.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -21,6 +24,7 @@ use std::process::ExitCode;
 use gage_json::Json;
 use gage_obs::parse_dump;
 
+#[derive(Default)]
 struct Opts {
     path: String,
     kind: Option<String>,
@@ -40,35 +44,33 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn parse_args(args: &[String]) -> Option<Opts> {
-    let mut opts = Opts {
-        path: String::new(),
-        kind: None,
-        sub: None,
-        req: None,
-        from_secs: None,
-        to_secs: None,
-        check: false,
-        stats: false,
-    };
+/// Parses the value following `flag`.
+fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse `{raw}`"))
+}
+
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check" => opts.check = true,
             "--stats" => opts.stats = true,
-            "--kind" => opts.kind = Some(it.next()?.clone()),
-            "--sub" | "--subscriber" => opts.sub = it.next()?.parse().ok(),
-            "--req" => opts.req = it.next()?.parse().ok(),
-            "--from" => opts.from_secs = it.next()?.parse().ok(),
-            "--to" => opts.to_secs = it.next()?.parse().ok(),
+            "--kind" => opts.kind = Some(value(arg, it.next())?),
+            "--sub" | "--subscriber" => opts.sub = Some(value(arg, it.next())?),
+            "--req" => opts.req = Some(value(arg, it.next())?),
+            "--from" => opts.from_secs = Some(value(arg, it.next())?),
+            "--to" => opts.to_secs = Some(value(arg, it.next())?),
             _ if opts.path.is_empty() && !arg.starts_with("--") => opts.path = arg.clone(),
-            _ => return None,
+            _ => return Err(format!("unexpected argument `{arg}`")),
         }
     }
     if opts.path.is_empty() {
-        return None;
+        return Err("missing dump path".to_string());
     }
-    Some(opts)
+    Ok(opts)
 }
 
 fn keep(record: &Json, opts: &Opts) -> bool {
@@ -120,8 +122,12 @@ fn render(record: &Json) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(opts) = parse_args(&args) else {
-        return usage();
+    let opts = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("tracedump: {e}");
+            return usage();
+        }
     };
     let text = match std::fs::read_to_string(&opts.path) {
         Ok(t) => t,
@@ -191,4 +197,40 @@ fn main() -> ExitCode {
         records.len()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Opts, String> {
+        parse_args(
+            &args
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn well_formed_filters_parse() {
+        let opts = parse("t.jsonl --sub 3 --req 42 --from 1.5 --to 2").expect("valid flags");
+        assert_eq!(opts.path, "t.jsonl");
+        assert_eq!((opts.sub, opts.req), (Some(3), Some(42)));
+        assert_eq!((opts.from_secs, opts.to_secs), (Some(1.5), Some(2.0)));
+    }
+
+    #[test]
+    fn bad_or_missing_values_are_usage_errors() {
+        for flag in ["--sub", "--subscriber", "--req", "--from", "--to"] {
+            let err = parse(&format!("t.jsonl {flag} zero")).err();
+            assert_eq!(err, Some(format!("{flag}: cannot parse `zero`")));
+        }
+        assert_eq!(
+            parse("t.jsonl --req").err().as_deref(),
+            Some("--req needs a value")
+        );
+        assert_eq!(parse("--stats").err().as_deref(), Some("missing dump path"));
+        assert!(parse("a.jsonl b.jsonl").is_err());
+    }
 }

@@ -3,7 +3,7 @@
 //! out exactly conserved, converged and (post-heal) conformant.
 //!
 //! ```text
-//! cargo run --release --example partition_chaos [-- --trace trace.jsonl] [--lanes N]
+//! cargo run --release --example partition_chaos [-- --trace trace.jsonl]
 //! ```
 //!
 //! The script: RDN 1 fail-stops at t=6 s and reboots at t=10 s (its shard
@@ -37,15 +37,11 @@ const RDNS: usize = 4;
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut trace_path: Option<String> = None;
-    let mut lanes = 1usize;
     while let Some(flag) = args.next() {
         match (flag.as_str(), args.next()) {
             ("--trace", Some(path)) => trace_path = Some(path),
-            ("--lanes", Some(n)) if n.parse::<usize>().is_ok_and(|n| n >= 1) => {
-                lanes = n.parse().unwrap_or(1);
-            }
             _ => {
-                eprintln!("usage: partition_chaos [--trace PATH] [--lanes N]");
+                eprintln!("usage: partition_chaos [--trace PATH]");
                 std::process::exit(2);
             }
         }
@@ -78,7 +74,6 @@ fn main() {
     let params = ClusterParams {
         rpn_count: 32,
         rdn_count: RDNS,
-        lanes,
         shard_overrides: (0..8u32).map(|i| (i, (i as usize % RDNS) as u16)).collect(),
         service: ServiceCostModel::generic_requests(),
         client_retry: ClientRetryParams {

@@ -2,17 +2,13 @@
 //! QoS guarantee hold while one of them gets hammered.
 //!
 //! ```text
-//! cargo run --release --example quickstart [-- --trace trace.jsonl] [--lanes N]
+//! cargo run --release --example quickstart [-- --trace trace.jsonl]
 //! ```
 //!
 //! With `--trace PATH`, the run records every scheduler cycle, dispatch,
 //! enqueue, drop, splice and accounting report into a gage-obs trace ring
 //! and writes the dump to PATH (inspect it with the `tracedump` binary).
-//!
-//! With `--lanes N`, RPN service-time computation fans out over N worker
-//! lanes between scheduling-cycle barriers. Results are byte-identical for
-//! every N — rerun with `--trace` under different `--lanes` and diff the
-//! dumps.
+//! Same-seed runs write byte-identical dumps.
 
 use gage::cluster::params::{ClusterParams, ServiceCostModel};
 use gage::cluster::sim::{ClusterSim, SiteSpec};
@@ -25,15 +21,11 @@ use rand::SeedableRng;
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut trace_path: Option<String> = None;
-    let mut lanes = 1usize;
     while let Some(flag) = args.next() {
         match (flag.as_str(), args.next()) {
             ("--trace", Some(path)) => trace_path = Some(path),
-            ("--lanes", Some(n)) if n.parse::<usize>().is_ok_and(|n| n >= 1) => {
-                lanes = n.parse().unwrap_or(1);
-            }
             _ => {
-                eprintln!("usage: quickstart [--trace PATH] [--lanes N]");
+                eprintln!("usage: quickstart [--trace PATH]");
                 std::process::exit(2);
             }
         }
@@ -75,7 +67,6 @@ fn main() {
     // below the 540 req/s offered.
     let params = ClusterParams {
         rpn_count: 3,
-        lanes,
         service: ServiceCostModel::generic_requests(),
         ..Default::default()
     };
