@@ -4,7 +4,7 @@
 //! I/O time — the main source of per-request resource variability under the
 //! SPECWeb99-shaped workload.
 
-use std::collections::BTreeMap;
+use gage_collections::DetMap;
 
 /// LRU cache keyed by file path with a total byte budget.
 ///
@@ -20,9 +20,9 @@ use std::collections::BTreeMap;
 pub struct LruCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    /// path -> (size, last-use stamp)
-    entries: BTreeMap<String, (u64, u64)>,
-    clock: u64,
+    /// path -> size, least recently used first: a hit moves its entry to
+    /// the back, so eviction pops the front in O(1).
+    entries: DetMap<String, u64>,
     hits: u64,
     misses: u64,
 }
@@ -33,8 +33,7 @@ impl LruCache {
         LruCache {
             capacity_bytes,
             used_bytes: 0,
-            entries: BTreeMap::new(),
-            clock: 0,
+            entries: DetMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -44,9 +43,7 @@ impl LruCache {
     /// On miss the file is brought in, evicting least-recently-used entries
     /// as needed; files larger than the whole cache are never cached.
     pub fn access(&mut self, path: &str, size_bytes: u64) -> bool {
-        self.clock += 1;
-        if let Some(entry) = self.entries.get_mut(path) {
-            entry.1 = self.clock;
+        if self.entries.move_to_back(path) {
             self.hits += 1;
             return true;
         }
@@ -55,20 +52,12 @@ impl LruCache {
             return false;
         }
         while self.used_bytes + size_bytes > self.capacity_bytes {
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, &(_, stamp))| stamp)
-                .map(|(k, _)| k.clone())
-            else {
+            let Some((_, size)) = self.entries.pop_front() else {
                 break;
             };
-            if let Some((sz, _)) = self.entries.remove(&victim) {
-                self.used_bytes -= sz;
-            }
+            self.used_bytes -= size;
         }
-        self.entries
-            .insert(path.to_string(), (size_bytes, self.clock));
+        self.entries.insert(path.to_string(), size_bytes);
         self.used_bytes += size_bytes;
         false
     }
@@ -107,6 +96,114 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// The cache as it was before the recency list: every access stamps
+    /// its entry from a clock, and eviction scans for the smallest stamp.
+    /// Kept as the reference [`LruCache`] must match access for access.
+    struct StampLru {
+        capacity_bytes: u64,
+        used_bytes: u64,
+        /// path -> (size, last-use stamp)
+        entries: BTreeMap<String, (u64, u64)>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl StampLru {
+        fn new(capacity_bytes: u64) -> Self {
+            StampLru {
+                capacity_bytes,
+                used_bytes: 0,
+                entries: BTreeMap::new(),
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, path: &str, size_bytes: u64) -> bool {
+            self.clock += 1;
+            if let Some(entry) = self.entries.get_mut(path) {
+                entry.1 = self.clock;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            if size_bytes > self.capacity_bytes {
+                return false;
+            }
+            while self.used_bytes + size_bytes > self.capacity_bytes {
+                let Some(victim) = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, &(_, stamp))| stamp)
+                    .map(|(k, _)| k.clone())
+                else {
+                    break;
+                };
+                if let Some((sz, _)) = self.entries.remove(&victim) {
+                    self.used_bytes -= sz;
+                }
+            }
+            self.entries
+                .insert(path.to_string(), (size_bytes, self.clock));
+            self.used_bytes += size_bytes;
+            false
+        }
+    }
+
+    /// Seeded access streams over varied capacities: a hot set re-accessed
+    /// half the time, files from tiny to larger than the whole cache, and
+    /// the odd hit reporting a different size (both keep the cached one).
+    #[test]
+    fn matches_min_stamp_reference() {
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = if seed % 4 == 0 {
+                rng.gen_range(1..64u64)
+            } else {
+                rng.gen_range(1_000..200_000u64)
+            };
+            let files = rng.gen_range(4..400usize);
+            let sizes: Vec<u64> = (0..files)
+                .map(|_| match rng.gen_range(0..20u32) {
+                    0 => capacity + rng.gen_range(1..1_000u64),
+                    1..=3 => rng.gen_range(capacity / 4..=capacity),
+                    _ => rng.gen_range(1..=(capacity / 8).max(1)),
+                })
+                .collect();
+            let hot = files.min(8);
+            let mut lru = LruCache::new(capacity);
+            let mut reference = StampLru::new(capacity);
+            for step in 0..4_000 {
+                let f = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..hot)
+                } else {
+                    rng.gen_range(0..files)
+                };
+                let size = if rng.gen_range(0..50u32) == 0 {
+                    rng.gen_range(0..=capacity * 2)
+                } else {
+                    sizes[f]
+                };
+                let path = format!("/f{f}");
+                let ctx = format!("seed {seed} step {step} {path} ({size} B)");
+                assert_eq!(
+                    lru.access(&path, size),
+                    reference.access(&path, size),
+                    "{ctx}"
+                );
+                assert_eq!(lru.used_bytes(), reference.used_bytes, "{ctx}");
+                assert_eq!(lru.len(), reference.entries.len(), "{ctx}");
+                assert_eq!(lru.stats(), (reference.hits, reference.misses), "{ctx}");
+                assert!(lru.used_bytes() <= capacity, "{ctx}");
+            }
+        }
+    }
 
     #[test]
     fn hot_set_stays_resident() {

@@ -361,7 +361,7 @@ impl ClusterSim {
             sched_ticks: 0,
             last_event_at: SimTime::ZERO,
             tracer,
-            traces: sites.iter().map(|s| s.trace.clone()).collect(),
+            traces: Vec::new(),
             registry,
             params,
         };
@@ -369,7 +369,8 @@ impl ClusterSim {
             world.unmask_owned(f as u16);
         }
         let mut sim = Simulation::new(world, seed);
-        // Pre-schedule all trace issues and the periodic ticks.
+        // Pre-schedule all trace issues, then hand the traces to the world
+        // (moved, not copied), then the periodic ticks.
         for (s, site) in sites.iter().enumerate() {
             for (i, e) in site.trace.entries.iter().enumerate() {
                 sim.schedule_at(
@@ -381,6 +382,7 @@ impl ClusterSim {
                 );
             }
         }
+        sim.model_mut().traces = sites.into_iter().map(|s| s.trace).collect();
         if sim.model().params.mode == GageMode::Enabled {
             let cycle = sim.model().params.scheduler.scheduling_cycle_secs;
             sim.schedule_at(

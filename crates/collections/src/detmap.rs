@@ -1,5 +1,6 @@
 //! A deterministic, seedable, insertion-ordered open-addressing hash map.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -127,8 +128,10 @@ struct Node<K, V> {
 /// doubly-linked list in insertion order) plus a power-of-two
 /// open-addressing index of slab positions with tombstone deletion. All
 /// operations are O(1) amortized; iteration visits the *surviving* keys in
-/// the exact order they were first inserted — a pure function of the
-/// insert/remove sequence, never of pointer values or process entropy.
+/// insertion order, where [`move_to_back`](Self::move_to_back) counts as a
+/// fresh insertion and replacing a present key's value does not. The order
+/// is a pure function of the insert/remove/move sequence, never of pointer
+/// values or process entropy.
 ///
 /// ```rust
 /// use gage_collections::DetMap;
@@ -211,7 +214,8 @@ impl<K, V> DetMap<K, V> {
         self.tombs = 0;
     }
 
-    /// Iterates `(key, value)` pairs in insertion order.
+    /// Iterates `(key, value)` pairs in insertion order (as defined on
+    /// [`DetMap`], so a moved key comes after every key it was moved past).
     pub fn iter(&self) -> Iter<'_, K, V> {
         Iter {
             slots: &self.slots,
@@ -220,17 +224,18 @@ impl<K, V> DetMap<K, V> {
         }
     }
 
-    /// Iterates keys in insertion order.
+    /// Iterates keys in insertion order (as for [`iter`](Self::iter)).
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(k, _)| k)
     }
 
-    /// Iterates values in insertion order.
+    /// Iterates values in insertion order (as for [`iter`](Self::iter)).
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, v)| v)
     }
 
-    /// The oldest surviving entry (front of the insertion order), if any.
+    /// The front of the insertion order (as for [`iter`](Self::iter)): the
+    /// surviving entry least recently inserted or moved to the back, if any.
     pub fn front(&self) -> Option<(&K, &V)> {
         if self.head == NIL {
             return None;
@@ -238,11 +243,49 @@ impl<K, V> DetMap<K, V> {
         let node = self.slots.get(self.head as usize)?.as_ref()?;
         Some((&node.key, &node.value))
     }
+
+    #[inline]
+    fn node_mut(&mut self, slot: u32) -> Option<&mut Node<K, V>> {
+        self.slots.get_mut(slot as usize).and_then(|s| s.as_mut())
+    }
+
+    /// Closes the order-list gap between a node's `prev` and `next`.
+    #[inline]
+    fn unlink(&mut self, prev: u32, next: u32) {
+        if prev == NIL {
+            self.head = next;
+        } else if let Some(p) = self.node_mut(prev) {
+            p.next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else if let Some(nx) = self.node_mut(next) {
+            nx.prev = prev;
+        }
+    }
+
+    /// Appends the live node at `slot` to the back of the order list.
+    #[inline]
+    fn link_back(&mut self, slot: u32) {
+        let tail = self.tail;
+        if let Some(n) = self.node_mut(slot) {
+            n.prev = tail;
+            n.next = NIL;
+        }
+        if tail == NIL {
+            self.head = slot;
+        } else if let Some(t) = self.node_mut(tail) {
+            t.next = slot;
+        }
+        self.tail = slot;
+    }
 }
 
 impl<K: Hash + Eq, V> DetMap<K, V> {
+    /// Hashes any borrowed form of a key; `Borrow` requires it to hash
+    /// exactly like the owned key.
     #[inline]
-    fn hash_of(&self, key: &K) -> u64 {
+    fn hash_of<Q: Hash + ?Sized>(&self, key: &Q) -> u64 {
         let mut h = DetHasher::with_seed(self.seed);
         key.hash(&mut h);
         h.finish()
@@ -250,7 +293,11 @@ impl<K: Hash + Eq, V> DetMap<K, V> {
 
     /// Probes the index for `key`; returns `(bucket, slot)` when present.
     #[inline]
-    fn find(&self, hash: u64, key: &K) -> Option<(usize, u32)> {
+    fn find<Q>(&self, hash: u64, key: &Q) -> Option<(usize, u32)>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
         if self.index.is_empty() {
             return None;
         }
@@ -262,7 +309,7 @@ impl<K: Hash + Eq, V> DetMap<K, V> {
                 TOMB => {}
                 slot => {
                     if let Some(node) = self.slots.get(slot as usize).and_then(|s| s.as_ref()) {
-                        if node.hash == hash && node.key == *key {
+                        if node.hash == hash && node.key.borrow() == key {
                             return Some((pos, slot));
                         }
                     }
@@ -291,26 +338,14 @@ impl<K: Hash + Eq, V> DetMap<K, V> {
                 (self.slots.len() - 1) as u32
             }
         };
-        let node = Node {
+        self.slots[slot as usize] = Some(Node {
             key,
             value,
             hash,
-            prev: self.tail,
+            prev: NIL,
             next: NIL,
-        };
-        if self.tail != NIL {
-            if let Some(t) = self
-                .slots
-                .get_mut(self.tail as usize)
-                .and_then(|s| s.as_mut())
-            {
-                t.next = slot;
-            }
-        } else {
-            self.head = slot;
-        }
-        self.tail = slot;
-        self.slots[slot as usize] = Some(node);
+        });
+        self.link_back(slot);
 
         let mask = self.index.len() - 1;
         let mut pos = (hash as usize) & mask;
@@ -368,7 +403,7 @@ impl<K: Hash + Eq, V> DetMap<K, V> {
         self.remove_slot(bucket, slot).map(|n| n.value)
     }
 
-    /// Removes and returns the oldest surviving entry.
+    /// Removes and returns the [`front`](Self::front) entry.
     pub fn pop_front(&mut self) -> Option<(K, V)> {
         if self.head == NIL {
             return None;
@@ -389,32 +424,34 @@ impl<K: Hash + Eq, V> DetMap<K, V> {
         self.remove_slot(pos, slot).map(|n| (n.key, n.value))
     }
 
+    /// Moves `key` to the back of the insertion order, as if it had just
+    /// been inserted (its value is kept), without touching the index or
+    /// allocating. Returns
+    /// whether `key` was present. With [`pop_front`](Self::pop_front) this
+    /// makes the map an O(1) recency list.
+    pub fn move_to_back<Q>(&mut self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let hash = self.hash_of(key);
+        let Some((_, slot)) = self.find(hash, key) else {
+            return false;
+        };
+        if slot != self.tail {
+            if let Some((prev, next)) = self.node_mut(slot).map(|n| (n.prev, n.next)) {
+                self.unlink(prev, next);
+                self.link_back(slot);
+            }
+        }
+        true
+    }
+
     fn remove_slot(&mut self, bucket: usize, slot: u32) -> Option<Node<K, V>> {
         let node = self.slots.get_mut(slot as usize)?.take()?;
         self.index[bucket] = TOMB;
         self.tombs += 1;
-        if node.prev != NIL {
-            if let Some(p) = self
-                .slots
-                .get_mut(node.prev as usize)
-                .and_then(|s| s.as_mut())
-            {
-                p.next = node.next;
-            }
-        } else {
-            self.head = node.next;
-        }
-        if node.next != NIL {
-            if let Some(nx) = self
-                .slots
-                .get_mut(node.next as usize)
-                .and_then(|s| s.as_mut())
-            {
-                nx.prev = node.prev;
-            }
-        } else {
-            self.tail = node.prev;
-        }
+        self.unlink(node.prev, node.next);
         self.free.push(slot);
         self.len -= 1;
         Some(node)
@@ -553,6 +590,76 @@ mod tests {
         assert_eq!(m.pop_front(), Some((1, 1)));
         assert_eq!(m.pop_front(), Some((3, 3)));
         assert_eq!(m.len(), 2);
+    }
+
+    fn order(m: &DetMap<u32, u32>) -> Vec<u32> {
+        m.keys().copied().collect()
+    }
+
+    fn abc() -> DetMap<u32, u32> {
+        let mut m = DetMap::new();
+        for k in [1, 2, 3] {
+            m.insert(k, k * 10);
+        }
+        m
+    }
+
+    #[test]
+    fn move_to_back_from_head() {
+        let mut m = abc();
+        assert!(m.move_to_back(&1));
+        assert_eq!(order(&m), vec![2, 3, 1]);
+        assert_eq!(m.front(), Some((&2, &20)));
+        assert_eq!(m.pop_front(), Some((2, 20)));
+    }
+
+    #[test]
+    fn move_to_back_from_tail_is_a_no_op() {
+        let mut m = abc();
+        assert!(m.move_to_back(&3));
+        assert_eq!(order(&m), vec![1, 2, 3]);
+        m.insert(4, 40);
+        assert_eq!(order(&m), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn move_to_back_from_middle() {
+        let mut m = abc();
+        assert!(m.move_to_back(&2));
+        assert_eq!(order(&m), vec![1, 3, 2]);
+        // The links stay consistent for later removals and appends.
+        assert_eq!(m.remove(&3), Some(30));
+        m.insert(5, 50);
+        assert_eq!(order(&m), vec![1, 2, 5]);
+        assert_eq!(m.get(&2), Some(&20));
+    }
+
+    #[test]
+    fn move_to_back_single_entry() {
+        let mut m = DetMap::new();
+        m.insert(9u32, 90u32);
+        assert!(m.move_to_back(&9));
+        assert_eq!(order(&m), vec![9]);
+        assert_eq!(m.pop_front(), Some((9, 90)));
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn move_to_back_absent_key() {
+        let mut m = abc();
+        assert!(!m.move_to_back(&7));
+        assert_eq!(order(&m), vec![1, 2, 3]);
+        assert!(!DetMap::<u32, u32>::new().move_to_back(&1));
+    }
+
+    #[test]
+    fn move_to_back_borrows_string_keys() {
+        let mut m = DetMap::new();
+        m.insert("/a".to_string(), 1);
+        m.insert("/b".to_string(), 2);
+        assert!(m.move_to_back("/a"));
+        let keys: Vec<&str> = m.keys().map(String::as_str).collect();
+        assert_eq!(keys, vec!["/b", "/a"]);
     }
 
     #[test]

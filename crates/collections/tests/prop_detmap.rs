@@ -1,7 +1,8 @@
 //! Randomized cross-check of `DetMap` against `BTreeMap` (the workspace's
 //! previous deterministic baseline): same membership after an arbitrary
-//! seeded insert/remove interleaving, and identical iteration order across
-//! two same-seed runs.
+//! seeded insert/remove/pop/move interleaving, iteration order equal to a
+//! plain key-list model, and identical iteration order across two
+//! same-seed runs.
 
 use gage_collections::{DetMap, Slab, SlabKey};
 use rand::rngs::StdRng;
@@ -17,7 +18,7 @@ fn drive(seed: u64, ops: usize) -> (DetMap<u64, u64>, BTreeMap<u64, u64>) {
     for i in 0..ops {
         // Narrow key space forces collisions, replacements, and tombstones.
         let key = rng.gen_range(0u64..512);
-        match rng.gen_range(0u32..10) {
+        match rng.gen_range(0u32..12) {
             0..=5 => {
                 let v = i as u64;
                 assert_eq!(map.insert(key, v), model.insert(key, v), "insert({key})");
@@ -25,12 +26,16 @@ fn drive(seed: u64, ops: usize) -> (DetMap<u64, u64>, BTreeMap<u64, u64>) {
             6..=8 => {
                 assert_eq!(map.remove(&key), model.remove(&key), "remove({key})");
             }
-            _ => {
+            9 => {
                 if let Some((k, v)) = map.pop_front() {
                     assert_eq!(model.remove(&k), Some(v), "pop_front -> {k}");
                 } else {
                     assert!(model.is_empty());
                 }
+            }
+            _ => {
+                let present = model.contains_key(&key);
+                assert_eq!(map.move_to_back(&key), present, "move_to_back({key})");
             }
         }
         assert_eq!(map.get(&key), model.get(&key));
@@ -64,20 +69,37 @@ fn iteration_order_identical_across_same_seed_runs() {
 
 #[test]
 fn iteration_order_is_pure_insertion_order() {
-    // Regardless of hash layout, iteration must follow first-insertion
-    // order of the surviving keys — the property the cluster determinism
-    // digest relies on.
+    // Regardless of hash layout, iteration must follow the insertion order
+    // of the surviving keys, with `move_to_back` counting as a fresh
+    // insertion — the order the cluster determinism digest relies on and
+    // the page cache evicts from with `pop_front`.
     let mut rng = StdRng::seed_from_u64(3);
     let mut map = DetMap::with_seed(99);
     let mut expected: Vec<u64> = Vec::new();
-    for _ in 0..5_000 {
+    for i in 0..5_000 {
         let key = rng.gen_range(0u64..256);
-        if rng.gen_bool(0.7) {
-            if map.insert(key, key).is_none() {
-                expected.push(key);
+        match rng.gen_range(0u32..10) {
+            0..=5 => {
+                if map.insert(key, key).is_none() {
+                    expected.push(key);
+                }
             }
-        } else if map.remove(&key).is_some() {
-            expected.retain(|k| *k != key);
+            6..=7 => {
+                if map.remove(&key).is_some() {
+                    expected.retain(|k| *k != key);
+                }
+            }
+            8 => {
+                if let Some((k, _)) = map.pop_front() {
+                    assert_eq!(expected.remove(0), k, "pop_front at op {i}");
+                }
+            }
+            _ => {
+                if map.move_to_back(&key) {
+                    expected.retain(|k| *k != key);
+                    expected.push(key);
+                }
+            }
         }
     }
     let got: Vec<u64> = map.keys().copied().collect();

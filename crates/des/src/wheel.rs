@@ -262,7 +262,9 @@ impl<E> TimingWheel<E> {
         // Find the minimum slot start across all levels. On a tie, the
         // COARSER level must go first: its slot spans the finer one, so
         // its events may fire inside the finer slot's window and have to
-        // redistribute before that window is drained and sealed.
+        // redistribute before that window is drained and sealed. Stores
+        // are scanned fine to coarse, overflow last, and only a strictly
+        // later start keeps the current best, so the coarser store wins.
         let mut best: Option<(u64, usize)> = None;
         for (l, level) in self.levels.iter().enumerate() {
             if level.occ == 0 {
@@ -273,14 +275,14 @@ impl<E> TimingWheel<E> {
             let dist = level.occ.rotate_right(base as u32).trailing_zeros() as u64;
             let start = ((self.cursor >> shift) + dist) << shift;
             match best {
-                Some((bs, _)) if bs <= start => {}
+                Some((bs, _)) if bs < start => {}
                 _ => best = Some((start, l)),
             }
         }
         if !self.overflow.is_empty() {
             let start = self.overflow_min & !(GRANULARITY - 1);
             match best {
-                Some((bs, _)) if bs <= start => {}
+                Some((bs, _)) if bs < start => {}
                 _ => best = Some((start, LEVELS)),
             }
         }
@@ -442,6 +444,35 @@ mod tests {
         w.schedule(10, 1);
         let popped: Vec<u64> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
         assert_eq!(popped, vec![100, 0, 1, 9]);
+    }
+
+    /// A level-1 slot and a level-0 slot can start at the same instant.
+    /// The level-1 slot must cascade first; draining the level-0 slot
+    /// first would pop B ahead of the earlier A.
+    #[test]
+    fn coarser_level_wins_a_slot_start_tie() {
+        let mut w = TimingWheel::new();
+        w.schedule(65_636, 1); // A: level 1, slot [65_536, 131_072)
+        w.schedule(2_000, 0); // F: level 0
+        assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((2_000, 0)));
+        // With the cursor past F, B fits level 0, in the fine slot that
+        // starts where A's level-1 slot does.
+        w.schedule(66_036, 2);
+        assert_eq!(drain(&mut w), vec![(65_636, 1), (66_036, 2)]);
+    }
+
+    /// The same tie between the top level and the overflow list: the
+    /// overflow must redistribute first.
+    #[test]
+    fn overflow_wins_a_slot_start_tie() {
+        let mut w = TimingWheel::new();
+        let (x, y) = ((1u64 << 46) + 100, (1u64 << 46) + 200);
+        w.schedule(x, 1); // X: beyond the top level, parks in overflow
+        w.schedule(1 << 45, 0); // W: level 5
+        assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((1 << 45, 0)));
+        // Y fits level 5 now, in the slot starting at 2^46, as X's does.
+        w.schedule(y, 2);
+        assert_eq!(drain(&mut w), vec![(x, 1), (y, 2)]);
     }
 
     #[test]

@@ -168,8 +168,16 @@ fn id_debug(raw: u64) -> String {
 
 /// Drives the wheel and the heap model through an identical randomized op
 /// sequence and asserts every observable agrees: handed-out ids, cancel
-/// results, peeked times, and the full pop sequence.
-fn cross_check(seed: u64, iters: usize, horizon_ns: u64, cancel_pct: u32, pop_pct: u32) {
+/// results, peeked times, and the full pop sequence. `boundary_pct` of the
+/// schedules land just past a level-1 or level-2 slot start.
+fn cross_check(
+    seed: u64,
+    iters: usize,
+    horizon_ns: u64,
+    cancel_pct: u32,
+    pop_pct: u32,
+    boundary_pct: u32,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut model = HeapModel::new();
@@ -201,8 +209,15 @@ fn cross_check(seed: u64, iters: usize, horizon_ns: u64, cancel_pct: u32, pop_pc
         } else {
             // Bias schedules toward the near future (the periodic-cycle
             // workload) but reach the whole horizon so upper levels and
-            // overflow stay exercised.
-            let at = if rng.gen_range(0..4u32) == 0 {
+            // overflow stay exercised. Boundary schedules (drawn only when
+            // asked for, so the other cases keep their streams) sit in the
+            // first fine slot of a coarse slot a few slots ahead: whether
+            // they file at the coarse level or one finer depends on the
+            // clock, so coarse and fine slots come to start together.
+            let at = if boundary_pct > 0 && rng.gen_range(0..100u32) < boundary_pct {
+                let shift = if rng.gen_bool(0.5) { 16 } else { 22 };
+                (((now >> shift) + rng.gen_range(1..4u64)) << shift) + rng.gen_range(0..1_024u64)
+            } else if rng.gen_range(0..4u32) == 0 {
                 now + rng.gen_range(0..horizon_ns)
             } else {
                 now + rng.gen_range(0..20_000_000u64) // within 20 ms
@@ -235,7 +250,7 @@ fn cross_check(seed: u64, iters: usize, horizon_ns: u64, cancel_pct: u32, pop_pc
 #[test]
 fn wheel_matches_heap_model_on_interleavings() {
     for seed in [0x61, 0x62, 0x63, 0x64] {
-        cross_check(seed, 4_000, 50_000_000, 25, 30);
+        cross_check(seed, 4_000, 50_000_000, 25, 30, 0);
     }
 }
 
@@ -244,7 +259,7 @@ fn wheel_matches_heap_model_on_interleavings() {
 #[test]
 fn wheel_matches_heap_model_across_level_cascades() {
     for seed in [0x71, 0x72] {
-        cross_check(seed, 1_500, 1u64 << 54, 15, 35);
+        cross_check(seed, 1_500, 1u64 << 54, 15, 35, 0);
     }
 }
 
@@ -252,7 +267,17 @@ fn wheel_matches_heap_model_across_level_cascades() {
 /// survivors still pop in exactly the model's order with the model's ids.
 #[test]
 fn wheel_matches_heap_model_under_cancel_churn() {
-    cross_check(0x81, 12_000, 10_000_000_000, 60, 10);
+    cross_check(0x81, 12_000, 10_000_000_000, 60, 10, 0);
+}
+
+/// Events just past level-1 and level-2 slot starts, where a coarse slot
+/// and a fine one start at the same instant: the coarse one must
+/// redistribute before the fine one drains.
+#[test]
+fn wheel_matches_heap_model_at_slot_start_ties() {
+    for seed in [0x91, 0x92, 0x93, 0x94] {
+        cross_check(seed, 4_000, 50_000_000, 10, 35, 50);
+    }
 }
 
 /// Time arithmetic: (t + d) - t == d and ordering is consistent.

@@ -21,7 +21,7 @@
 //! | `determinism-hash-order` | same | `HashMap`, `HashSet` (iteration order varies per process) |
 //! | `hot-path-panic` | gage-core::{scheduler,queue,classify,conn_table,node}, gage-net::{splice,tcp,packet} | `.unwrap()`, `.expect(`, `panic!`, `todo!`, `unimplemented!` |
 //! | `hot-path-index` | same | indexing by integer literal (`data[4]`) |
-//! | `hot-path-btree` | gage-core::conn_table, gage-des::event, gage-cluster::sim (with its role modules `sim::{client,front,rpn,shard}`) | `BTreeMap`, `BTreeSet` (O(log n) walk on per-packet state; use `gage_collections::DetMap`/`Slab`) |
+//! | `hot-path-btree` | gage-core::conn_table, gage-des::event, gage-cluster::sim (with its role modules `sim::{client,front,rpn,shard}`), gage-cluster::cache | `BTreeMap`, `BTreeSet` (O(log n) walk on per-packet state; use `gage_collections::DetMap`/`Slab`) |
 //! | `no-print` | all library code | `println!`, `eprintln!`, `dbg!` |
 //! | `obs-no-adhoc-print` | gage-core::scheduler, gage-cluster::sim (with its role modules), gage-net::splice, gage-obs | `print!`, `eprint!`, `stdout()`, `stderr()` (instrumented modules report through `Tracer`/`Registry`) |
 //! | `crate-attrs` | every lib crate | missing `#![forbid(unsafe_code)]` / `#![warn(missing_docs)]` |

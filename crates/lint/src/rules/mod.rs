@@ -138,13 +138,15 @@ pub const HOT_PATH_MODULES: &[(&str, &[&str])] = &[
 /// covers all of them, so code moving between them never leaves a rule.
 pub const SIM_MODULES: &[&str] = &["sim", "client", "front", "rpn", "shard"];
 
-/// (crate, module stems) holding per-connection/per-event tables that PR 2
-/// moved to O(1) structures; an ordered tree creeping back in would put the
-/// O(log n) walk back on every packet.
+/// (crate, module stems) holding per-connection, per-event and per-request
+/// tables kept on O(1) structures; an ordered tree creeping back in would
+/// put an O(log n) walk (or the RPN page cache's old full scan) back on
+/// every packet or request.
 pub const HOT_PATH_BTREE_MODULES: &[(&str, &[&str])] = &[
     ("gage-core", &["conn_table"]),
     ("gage-des", &["event"]),
     ("gage-cluster", SIM_MODULES),
+    ("gage-cluster", &["cache"]),
 ];
 
 /// (crate, module stems) instrumented by gage-obs: observability must flow

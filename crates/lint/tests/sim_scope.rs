@@ -1,7 +1,8 @@
 //! The simulator is `crates/cluster/src/sim.rs` plus role modules under
 //! `sim/`, and the module-scoped rules key on file stems. Plants the same
 //! violations in `sim.rs`, in each role module and in an unrelated module,
-//! and checks each role module is reported exactly like `sim.rs`.
+//! and checks each role module is reported exactly like `sim.rs`. Also
+//! checks the RPN page cache (`cache.rs`) is in the ordered-tree scope.
 
 use std::fs;
 use std::path::Path;
@@ -19,9 +20,9 @@ const PLANTED: &str = "//! Scratch fixture.\n\
     \x20   nodes.set_up(0, false);\n\
     }\n";
 
-/// Lints a one-file `gage-cluster` at `rel` and returns its (rule, line)
-/// findings.
-fn findings_for(rel: &str) -> Vec<(&'static str, usize)> {
+/// Lints a one-file `gage-cluster` holding `body` at `rel` and returns its
+/// (rule, line) findings.
+fn findings_for(rel: &str, body: &str) -> Vec<(&'static str, usize)> {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("sim_scope")
         .join(rel.replace('/', "_"));
@@ -37,7 +38,7 @@ fn findings_for(rel: &str) -> Vec<(&'static str, usize)> {
             "crates/cluster/Cargo.toml".to_string(),
             "[package]\nname = \"gage-cluster\"\nversion = \"0.0.0\"\n",
         ),
-        (format!("crates/cluster/src/{rel}"), PLANTED),
+        (format!("crates/cluster/src/{rel}"), body),
     ];
     for (path, body) in files {
         let path = root.join(path);
@@ -55,7 +56,7 @@ fn findings_for(rel: &str) -> Vec<(&'static str, usize)> {
 
 #[test]
 fn role_modules_are_linted_like_sim_rs() {
-    let sim = findings_for("sim.rs");
+    let sim = findings_for("sim.rs", PLANTED);
     let rules: Vec<&str> = sim.iter().map(|(rule, _)| *rule).collect();
     assert_eq!(
         rules,
@@ -69,14 +70,31 @@ fn role_modules_are_linted_like_sim_rs() {
     );
     for role in ["client", "front", "rpn", "shard"] {
         assert_eq!(
-            findings_for(&format!("sim/{role}.rs")),
+            findings_for(&format!("sim/{role}.rs"), PLANTED),
             sim,
             "sim/{role}.rs"
         );
     }
     // Outside the simulator the same file is judged differently, so the
     // comparison above is not vacuous.
-    assert_ne!(findings_for("other.rs"), sim);
+    assert_ne!(findings_for("other.rs", PLANTED), sim);
+}
+
+/// The page cache is probed on every request, so an ordered tree in it is
+/// a finding; the one in its `#[cfg(test)]` reference model is masked.
+#[test]
+fn page_cache_rejects_ordered_trees_outside_tests() {
+    const CACHE: &str = "//! Page-cache fixture.\n\
+        \n\
+        pub struct Lru { entries: BTreeMap<String, u64> }\n\
+        \n\
+        #[cfg(test)]\n\
+        mod tests {\n\
+        \x20   struct Reference { entries: BTreeMap<String, (u64, u64)> }\n\
+        }\n";
+    assert_eq!(findings_for("cache.rs", CACHE), [("hot-path-btree", 3)]);
+    // Fixture trees are keyed by path, so this must not reuse `other.rs`.
+    assert_eq!(findings_for("pages.rs", CACHE), []);
 }
 
 #[test]
