@@ -6,6 +6,7 @@ use gage_bench::common::DEFAULT_SEED;
 use gage_bench::fig3;
 
 fn main() {
+    gage_cli::run("fig3_deviation", |_| Ok(()));
     println!("Figure 3 — deviation from ideal reservation (%)");
     println!("rows: averaging interval; columns: accounting cycle time\n");
     let fig = fig3::run(DEFAULT_SEED);

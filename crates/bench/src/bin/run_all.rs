@@ -5,10 +5,9 @@ use gage_bench::common::DEFAULT_SEED;
 use gage_bench::{fig3, overhead, scalability, table1, table2};
 
 fn main() {
-    let seed = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED);
+    let seed = gage_cli::run("run_all [SEED]", |args| {
+        Ok(args.free("SEED")?.unwrap_or(DEFAULT_SEED))
+    });
     println!("=== Gage evaluation reproduction (seed {seed}) ===\n");
 
     println!("--- Table 1: performance isolation ---");

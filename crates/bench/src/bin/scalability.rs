@@ -6,6 +6,7 @@ use gage_bench::common::DEFAULT_SEED;
 use gage_bench::scalability;
 
 fn main() {
+    gage_cli::run("scalability", |_| Ok(()));
     println!("Scalability study — 6 KB static files, saturating offered load\n");
     let s = scalability::run(DEFAULT_SEED);
     print!("{}", scalability::render(&s));

@@ -5,6 +5,7 @@ use gage_bench::common::DEFAULT_SEED;
 use gage_bench::table2;
 
 fn main() {
+    gage_cli::run("table2_spare", |_| Ok(()));
     println!("Table 2 — spare resource allocation (GRPS)");
     println!("workload: both subscribers far beyond reservation; 8 RPNs ≈ 765 GRPS\n");
     let rows = table2::run(DEFAULT_SEED);

@@ -2,7 +2,7 @@
 //! share of an RPN's CPU at the sustained service rate (the paper's
 //! 56.7 µs × 540 req/s ≈ 3.06 % result).
 
-use gage_cluster::params::ClusterParams;
+use gage_cluster::params::RPN_COSTS;
 
 use crate::scalability;
 
@@ -21,9 +21,8 @@ pub struct Overhead {
 
 /// Computes the analysis (runs the 1-RPN saturation experiments).
 pub fn run(seed: u64) -> Overhead {
-    let params = ClusterParams::default();
     // The paper's request shape: 5 data-ACK packet pairs.
-    let per_request_us = params.gage_rpn_overhead_us(5, 5);
+    let per_request_us = RPN_COSTS.per_request_us(5, 5);
 
     let s = scalability::run_one_rpn_pair(seed);
     let sustained_rate = s.0;

@@ -2,7 +2,7 @@
 //! per-RPN throughput with and without Gage, the RDN CPU-utilization curve
 //! with its interrupt-overload knee, and the intelligent-NIC projection.
 
-use gage_cluster::params::{ClusterParams, GageMode, InterruptModel, ServiceCostModel};
+use gage_cluster::params::{ClusterParams, GageMode, ServiceCostModel, NETWORK, RDN_COSTS};
 use gage_core::config::SchedulerConfig;
 
 use crate::common::{format_table, generic_site, run_and_report};
@@ -93,12 +93,10 @@ pub fn run(seed: u64) -> Scalability {
 
     // Projection: with interrupt handling offloaded to an intelligent NIC,
     // the RDN's per-request cost is just its protocol work.
-    let params = ClusterParams::default();
-    let data_pkts = (6 * 1024u64 + 200).div_ceil(params.network.mss as u64);
-    let per_request_us = params.rdn_costs.conn_setup_us
-        + params.rdn_costs.classification_us
-        + params.rdn_costs.forwarding_us * (2.0 + data_pkts as f64); // URL + ACK stream + FIN
-    let _ = InterruptModel::intelligent_nic();
+    let data_pkts = (6 * 1024u64 + 200).div_ceil(NETWORK.mss as u64);
+    let per_request_us = RDN_COSTS.conn_setup_us
+        + RDN_COSTS.classification_us
+        + RDN_COSTS.forwarding_us * (2.0 + data_pkts as f64); // URL + ACK stream + FIN
     let projected_rdn_capacity = 1e6 / per_request_us;
     let projected_max_rpns = projected_rdn_capacity / per_rpn_with_gage;
 

@@ -1,9 +1,12 @@
 //! Cluster calibration parameters.
 //!
-//! Defaults reproduce the paper's testbed: Table 3's per-connection and
-//! per-packet costs, a 600 MHz Celeron RPN serving ~550 static 6 KB
-//! requests per second, 100 Mb/s Fast Ethernet links through a
-//! contention-free switch, and the RDN's interrupt-overload knee (§4.3).
+//! The parts of the paper's testbed no experiment varies are constants:
+//! Table 3's per-connection and per-packet costs ([`RDN_COSTS`],
+//! [`RPN_COSTS`]), the RDN's interrupt-overload knee of §4.3
+//! ([`INTERRUPTS`]) and 100 Mb/s Fast Ethernet links through a
+//! contention-free switch ([`NETWORK`]). What experiments do vary lives in
+//! [`ClusterParams`], whose defaults model 600 MHz Celeron RPNs serving
+//! ~550 static 6 KB requests per second.
 
 use gage_core::config::SchedulerConfig;
 use gage_des::SimDuration;
@@ -21,15 +24,12 @@ pub struct RdnCosts {
     pub forwarding_us: f64,
 }
 
-impl Default for RdnCosts {
-    fn default() -> Self {
-        RdnCosts {
-            conn_setup_us: 29.3,
-            classification_us: 3.0,
-            forwarding_us: 7.0,
-        }
-    }
-}
+/// The RDN's Table 3 costs.
+pub const RDN_COSTS: RdnCosts = RdnCosts {
+    conn_setup_us: 29.3,
+    classification_us: 3.0,
+    forwarding_us: 7.0,
+};
 
 /// Per-operation costs charged to an RPN's CPU by the local service manager
 /// (paper Table 3, columns 2, 5, 6).
@@ -43,13 +43,22 @@ pub struct RpnCosts {
     pub remap_out_us: f64,
 }
 
-impl Default for RpnCosts {
-    fn default() -> Self {
-        RpnCosts {
-            conn_setup_us: 27.2,
-            remap_in_us: 1.3,
-            remap_out_us: 4.6,
-        }
+/// The RPN's Table 3 costs.
+pub const RPN_COSTS: RpnCosts = RpnCosts {
+    conn_setup_us: 27.2,
+    remap_in_us: 1.3,
+    remap_out_us: 4.6,
+};
+
+impl RpnCosts {
+    /// Per-request Gage overhead on an RPN: second-leg setup plus the
+    /// remapping of `data_packets` outgoing and `ack_packets` incoming
+    /// packets. The paper's "5 data-ACK packet pairs" shape gives §4.2's
+    /// 56.7 µs.
+    pub fn per_request_us(&self, data_packets: u64, ack_packets: u64) -> f64 {
+        self.conn_setup_us
+            + self.remap_out_us * data_packets as f64
+            + self.remap_in_us * ack_packets as f64
     }
 }
 
@@ -135,15 +144,12 @@ pub struct InterruptModel {
     pub overload_exp: f64,
 }
 
-impl Default for InterruptModel {
-    fn default() -> Self {
-        InterruptModel {
-            base_us: 4.0,
-            threshold_pps: 49_500.0,
-            overload_exp: 20.0,
-        }
-    }
-}
+/// The RDN's interrupt model, calibrated to the §4.3 knee.
+pub const INTERRUPTS: InterruptModel = InterruptModel {
+    base_us: 4.0,
+    threshold_pps: 49_500.0,
+    overload_exp: 20.0,
+};
 
 impl InterruptModel {
     /// Per-packet interrupt cost at the given sustained packet rate, µs.
@@ -153,16 +159,6 @@ impl InterruptModel {
         }
         let x = rate_pps / self.threshold_pps;
         self.base_us * (1.0 + x.powf(self.overload_exp))
-    }
-
-    /// An "intelligent NIC" that takes interrupt handling off the CPU
-    /// entirely (the paper's projection scenario).
-    pub fn intelligent_nic() -> Self {
-        InterruptModel {
-            base_us: 0.0,
-            threshold_pps: f64::INFINITY,
-            overload_exp: 1.0,
-        }
     }
 }
 
@@ -178,15 +174,12 @@ pub struct NetworkParams {
     pub mss: usize,
 }
 
-impl Default for NetworkParams {
-    fn default() -> Self {
-        NetworkParams {
-            hop_latency: SimDuration::from_micros(100),
-            rpn_egress_bytes_per_sec: 12.5e6,
-            mss: 1460,
-        }
-    }
-}
+/// The testbed's Fast Ethernet links.
+pub const NETWORK: NetworkParams = NetworkParams {
+    hop_latency: SimDuration::from_micros(100),
+    rpn_egress_bytes_per_sec: 12.5e6,
+    mss: 1460,
+};
 
 /// Client-side request timeout and bounded deterministic-backoff retry.
 ///
@@ -275,16 +268,8 @@ pub struct ClusterParams {
     /// Accounting cycle: how often each RPN reports usage (paper Figure 3
     /// sweeps 50 ms – 2 s).
     pub accounting_cycle: SimDuration,
-    /// RDN per-operation costs.
-    pub rdn_costs: RdnCosts,
-    /// RPN per-operation costs.
-    pub rpn_costs: RpnCosts,
     /// Application service costs.
     pub service: ServiceCostModel,
-    /// RDN interrupt model.
-    pub interrupts: InterruptModel,
-    /// Link parameters.
-    pub network: NetworkParams,
     /// RPN CPU speed relative to the reference Celeron 600 (1.0 = paper
     /// testbed).
     pub rpn_speed: f64,
@@ -320,11 +305,7 @@ impl Default for ClusterParams {
             mode: GageMode::Enabled,
             scheduler: SchedulerConfig::default(),
             accounting_cycle: SimDuration::from_millis(100),
-            rdn_costs: RdnCosts::default(),
-            rpn_costs: RpnCosts::default(),
             service: ServiceCostModel::static_files(),
-            interrupts: InterruptModel::default(),
-            network: NetworkParams::default(),
             rpn_speed: 1.0,
             secondary_rdns: 0,
             dynamic: None,
@@ -336,15 +317,6 @@ impl Default for ClusterParams {
 }
 
 impl ClusterParams {
-    /// Per-request Gage overhead on an RPN (second-leg setup plus remapping
-    /// for the paper's "5 data-ACK packet pairs" request shape) — the
-    /// 56.7 µs figure of §4.2.
-    pub fn gage_rpn_overhead_us(&self, data_packets: u64, ack_packets: u64) -> f64 {
-        self.rpn_costs.conn_setup_us
-            + self.rpn_costs.remap_out_us * data_packets as f64
-            + self.rpn_costs.remap_in_us * ack_packets as f64
-    }
-
     /// How long a silent node or a dead front end is given before the
     /// watchdog writes it off: `watchdog_grace_cycles` accounting cycles.
     pub fn watchdog_grace(&self) -> SimDuration {
@@ -377,21 +349,18 @@ mod tests {
 
     #[test]
     fn table3_defaults() {
-        let r = RdnCosts::default();
-        assert_eq!(r.conn_setup_us, 29.3);
-        assert_eq!(r.classification_us, 3.0);
-        assert_eq!(r.forwarding_us, 7.0);
-        let p = RpnCosts::default();
-        assert_eq!(p.conn_setup_us, 27.2);
-        assert_eq!(p.remap_in_us, 1.3);
-        assert_eq!(p.remap_out_us, 4.6);
+        assert_eq!(RDN_COSTS.conn_setup_us, 29.3);
+        assert_eq!(RDN_COSTS.classification_us, 3.0);
+        assert_eq!(RDN_COSTS.forwarding_us, 7.0);
+        assert_eq!(RPN_COSTS.conn_setup_us, 27.2);
+        assert_eq!(RPN_COSTS.remap_in_us, 1.3);
+        assert_eq!(RPN_COSTS.remap_out_us, 4.6);
     }
 
     #[test]
     fn paper_56_7us_overhead() {
         // 5 data-ACK pairs: 5 outgoing remaps + 5 incoming remaps + setup.
-        let p = ClusterParams::default();
-        let overhead = p.gage_rpn_overhead_us(5, 5);
+        let overhead = RPN_COSTS.per_request_us(5, 5);
         assert!((overhead - 56.7).abs() < 1e-9, "got {overhead}");
     }
 
@@ -439,17 +408,12 @@ mod tests {
 
     #[test]
     fn interrupt_knee_shape() {
-        let im = InterruptModel::default();
-        let low = im.cost_us(10_000.0);
-        let at = im.cost_us(49_500.0);
-        let high = im.cost_us(90_000.0);
-        assert!(low < 1.1 * im.base_us);
-        assert!((at - 2.0 * im.base_us).abs() < 1e-9, "doubles at threshold");
-        assert!(high > 10.0 * im.base_us, "blows up past threshold");
-        assert_eq!(
-            InterruptModel::intelligent_nic().cost_us(1e9),
-            0.0,
-            "intelligent NIC charges nothing"
-        );
+        let base = INTERRUPTS.base_us;
+        let low = INTERRUPTS.cost_us(10_000.0);
+        let at = INTERRUPTS.cost_us(49_500.0);
+        let high = INTERRUPTS.cost_us(90_000.0);
+        assert!(low < 1.1 * base);
+        assert!((at - 2.0 * base).abs() < 1e-9, "doubles at threshold");
+        assert!(high > 10.0 * base, "blows up past threshold");
     }
 }

@@ -132,7 +132,7 @@ use gage_workload::Trace;
 
 use crate::faults::{FaultEvent, FaultPlan, FaultState};
 use crate::metrics::{utilization_in_window, SubscriberMetrics};
-use crate::params::{ClusterParams, GageMode};
+use crate::params::{ClusterParams, GageMode, NETWORK};
 
 use front::{DispatchMeta, PendingRequest, RdnFront};
 use rpn::Rpn;
@@ -261,7 +261,7 @@ pub struct World {
 
 impl World {
     fn hop(&self) -> SimDuration {
-        self.params.network.hop_latency
+        NETWORK.hop_latency
     }
 }
 

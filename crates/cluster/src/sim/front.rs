@@ -18,7 +18,7 @@ use gage_obs::{TraceEvent, Tracer};
 use super::rpn::response_packet_counts;
 use super::{Ev, World};
 use crate::metrics::RdnMetrics;
-use crate::params::{ClusterParams, GageMode};
+use crate::params::{ClusterParams, GageMode, INTERRUPTS, NETWORK, RDN_COSTS};
 
 /// A request sitting in an RDN subscriber queue.
 #[derive(Debug, Clone)]
@@ -99,7 +99,7 @@ impl RdnFront {
         let capacity = ResourceVector::new(
             1e6 * params.rpn_speed * share,
             1e6 * share,
-            params.network.rpn_egress_bytes_per_sec * share,
+            NETWORK.rpn_egress_bytes_per_sec * share,
         );
         let mut nodes = NodeScheduler::new(params.scheduler.node_lookahead_secs);
         for _ in 0..params.rpn_count {
@@ -138,7 +138,7 @@ impl World {
     fn charge_rdn(&mut self, rdn: usize, now: SimTime, packets: u64, op_us: f64) {
         let m = &mut self.fronts[rdn].metrics;
         let rate = m.recent_packet_rate(now);
-        let int_us = self.params.interrupts.cost_us(rate) * packets as f64;
+        let int_us = INTERRUPTS.cost_us(rate) * packets as f64;
         m.packets.record(now, packets as f64);
         m.packet_count += packets;
         m.busy
@@ -198,20 +198,20 @@ impl World {
         // front-end cluster the setup CPU work moves to a secondary RDN;
         // the primary still sees the packets.
         if self.secondary_busy.is_empty() {
-            self.charge_rdn(rdn, ctx.now(), 2, self.params.rdn_costs.conn_setup_us);
+            self.charge_rdn(rdn, ctx.now(), 2, RDN_COSTS.conn_setup_us);
         } else {
             self.charge_rdn(rdn, ctx.now(), 2, 0.0);
             let i = self.secondary_rr % self.secondary_busy.len();
             self.secondary_rr += 1;
             self.secondary_busy[i].add(
                 ctx.now(),
-                SimDuration::from_secs_f64(self.params.rdn_costs.conn_setup_us / 1e6),
+                SimDuration::from_secs_f64(RDN_COSTS.conn_setup_us / 1e6),
             );
         }
         self.isn_counter = self.isn_counter.wrapping_add(88_651);
         let rdn_isn = SeqNum::new(self.isn_counter);
         // The handshake ACK and the URL packet itself, classified at 3 µs.
-        self.charge_rdn(rdn, ctx.now(), 2, self.params.rdn_costs.classification_us);
+        self.charge_rdn(rdn, ctx.now(), 2, RDN_COSTS.classification_us);
         let (Some(sub_id), Some(path)) = (classified, path) else {
             self.unknown_host_drops += 1;
             // Still terminate the connection: the issuing client resolves
@@ -257,7 +257,7 @@ impl World {
                 rpn_mac: self.rpns[rpn.0 as usize].mac,
             },
         );
-        self.charge_rdn(rdn, ctx.now(), 1, self.params.rdn_costs.forwarding_us);
+        self.charge_rdn(rdn, ctx.now(), 1, RDN_COSTS.forwarding_us);
         let wait_ms = ctx
             .now()
             .saturating_since(request.enqueued_at)
@@ -517,12 +517,12 @@ impl World {
         if !self.fronts[f].in_life(epoch) {
             return;
         }
-        let (_data_pkts, ack_pkts) = response_packet_counts(&self.params.network, size);
+        let (_data_pkts, ack_pkts) = response_packet_counts(size);
         self.charge_rdn(
             f,
             now,
             ack_pkts + 1,
-            self.params.rdn_costs.forwarding_us * (ack_pkts + 1) as f64,
+            RDN_COSTS.forwarding_us * (ack_pkts + 1) as f64,
         );
         self.fronts[f].conn_table.remove(conn);
     }

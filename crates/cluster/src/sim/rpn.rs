@@ -20,7 +20,7 @@ use gage_obs::TraceEvent;
 use super::front::DispatchMeta;
 use super::{Ev, World};
 use crate::cache::LruCache;
-use crate::params::{ClusterParams, DiskPolicy, GageMode, NetworkParams};
+use crate::params::{ClusterParams, DiskPolicy, GageMode, NETWORK, RPN_COSTS};
 use crate::process::{Pid, ProcessTable};
 use crate::server::BusyLine;
 
@@ -211,10 +211,10 @@ fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
         } else {
             cpu_fin
         };
-        let wire = response_wire_bytes(&params.network, job.size);
+        let wire = response_wire_bytes(job.size);
         let nic_fin = rpn.nic.offer(
             disk_fin,
-            SimDuration::from_secs_f64(wire / params.network.rpn_egress_bytes_per_sec),
+            SimDuration::from_secs_f64(wire / NETWORK.rpn_egress_bytes_per_sec),
         );
         if let Some(req) = rpn.active.get_mut(&job.conn) {
             // CPU is accounted in reference-machine µs.
@@ -231,13 +231,13 @@ fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
     rpn.inbox = inbox;
 }
 
-pub(super) fn response_packet_counts(net: &NetworkParams, size: u64) -> (u64, u64) {
-    let data_pkts = (size + 200).div_ceil(net.mss as u64).max(1);
+pub(super) fn response_packet_counts(size: u64) -> (u64, u64) {
+    let data_pkts = (size + 200).div_ceil(NETWORK.mss as u64).max(1);
     (data_pkts, data_pkts) // one ACK per data packet, per the paper
 }
 
-fn response_wire_bytes(net: &NetworkParams, size: u64) -> f64 {
-    let (data_pkts, _) = response_packet_counts(net, size);
+fn response_wire_bytes(size: u64) -> f64 {
+    let (data_pkts, _) = response_packet_counts(size);
     (size + 200 + data_pkts * 54) as f64
 }
 
@@ -328,9 +328,9 @@ impl World {
             return;
         }
         let request = meta.request;
-        let (data_pkts, ack_pkts) = response_packet_counts(&self.params.network, request.size);
+        let (data_pkts, ack_pkts) = response_packet_counts(request.size);
         let overhead_us = match self.params.mode {
-            GageMode::Enabled => self.params.gage_rpn_overhead_us(data_pkts, ack_pkts),
+            GageMode::Enabled => RPN_COSTS.per_request_us(data_pkts, ack_pkts),
             GageMode::Bypass => 0.0,
         };
         // CGI-style dynamic requests fork a child of the subscriber's

@@ -56,67 +56,7 @@ impl Default for SchedulerConfig {
     }
 }
 
-impl SparePolicy {
-    /// Stable string name used in JSON snapshots.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SparePolicy::ProportionalToReservation => "proportional_to_reservation",
-            SparePolicy::ProportionalToDemand => "proportional_to_demand",
-            SparePolicy::None => "none",
-        }
-    }
-
-    /// Parses the name written by [`SparePolicy::as_str`].
-    pub fn from_str_name(s: &str) -> Option<Self> {
-        match s {
-            "proportional_to_reservation" => Some(SparePolicy::ProportionalToReservation),
-            "proportional_to_demand" => Some(SparePolicy::ProportionalToDemand),
-            "none" => Some(SparePolicy::None),
-            _ => None,
-        }
-    }
-}
-
 impl SchedulerConfig {
-    /// Serializes the tunables to a JSON object.
-    pub fn to_json(&self) -> gage_json::Json {
-        gage_json::Json::obj([
-            (
-                "scheduling_cycle_secs",
-                gage_json::Json::Num(self.scheduling_cycle_secs),
-            ),
-            ("queue_capacity", gage_json::Json::from(self.queue_capacity)),
-            (
-                "balance_cap_secs",
-                gage_json::Json::Num(self.balance_cap_secs),
-            ),
-            (
-                "node_lookahead_secs",
-                gage_json::Json::Num(self.node_lookahead_secs),
-            ),
-            (
-                "estimator_alpha",
-                gage_json::Json::Num(self.estimator_alpha),
-            ),
-            (
-                "spare_policy",
-                gage_json::Json::str(self.spare_policy.as_str()),
-            ),
-        ])
-    }
-
-    /// Reads a config written by [`SchedulerConfig::to_json`].
-    pub fn from_json(v: &gage_json::Json) -> Option<Self> {
-        Some(SchedulerConfig {
-            scheduling_cycle_secs: v.get("scheduling_cycle_secs")?.as_f64()?,
-            queue_capacity: usize::try_from(v.get("queue_capacity")?.as_u64()?).ok()?,
-            balance_cap_secs: v.get("balance_cap_secs")?.as_f64()?,
-            node_lookahead_secs: v.get("node_lookahead_secs")?.as_f64()?,
-            estimator_alpha: v.get("estimator_alpha")?.as_f64()?,
-            spare_policy: SparePolicy::from_str_name(v.get("spare_policy")?.as_str()?)?,
-        })
-    }
-
     /// Validates invariants, returning a description of the first violated
     /// one.
     ///
@@ -187,24 +127,5 @@ mod tests {
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should fail validation");
         }
-    }
-
-    #[test]
-    fn json_round_trip() {
-        for policy in [
-            SparePolicy::ProportionalToReservation,
-            SparePolicy::ProportionalToDemand,
-            SparePolicy::None,
-        ] {
-            let c = SchedulerConfig {
-                spare_policy: policy,
-                ..Default::default()
-            };
-            let text = c.to_json().to_string();
-            let back = SchedulerConfig::from_json(&gage_json::parse(&text).expect("parses"))
-                .expect("well-formed");
-            assert_eq!(back, c);
-        }
-        assert!(SparePolicy::from_str_name("bogus").is_none());
     }
 }

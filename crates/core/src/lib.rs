@@ -3,8 +3,8 @@
 //!
 //! This crate is the paper's contribution, kept deliberately free of any
 //! particular substrate: the same [`scheduler::RequestScheduler`] drives
-//! both the packet-accurate simulated cluster (`gage-cluster`) and the
-//! real-network tokio variant (`gage-rt`).
+//! both the simulated cluster (`gage-cluster`) and the threaded
+//! real-network variant (`gage-rt`).
 //!
 //! # The pieces (paper §3)
 //!

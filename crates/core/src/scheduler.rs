@@ -572,7 +572,6 @@ impl<R: TraceTag> RequestScheduler<R> {
     /// in-flight predictions, frees node windows and updates estimators.
     pub fn on_report(&mut self, report: &UsageReport) {
         self.ensure_rpn_arrays();
-        let mut settled_total = ResourceVector::ZERO;
         for line in &report.per_subscriber {
             let i = line.subscriber.0 as usize;
             if i >= self.accounts.len() {
@@ -580,7 +579,6 @@ impl<R: TraceTag> RequestScheduler<R> {
             }
             self.accounts[i].apply_usage(report.rpn, line);
             self.completed[i] += u64::from(line.completed);
-            settled_total += line.settled_predicted;
             if line.completed > 0 {
                 // Feed the estimator the average per-request usage, once per
                 // completed request (bounded to keep report handling O(1)-ish).
@@ -590,7 +588,6 @@ impl<R: TraceTag> RequestScheduler<R> {
                 }
             }
         }
-        let _ = settled_total;
         // Re-anchor the node's outstanding estimate to the level the node
         // itself reported (plus nothing for in-flight dispatches — the
         // propagation delay is far below a scheduling cycle).

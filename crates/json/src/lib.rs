@@ -3,8 +3,8 @@
 //! The build environment cannot fetch `serde`/`serde_json`, so the
 //! handful of places that need structured interchange — the RPN→RDN
 //! control protocol (`gage-rt::proto`), workload trace files
-//! (`gage-workload::trace`), scheduler config snapshots and the
-//! `gage-lint` report mode — use this value-based API instead:
+//! (`gage-workload::trace`) and the `gage-obs` trace dumps and audit
+//! reports — use this value-based API instead:
 //! build a [`Json`] tree, [`Json::to_string`] it, [`parse`] it back,
 //! and pick fields out with the typed accessors.
 //!

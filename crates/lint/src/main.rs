@@ -15,36 +15,34 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: gage-lint [--json | --sarif] [--no-baseline] [ROOT]";
+use gage_cli::Args;
+
+const USAGE: &str = "gage-lint [--json | --sarif] [--no-baseline] [ROOT]";
+
+struct Opts {
+    json: bool,
+    sarif: bool,
+    no_baseline: bool,
+    root: PathBuf,
+}
+
+fn parse_args(args: &mut Args) -> Result<Opts, String> {
+    let opts = Opts {
+        json: args.flag("--json"),
+        sarif: args.flag("--sarif"),
+        no_baseline: args.flag("--no-baseline"),
+        root: args.free("ROOT")?.unwrap_or_else(|| PathBuf::from(".")),
+    };
+    if opts.json && opts.sarif {
+        return Err("--json and --sarif are mutually exclusive".to_string());
+    }
+    Ok(opts)
+}
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut sarif = false;
-    let mut no_baseline = false;
-    let mut root: Option<PathBuf> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--sarif" => sarif = true,
-            "--no-baseline" => no_baseline = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            _ if root.is_none() && !arg.starts_with('-') => root = Some(PathBuf::from(arg)),
-            other => {
-                eprintln!("unexpected argument `{other}`; {USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if json && sarif {
-        eprintln!("--json and --sarif are mutually exclusive; {USAGE}");
-        return ExitCode::FAILURE;
-    }
-    let root = root.unwrap_or_else(|| PathBuf::from("."));
-
-    let result = if no_baseline {
+    let opts = gage_cli::run(USAGE, parse_args);
+    let root = opts.root;
+    let result = if opts.no_baseline {
         gage_lint::lint_workspace(&root).map(|f| (f, 0))
     } else {
         gage_lint::lint_workspace_baselined(&root)
@@ -57,9 +55,9 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
+    if opts.json {
         print!("{}", gage_lint::report_json(&findings));
-    } else if sarif {
+    } else if opts.sarif {
         print!("{}", gage_lint::report_sarif(&findings));
     } else {
         for f in &findings {
@@ -75,5 +73,17 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_and_sarif_conflict() {
+        let err = gage_cli::parse(["--json", "--sarif"], parse_args).err();
+        let want = "--json and --sarif are mutually exclusive";
+        assert_eq!(err.as_deref(), Some(want));
     }
 }

@@ -19,15 +19,21 @@
 //!
 //! Exit status:
 //!
-//! * non-zero if the dump is malformed, the ring overwrote history, or any
+//! * 1 if the dump is malformed, the ring overwrote history, or any
 //!   request fails to reconstruct into exactly one terminal state;
-//! * with `--expect-clean`, additionally non-zero if any request is still
-//!   unterminated or any conformance violation is reported (after the
-//!   `--shard`/`--after` filters) — the CI clean-run gate.
+//! * with `--expect-clean`, also 1 if any request is still unterminated
+//!   or any conformance violation is reported (after the
+//!   `--shard`/`--after` filters) — the CI clean-run gate;
+//! * 2 for a usage error, so a mistyped flag never passes for a detected
+//!   violation.
 
 use std::process::ExitCode;
 
+use gage_cli::Args;
 use gage_obs::audit::{audit_dump, AuditConfig};
+
+const USAGE: &str = "gage-audit <path> [--json] [--window SECS] [--tolerance F] [--expect-clean] \
+                     [--shard RDN] [--after SECS]";
 
 struct Opts {
     path: String,
@@ -38,65 +44,34 @@ struct Opts {
     config: AuditConfig,
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: gage-audit <path> [--json] [--window SECS] [--tolerance F] [--expect-clean] \
-         [--shard RDN] [--after SECS]"
-    );
-    ExitCode::FAILURE
+fn parse_args(args: &mut Args) -> Result<Opts, String> {
+    let defaults = AuditConfig::default();
+    let ns = |secs: f64| (secs * 1e9) as u64;
+    Ok(Opts {
+        json: args.flag("--json"),
+        expect_clean: args.flag("--expect-clean"),
+        shard: args.opt("--shard")?,
+        after_ns: checked(args, "--after", |secs| secs >= 0.0)?.map(ns),
+        config: AuditConfig {
+            window_ns: checked(args, "--window", |secs| secs > 0.0)?.map_or(defaults.window_ns, ns),
+            tolerance: checked(args, "--tolerance", |f| (0.0..=1.0).contains(&f))?
+                .unwrap_or(defaults.tolerance),
+        },
+        path: args.free("PATH")?.ok_or("missing dump path")?,
+    })
 }
 
-fn parse_args(args: &[String]) -> Option<Opts> {
-    let mut opts = Opts {
-        path: String::new(),
-        json: false,
-        expect_clean: false,
-        shard: None,
-        after_ns: None,
-        config: AuditConfig::default(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => opts.json = true,
-            "--expect-clean" => opts.expect_clean = true,
-            "--shard" => opts.shard = Some(it.next()?.parse().ok()?),
-            "--after" => {
-                let secs: f64 = it.next()?.parse().ok()?;
-                if secs < 0.0 || secs.is_nan() {
-                    return None;
-                }
-                opts.after_ns = Some((secs * 1e9) as u64);
-            }
-            "--window" => {
-                let secs: f64 = it.next()?.parse().ok()?;
-                if secs <= 0.0 || secs.is_nan() {
-                    return None;
-                }
-                opts.config.window_ns = (secs * 1e9) as u64;
-            }
-            "--tolerance" => {
-                let f: f64 = it.next()?.parse().ok()?;
-                if !(0.0..=1.0).contains(&f) {
-                    return None;
-                }
-                opts.config.tolerance = f;
-            }
-            _ if opts.path.is_empty() && !arg.starts_with("--") => opts.path = arg.clone(),
-            _ => return None,
-        }
+/// Pulls `flag`'s value and rejects one outside the range `ok` accepts
+/// (NaN is outside every range).
+fn checked(args: &mut Args, flag: &str, ok: fn(f64) -> bool) -> Result<Option<f64>, String> {
+    match args.opt(flag)? {
+        Some(v) if !ok(v) => Err(format!("{flag}: `{v}` is out of range")),
+        v => Ok(v),
     }
-    if opts.path.is_empty() {
-        return None;
-    }
-    Some(opts)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(opts) = parse_args(&args) else {
-        return usage();
-    };
+    let opts = gage_cli::run(USAGE, parse_args);
     let text = match std::fs::read_to_string(&opts.path) {
         Ok(t) => t,
         Err(e) => {

@@ -15,16 +15,19 @@
 //!   non-zero on any malformed line (used by the CI trace-smoke step).
 //! * `--stats`    print per-kind record counts instead of the records.
 //!
-//! A missing or unparsable flag value is a usage error (exit 1), never a
+//! A missing or unparsable flag value is a usage error (exit 2), never a
 //! silently dropped filter.
 
 use std::io::Write;
 use std::process::ExitCode;
 
+use gage_cli::Args;
 use gage_json::Json;
 use gage_obs::parse_dump;
 
-#[derive(Default)]
+const USAGE: &str = "tracedump <path> [--kind K] [--sub N] [--req N] [--from SECS] [--to SECS] \
+                     [--check] [--stats]";
+
 struct Opts {
     path: String,
     kind: Option<String>,
@@ -36,41 +39,17 @@ struct Opts {
     stats: bool,
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tracedump <path> [--kind K] [--sub N] [--req N] [--from SECS] [--to SECS] \
-         [--check] [--stats]"
-    );
-    ExitCode::FAILURE
-}
-
-/// Parses the value following `flag`.
-fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
-    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: cannot parse `{raw}`"))
-}
-
-fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => opts.check = true,
-            "--stats" => opts.stats = true,
-            "--kind" => opts.kind = Some(value(arg, it.next())?),
-            "--sub" | "--subscriber" => opts.sub = Some(value(arg, it.next())?),
-            "--req" => opts.req = Some(value(arg, it.next())?),
-            "--from" => opts.from_secs = Some(value(arg, it.next())?),
-            "--to" => opts.to_secs = Some(value(arg, it.next())?),
-            _ if opts.path.is_empty() && !arg.starts_with("--") => opts.path = arg.clone(),
-            _ => return Err(format!("unexpected argument `{arg}`")),
-        }
-    }
-    if opts.path.is_empty() {
-        return Err("missing dump path".to_string());
-    }
-    Ok(opts)
+fn parse_args(args: &mut Args) -> Result<Opts, String> {
+    Ok(Opts {
+        kind: args.opt("--kind")?,
+        sub: args.opt("--sub|--subscriber")?,
+        req: args.opt("--req")?,
+        from_secs: args.opt("--from")?,
+        to_secs: args.opt("--to")?,
+        check: args.flag("--check"),
+        stats: args.flag("--stats"),
+        path: args.free("PATH")?.ok_or("missing dump path")?,
+    })
 }
 
 fn keep(record: &Json, opts: &Opts) -> bool {
@@ -121,14 +100,7 @@ fn render(record: &Json) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("tracedump: {e}");
-            return usage();
-        }
-    };
+    let opts = gage_cli::run(USAGE, parse_args);
     let text = match std::fs::read_to_string(&opts.path) {
         Ok(t) => t,
         Err(e) => {
@@ -203,18 +175,13 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(args: &str) -> Result<Opts, String> {
-        parse_args(
-            &args
-                .split_whitespace()
-                .map(String::from)
-                .collect::<Vec<_>>(),
-        )
+    fn parse(line: &str) -> Result<Opts, String> {
+        gage_cli::parse(line.split_whitespace(), parse_args)
     }
 
     #[test]
     fn well_formed_filters_parse() {
-        let opts = parse("t.jsonl --sub 3 --req 42 --from 1.5 --to 2").expect("valid flags");
+        let opts = parse("--subscriber 3 t.jsonl --req 42 --from 1.5 --to 2").expect("valid flags");
         assert_eq!(opts.path, "t.jsonl");
         assert_eq!((opts.sub, opts.req), (Some(3), Some(42)));
         assert_eq!((opts.from_secs, opts.to_secs), (Some(1.5), Some(2.0)));
@@ -222,15 +189,14 @@ mod tests {
 
     #[test]
     fn bad_or_missing_values_are_usage_errors() {
-        for flag in ["--sub", "--subscriber", "--req", "--from", "--to"] {
-            let err = parse(&format!("t.jsonl {flag} zero")).err();
-            assert_eq!(err, Some(format!("{flag}: cannot parse `zero`")));
-        }
         assert_eq!(
-            parse("t.jsonl --req").err().as_deref(),
-            Some("--req needs a value")
+            parse("t.jsonl --subscriber zero").err().as_deref(),
+            Some("--subscriber: cannot parse `zero`")
         );
         assert_eq!(parse("--stats").err().as_deref(), Some("missing dump path"));
-        assert!(parse("a.jsonl b.jsonl").is_err());
+        assert_eq!(
+            parse("a.jsonl b.jsonl").err().as_deref(),
+            Some("unexpected argument `b.jsonl`")
+        );
     }
 }

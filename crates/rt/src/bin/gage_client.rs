@@ -5,58 +5,35 @@
 //!             --secs 10 [--size 6144]
 //! ```
 
-use std::net::SocketAddr;
-use std::process::ExitCode;
 use std::time::Duration;
 
+use gage_cli::Args;
 use gage_rt::client::{run_load, ClientConfig};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: gage-client --target ADDR --host HOST --rate N --secs N [--size BYTES]");
-    ExitCode::from(2)
+const USAGE: &str = "gage-client --target ADDR --host HOST --rate N --secs N [--size BYTES]";
+
+fn parse_args(args: &mut Args) -> Result<ClientConfig, String> {
+    Ok(ClientConfig {
+        duration: Duration::from_secs(args.opt("--secs")?.unwrap_or(5)),
+        size: args.opt("--size")?.unwrap_or(6 * 1024),
+        ..ClientConfig::new(
+            args.opt("--target")?.ok_or("--target is required")?,
+            args.opt::<String>("--host")?.ok_or("--host is required")?,
+            args.opt("--rate")?.unwrap_or(10.0),
+        )
+    })
 }
 
-fn main() -> ExitCode {
-    let mut target: Option<SocketAddr> = None;
-    let mut host: Option<String> = None;
-    let mut rate: f64 = 10.0;
-    let mut secs: u64 = 5;
-    let mut size: u64 = 6 * 1024;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let Some(value) = args.next() else {
-            return usage();
-        };
-        match flag.as_str() {
-            "--target" => target = value.parse().ok(),
-            "--host" => host = Some(value),
-            "--rate" => match value.parse() {
-                Ok(v) => rate = v,
-                Err(_) => return usage(),
-            },
-            "--secs" => match value.parse() {
-                Ok(v) => secs = v,
-                Err(_) => return usage(),
-            },
-            "--size" => match value.parse() {
-                Ok(v) => size = v,
-                Err(_) => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let (Some(target), Some(host)) = (target, host) else {
-        return usage();
-    };
-
-    let duration = Duration::from_secs(secs);
-    let cfg = ClientConfig {
-        duration,
-        size,
-        ..ClientConfig::new(target, host.clone(), rate)
-    };
-    println!("gage-client: {rate} req/s against {host} via {target} for {secs}s");
+fn main() {
+    let cfg = gage_cli::run(USAGE, parse_args);
+    let duration = cfg.duration;
+    println!(
+        "gage-client: {} req/s against {} via {} for {}s",
+        cfg.rate,
+        cfg.host,
+        cfg.target,
+        duration.as_secs()
+    );
     let stats = run_load(cfg);
     println!(
         "attempted {}  ok {}  dropped {}  errors {}",
@@ -72,5 +49,4 @@ fn main() -> ExitCode {
         lat.max(),
         stats.bytes
     );
-    ExitCode::SUCCESS
 }

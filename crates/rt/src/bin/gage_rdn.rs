@@ -13,78 +13,51 @@
 //! the run actually ends, so `--trace` is typically paired with
 //! `--run-secs`. Inspect the dump with the `tracedump` binary.
 
-use std::net::SocketAddr;
 use std::process::ExitCode;
 
+use gage_cli::Args;
 use gage_core::resource::Grps;
 use gage_core::subscriber::SubscriberId;
 use gage_rt::frontend::{spawn_frontend, FrontendConfig, SiteConfig};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: gage-rdn --listen ADDR --control ADDR \
-         --site HOST=GRPS [--site ...] --backend ADDR [--backend ...] \
-         [--trace PATH] [--run-secs N]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "gage-rdn --listen ADDR --control ADDR \
+                     --site HOST=GRPS [--site ...] --backend ADDR [--backend ...] \
+                     [--trace PATH] [--run-secs N]";
 
-fn main() -> ExitCode {
-    let mut listen: Option<SocketAddr> = None;
-    let mut control: Option<SocketAddr> = None;
-    let mut sites: Vec<SiteConfig> = Vec::new();
-    let mut backends: Vec<SocketAddr> = Vec::new();
-    let mut trace: Option<String> = None;
-    let mut run_secs: Option<u64> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let Some(value) = args.next() else {
-            return usage();
-        };
-        match flag.as_str() {
-            "--listen" => listen = value.parse().ok(),
-            "--control" => control = value.parse().ok(),
-            "--site" => {
-                let Some((host, grps)) = value.split_once('=') else {
-                    return usage();
-                };
-                let Ok(grps) = grps.parse::<f64>() else {
-                    return usage();
-                };
-                sites.push(SiteConfig {
-                    host: host.to_string(),
-                    reservation: Grps(grps),
-                });
-            }
-            "--backend" => match value.parse() {
-                Ok(addr) => backends.push(addr),
-                Err(_) => return usage(),
-            },
-            "--trace" => trace = Some(value),
-            "--run-secs" => match value.parse() {
-                Ok(secs) => run_secs = Some(secs),
-                Err(_) => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let (Some(listen), Some(control)) = (listen, control) else {
-        return usage();
-    };
-    if sites.is_empty() || backends.is_empty() {
-        return usage();
-    }
-
-    let n_sites = sites.len();
+/// The front end's config, the trace dump path and the run length.
+fn parse_args(args: &mut Args) -> Result<(FrontendConfig, Option<String>, Option<u64>), String> {
+    let trace: Option<String> = args.opt("--trace")?;
     let cfg = FrontendConfig {
-        listen,
-        control,
-        sites,
-        backends,
+        listen: args.opt("--listen")?.ok_or("--listen is required")?,
+        control: args.opt("--control")?.ok_or("--control is required")?,
+        sites: args
+            .all("--site")?
+            .into_iter()
+            .map(site)
+            .collect::<Result<_, _>>()?,
+        backends: args.all("--backend")?,
         trace_capacity: trace.as_ref().map(|_| 1 << 16),
         ..FrontendConfig::loopback(Vec::new(), Vec::new())
     };
+    if cfg.sites.is_empty() || cfg.backends.is_empty() {
+        return Err("at least one --site and one --backend are required".to_string());
+    }
+    Ok((cfg, trace, args.opt("--run-secs")?))
+}
+
+/// Splits a `--site HOST=GRPS` value.
+fn site(raw: String) -> Result<SiteConfig, String> {
+    let bad = || format!("--site: cannot parse `{raw}` as HOST=GRPS");
+    let (host, grps) = raw.split_once('=').ok_or_else(bad)?;
+    Ok(SiteConfig {
+        host: host.to_string(),
+        reservation: Grps(grps.parse().map_err(|_| bad())?),
+    })
+}
+
+fn main() -> ExitCode {
+    let (cfg, trace, run_secs) = gage_cli::run(USAGE, parse_args);
+    let n_sites = cfg.sites.len();
     let handle = match spawn_frontend(cfg) {
         Ok(h) => h,
         Err(e) => {
@@ -132,4 +105,26 @@ fn main() -> ExitCode {
         println!("gage-rdn: wrote trace to {path}");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sites_split_into_host_and_reservation() {
+        let base = "--listen 127.0.0.1:8080 --control 127.0.0.1:8100 --backend 127.0.0.1:9001";
+        let parse = |sites: &str| gage_cli::parse(format!("{base} {sites}").split(' '), parse_args);
+        let (cfg, _, _) = parse("--site gold.local=200 --site b.local=50.5").expect("valid");
+        let sites: Vec<_> = cfg
+            .sites
+            .iter()
+            .map(|s| (&*s.host, s.reservation.0))
+            .collect();
+        assert_eq!(sites, [("gold.local", 200.0), ("b.local", 50.5)]);
+        for bad in ["gold.local", "gold.local=lots"] {
+            let want = format!("--site: cannot parse `{bad}` as HOST=GRPS");
+            assert_eq!(parse(&format!("--site {bad}")).err(), Some(want));
+        }
+    }
 }

@@ -101,25 +101,10 @@ fn run_scenario(s: &Scenario) -> ClusterSim {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut json = false;
-    let mut dump_dir: Option<String> = None;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--json" => json = true,
-            "--dump-dir" => match args.next() {
-                Some(dir) => dump_dir = Some(dir),
-                None => {
-                    eprintln!("--dump-dir needs a directory");
-                    std::process::exit(2);
-                }
-            },
-            _ => {
-                eprintln!("usage: conformance_sweep [--json] [--dump-dir DIR]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (json, dump_dir): (bool, Option<String>) =
+        gage_cli::run("conformance_sweep [--json] [--dump-dir DIR]", |args| {
+            Ok((args.flag("--json"), args.opt("--dump-dir")?))
+        });
 
     let scenarios = [
         Scenario {

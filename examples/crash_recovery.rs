@@ -127,6 +127,7 @@ fn run_lossy(grace_cycles: f64) -> (usize, f64) {
 }
 
 fn main() {
+    gage_cli::run("crash_recovery", |_| Ok(()));
     println!(
         "crash at t={CRASH_AT}s, rejoin at t={RECOVER_AT}s; 2 RPNs, one site \
          offering {RATE:.0} req/s (reservation 150 GRPS)\n"

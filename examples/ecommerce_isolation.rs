@@ -61,6 +61,7 @@ fn run(mode: GageMode) -> ClusterReport {
 }
 
 fn main() {
+    gage_cli::run("ecommerce_isolation", |_| Ok(()));
     println!("four tenants, 500 GRPS of cluster, 735 req/s offered (flash sale at 10x contract)\n");
 
     let with_gage = run(GageMode::Enabled);

@@ -16,6 +16,7 @@ use gage::rt::client::{run_load, ClientConfig};
 use gage::rt::harness::{deploy, DeployOptions};
 
 fn main() {
+    gage_cli::run("live_proxy", |_| Ok(()));
     // Two back ends, each good for ~200 req/s of 6 KiB responses.
     let deployment = deploy(DeployOptions {
         backends: 2,

@@ -83,6 +83,7 @@ fn run(rdns: usize) -> (f64, f64) {
 }
 
 fn main() {
+    gage_cli::run("multi_rdn_sweep", |_| Ok(()));
     println!(
         "multi-RDN sweep — {RPNS} RPNs, 6 KB static files, saturating load\n\
          (single-RDN knee from §4.3: 4262 req/s at 83% RDN CPU with 8 RPNs)\n"

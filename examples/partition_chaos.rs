@@ -35,17 +35,8 @@ const RATE: f64 = 80.0;
 const RDNS: usize = 4;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut trace_path: Option<String> = None;
-    while let Some(flag) = args.next() {
-        match (flag.as_str(), args.next()) {
-            ("--trace", Some(path)) => trace_path = Some(path),
-            _ => {
-                eprintln!("usage: partition_chaos [--trace PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let trace_path: Option<String> =
+        gage_cli::run("partition_chaos [--trace PATH]", |args| args.opt("--trace"));
 
     // Eight subscribers, two homed on each of the four shards (pinned via
     // shard_overrides so the scenario doesn't depend on the hash layout).

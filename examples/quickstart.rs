@@ -19,17 +19,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut trace_path: Option<String> = None;
-    while let Some(flag) = args.next() {
-        match (flag.as_str(), args.next()) {
-            ("--trace", Some(path)) => trace_path = Some(path),
-            _ => {
-                eprintln!("usage: quickstart [--trace PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let trace_path: Option<String> =
+        gage_cli::run("quickstart [--trace PATH]", |args| args.opt("--trace"));
 
     // Two subscribers share the cluster. "gold" reserves 150 generic
     // requests/s and offers a civilized 140/s; "spiky" reserves only 50/s

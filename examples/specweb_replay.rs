@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    gage_cli::run("specweb_replay", |_| Ok(()));
     // 1. Generate the trace: 60 req/s of SPECWeb99-shaped accesses for 20s.
     let mut rng = StdRng::seed_from_u64(2003);
     let mut gen = SpecWebGenerator::for_target_rate(60.0);

@@ -8,7 +8,8 @@
 //! * [`core`] — Gage's QoS core: classification, WRR credit scheduling,
 //!   node selection and resource accounting,
 //! * [`workload`] — synthetic and SPECWeb99-shaped workload generators,
-//! * [`cluster`] — the packet-accurate simulated Gage cluster,
+//! * [`cluster`] — the simulated Gage cluster (each request's packets
+//!   charged in aggregate),
 //! * [`rt`] — the real-network (threaded TCP) variant with multi-process
 //!   binaries,
 //! * [`obs`] — deterministic structured tracing + live metrics registry
