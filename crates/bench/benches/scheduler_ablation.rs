@@ -17,6 +17,7 @@ use gage_core::node::{NodeScheduler, RpnId};
 use gage_core::resource::{Grps, ResourceVector};
 use gage_core::scheduler::RequestScheduler;
 use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
+use gage_obs::Tracer;
 
 fn build_scheduler(
     subscribers: usize,
@@ -40,9 +41,10 @@ fn build_scheduler(
             .nodes_mut()
             .add_rpn(ResourceVector::new(1e6, 1e6, 12.5e6));
     }
+    let mut tracer = Tracer::disabled();
     for s in 0..subscribers {
         for r in 0..backlog {
-            let _ = sched.enqueue(SubscriberId(s as u32), r as u64);
+            let _ = sched.enqueue(SubscriberId(s as u32), r as u64, &mut tracer);
         }
     }
     sched
@@ -55,7 +57,7 @@ fn scheduling_cycle_vs_subscribers() {
         });
         time_it(&format!("build+run_cycle_{n}_subs"), || {
             let mut s = build_scheduler(n, 4, SparePolicy::ProportionalToReservation);
-            s.run_cycle(0.010)
+            s.run_cycle(0.010, &mut Tracer::disabled())
         });
     }
 }
@@ -68,7 +70,7 @@ fn spare_policy_cost() {
     ] {
         time_it(&format!("build+run_cycle_spare_{name}"), || {
             let mut s = build_scheduler(100, 16, policy);
-            s.run_cycle(0.010)
+            s.run_cycle(0.010, &mut Tracer::disabled())
         });
     }
 }

@@ -119,12 +119,6 @@ pub struct ClusterReport {
     pub total_served: f64,
     /// RDN CPU utilization over the measurement window, `[0, 1]`.
     pub rdn_utilization: f64,
-    /// Connection-table lookups over the whole run.
-    pub conn_lookups: u64,
-    /// Fraction of connection-table lookups that found a route, `[0, 1]`.
-    pub conn_hit_rate: f64,
-    /// Connections evicted to enforce the table's entry bound.
-    pub conn_evictions: u64,
     /// Measurement window used.
     pub window: (SimTime, SimTime),
 }
@@ -146,12 +140,6 @@ impl ClusterReport {
             "total served {:.1} req/s, RDN CPU {:.1}%\n",
             self.total_served,
             self.rdn_utilization * 100.0
-        ));
-        out.push_str(&format!(
-            "conn table: {} lookups, {:.1}% hit rate, {} evictions\n",
-            self.conn_lookups,
-            self.conn_hit_rate * 100.0,
-            self.conn_evictions
         ));
         out
     }
@@ -314,9 +302,6 @@ mod tests {
             }],
             total_served: 259.4,
             rdn_utilization: 0.11,
-            conn_lookups: 12_345,
-            conn_hit_rate: 0.984,
-            conn_evictions: 7,
             window: (SimTime::ZERO, SimTime::from_secs(30)),
         };
         let t = rep.to_table();
@@ -324,6 +309,5 @@ mod tests {
         assert!(t.contains("259.4"));
         assert!(t.contains("Failed"));
         assert!(t.contains("RDN CPU 11.0%"));
-        assert!(t.contains("12345 lookups, 98.4% hit rate, 7 evictions"));
     }
 }

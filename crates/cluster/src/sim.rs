@@ -254,8 +254,9 @@ pub struct World {
     /// Instant of the most recent handled event — the "now" that debug
     /// views evaluate stage occupancy against.
     last_event_at: SimTime,
-    /// Structured trace sink shared with the scheduler and splice layer;
-    /// disabled unless [`ClusterSim::enable_tracing`] is called.
+    /// The simulator's one trace sink, lent to the schedulers and the
+    /// splice layer on each call that emits; disabled unless
+    /// [`ClusterSim::enable_tracing`] is called.
     tracer: Tracer,
 }
 
@@ -333,11 +334,10 @@ impl ClusterSim {
                 .expect("duplicate site host");
         }
         let n_sites = sites.len();
-        let tracer = Tracer::disabled();
         let mut world = World {
             cluster_ep: Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
             fronts: (0..params.rdn_count)
-                .map(|_| RdnFront::boot(&params, &registry, &tracer, 0))
+                .map(|_| RdnFront::boot(&params, &registry, 0))
                 .collect(),
             rpns: (0..params.rpn_count)
                 .map(|i| Rpn::boot(i, &params, n_sites, rpn::clock_skew(seed, i)))
@@ -360,7 +360,7 @@ impl ClusterSim {
             dispatch_buf: Vec::new(),
             sched_ticks: 0,
             last_event_at: SimTime::ZERO,
-            tracer,
+            tracer: Tracer::disabled(),
             traces: Vec::new(),
             registry,
             params,
@@ -430,22 +430,18 @@ impl ClusterSim {
         self.sim.run_until(deadline);
     }
 
-    /// Attaches a trace ring of `capacity` records. The scheduler, the
-    /// splice layer and the cluster world all emit into the shared ring
-    /// from this point on; call before [`ClusterSim::run_until`] for a
-    /// complete trace. Same-seed runs produce byte-identical dumps.
+    /// Attaches a trace ring of `capacity` records. The schedulers, the
+    /// splice layer and the cluster world all emit into it from this point
+    /// on; call before [`ClusterSim::run_until`] for a complete trace.
+    /// Same-seed runs produce byte-identical dumps.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn enable_tracing(&mut self, capacity: usize) {
         let now = self.sim.now();
-        let tracer = Tracer::enabled(capacity);
         let world = self.sim.model_mut();
-        for front in &mut world.fronts {
-            front.scheduler.set_tracer(tracer.clone());
-        }
-        world.tracer = tracer;
+        world.tracer = Tracer::enabled(capacity);
         // One `Reservation` record per subscriber up front (with its home
         // shard), so dumps are self-describing for the conformance
         // auditor and its `--shard` filter.
@@ -627,14 +623,10 @@ impl ClusterSim {
             .iter()
             .map(|f| utilization_in_window(&f.metrics.busy, from, to))
             .fold(0.0, f64::max);
-        let (conn_lookups, _) = w.fronts[0].conn_table.stats();
         ClusterReport {
             subscribers: rows,
             total_served,
             rdn_utilization,
-            conn_lookups,
-            conn_hit_rate: w.fronts[0].conn_table.hit_rate(),
-            conn_evictions: w.fronts[0].conn_table.evictions(),
             window: (from, to),
         }
     }

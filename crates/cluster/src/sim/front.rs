@@ -13,7 +13,7 @@ use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
 use gage_des::{Context, SimDuration, SimTime};
 use gage_net::addr::FourTuple;
 use gage_net::SeqNum;
-use gage_obs::{TraceEvent, Tracer};
+use gage_obs::TraceEvent;
 
 use super::rpn::response_packet_counts;
 use super::{Ev, World};
@@ -92,7 +92,6 @@ impl RdnFront {
     pub(super) fn boot(
         params: &ClusterParams,
         registry: &SubscriberRegistry,
-        tracer: &Tracer,
         epoch: u32,
     ) -> RdnFront {
         let share = 1.0 / params.rdn_count as f64;
@@ -109,7 +108,6 @@ impl RdnFront {
         for i in 0..registry.len() {
             scheduler.set_reservation(SubscriberId(i as u32), Grps(0.0));
         }
-        scheduler.set_tracer(tracer.clone());
         RdnFront {
             scheduler,
             conn_table: ConnTable::new(),
@@ -229,7 +227,8 @@ impl World {
         };
         match self.params.mode {
             GageMode::Enabled => {
-                if let Err(req) = self.fronts[rdn].scheduler.enqueue(sub_id, req) {
+                let front = &mut self.fronts[rdn];
+                if let Err(req) = front.scheduler.enqueue(sub_id, req, &mut self.tracer) {
                     self.refuse(ctx, rdn, sub_id.0, req.conn);
                 }
             }
@@ -316,7 +315,7 @@ impl World {
             let mut dispatches = std::mem::take(&mut self.dispatch_buf);
             self.fronts[f]
                 .scheduler
-                .run_cycle_into(cycle, &mut dispatches);
+                .run_cycle_into(cycle, &mut dispatches, &mut self.tracer);
             for d in dispatches.drain(..) {
                 if d.funded_by_spare {
                     self.spare_dispatches += 1;
@@ -489,7 +488,8 @@ impl World {
                     rpn: rpn_idx,
                 });
                 request.enqueued_at = ctx.now();
-                if let Err(req) = self.fronts[f].scheduler.requeue(meta.sub, request) {
+                let front = &mut self.fronts[f];
+                if let Err(req) = front.scheduler.requeue(meta.sub, request, &mut self.tracer) {
                     self.refuse(ctx, f, meta.sub.0, req.conn);
                 }
             }
@@ -541,7 +541,7 @@ impl World {
             return; // already down
         }
         let epoch = self.fronts[f].epoch.wrapping_add(1);
-        let mut cold = RdnFront::boot(&self.params, &self.registry, &self.tracer, epoch);
+        let mut cold = RdnFront::boot(&self.params, &self.registry, epoch);
         cold.metrics = std::mem::take(&mut self.fronts[f].metrics);
         cold.dead_since = Some(now);
         self.fronts[f] = cold;

@@ -351,7 +351,7 @@ impl World {
             request.rdn_isn,
             SeqNum::new(rpn.isn_counter),
             request.req,
-            &self.tracer,
+            &mut self.tracer,
         );
         let worker = rpn.workers[meta.sub.0 as usize];
         let (pid, reap_pid) = if dynamic.is_some() {
@@ -420,7 +420,7 @@ impl World {
             return;
         };
         let sub = req.sub;
-        req.splice.trace_teardown(req.req, &self.tracer);
+        req.splice.trace_teardown(req.req, &mut self.tracer);
         self.tracer.emit(TraceEvent::ReqComplete {
             sub: sub.0,
             req: req.req,

@@ -87,7 +87,8 @@ impl World {
                 let f = &mut self.fronts[from as usize];
                 f.scheduler.set_reservation(sub, Grps(0.0));
                 for req in f.scheduler.drain_queue(sub) {
-                    if let Err(req) = self.fronts[to as usize].scheduler.enqueue(sub, req) {
+                    let peer = &mut self.fronts[to as usize];
+                    if let Err(req) = peer.scheduler.enqueue(sub, req, &mut self.tracer) {
                         self.refuse(ctx, to as usize, sub.0, req.conn);
                     }
                 }

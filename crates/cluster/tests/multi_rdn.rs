@@ -44,6 +44,19 @@ fn site(host: &str, seed: u64) -> SiteSpec {
     }
 }
 
+/// Byte length and FNV-1a-64 digest of the chaos scenario's dump: the
+/// trace contract pinned exactly, so a refactor cannot drift within it. A
+/// change that alters the trace on purpose updates both constants in its
+/// own diff.
+const CHAOS_DUMP_LEN: usize = 4_646_246;
+const CHAOS_DUMP_FNV1A64: u64 = 0xe687_3f6f_87f9_117e;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// The shared chaos scenario, run once per test.
 fn run_chaos() -> (ClusterSim, String) {
     let sites: Vec<SiteSpec> = (0..8)
@@ -162,4 +175,10 @@ fn chaos_dump_replays_byte_identically() {
     let (_, first) = run_chaos();
     let (_, second) = run_chaos();
     assert!(first == second, "same-seed chaos runs diverged");
+    assert_eq!(
+        (first.len(), fnv1a64(first.as_bytes())),
+        (CHAOS_DUMP_LEN, CHAOS_DUMP_FNV1A64),
+        "the chaos dump changed (length, FNV-1a-64); if the change is \
+         intended, update CHAOS_DUMP_LEN and CHAOS_DUMP_FNV1A64 in the same diff"
+    );
 }

@@ -41,6 +41,18 @@ fn sites(horizon: f64, seed: u64) -> Vec<SiteSpec> {
         .collect()
 }
 
+/// Byte length and FNV-1a-64 digest of the seed-42, 6 s dump: the trace
+/// contract pinned exactly, so a refactor cannot drift within it. A change
+/// that alters the trace on purpose updates both constants in its own diff.
+const DUMP_LEN: usize = 1_587_330;
+const DUMP_FNV1A64: u64 = 0xe8d2_3524_7667_cf76;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn traced_run(seed: u64, horizon: u64) -> String {
     let params = ClusterParams {
         rpn_count: 3,
@@ -61,6 +73,12 @@ fn same_seed_trace_dumps_are_byte_identical() {
     assert!(
         first == second,
         "two traced runs with seed 42 diverged; tracing is nondeterministic"
+    );
+    assert_eq!(
+        (first.len(), fnv1a64(first.as_bytes())),
+        (DUMP_LEN, DUMP_FNV1A64),
+        "the seed-42 dump changed (length, FNV-1a-64); if the change is \
+         intended, update DUMP_LEN and DUMP_FNV1A64 in the same diff"
     );
 }
 

@@ -22,11 +22,6 @@ pub struct Route {
 
 /// The quadruple-indexed connection table.
 ///
-/// A lost FIN/RST teardown would otherwise leak its entry forever, so the
-/// table can be bounded with [`ConnTable::with_max_entries`]: when full, a
-/// new connection evicts the *oldest* entry (insertion order, the best
-/// stand-in for "most likely already dead" without per-packet timestamps).
-///
 /// ```rust
 /// use gage_core::conn_table::{ConnTable, Route};
 /// use gage_core::node::RpnId;
@@ -47,58 +42,29 @@ pub struct Route {
 #[derive(Debug, Clone, Default)]
 pub struct ConnTable {
     map: DetMap<FourTuple, Route>,
-    /// Upper bound on live entries; `None` means unbounded.
-    max_entries: Option<usize>,
-    evictions: u64,
     /// Routes removed by `retain`/`purge_rpn` (node-down cleanup).
     purged: u64,
     lookups: u64,
-    hits: u64,
 }
 
 impl ConnTable {
-    /// Creates an empty, unbounded table.
+    /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty table that holds at most `max` connections,
-    /// evicting oldest-first once full. A bound of zero still admits the
-    /// newest connection (the table never rejects an insert).
-    pub fn with_max_entries(max: usize) -> Self {
-        ConnTable {
-            max_entries: Some(max),
-            ..Self::default()
-        }
-    }
-
-    /// Files `tuple` under `route`, returning any previous route. May evict
-    /// the oldest connection first when the table is at capacity.
+    /// Files `tuple` under `route`, returning any previous route.
     pub fn insert(&mut self, tuple: FourTuple, route: Route) -> Option<Route> {
-        if let Some(max) = self.max_entries {
-            if self.map.len() >= max && !self.map.contains_key(&tuple) {
-                while self.map.len() >= max {
-                    if self.map.pop_front().is_none() {
-                        break;
-                    }
-                    self.evictions += 1;
-                }
-            }
-        }
         self.map.insert(tuple, route)
     }
 
     /// Looks up the route for an incoming packet's four-tuple. Takes
-    /// `&mut self` for the hit/miss counters — plain fields, so the table
+    /// `&mut self` for the lookup counter — a plain field, so the table
     /// stays free of interior mutability and safe to hand to an event lane
     /// (the `lane-shared-state` lint checks exactly that).
     pub fn lookup(&mut self, tuple: FourTuple) -> Option<Route> {
         self.lookups += 1;
-        let r = self.map.get(&tuple).copied();
-        if r.is_some() {
-            self.hits += 1;
-        }
-        r
+        self.map.get(&tuple).copied()
     }
 
     /// Non-counting lookup for classification checks.
@@ -119,25 +85,6 @@ impl ConnTable {
     /// True if no connections are filed.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Lifetime (lookups, hits) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
-    }
-
-    /// Fraction of lookups that found a route (1.0 when none have run, so
-    /// an idle table never reads as misbehaving).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            return 1.0;
-        }
-        self.hits as f64 / self.lookups as f64
-    }
-
-    /// Connections evicted to enforce the `max_entries` bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Keeps only the routes `keep` approves of; removed entries count as
@@ -163,8 +110,7 @@ impl ConnTable {
         self.retain(|_, route| route.rpn != rpn)
     }
 
-    /// Routes removed by [`ConnTable::retain`]/[`ConnTable::purge_rpn`]
-    /// (distinct from capacity evictions).
+    /// Routes removed by [`ConnTable::retain`]/[`ConnTable::purge_rpn`].
     pub fn purged(&self) -> u64 {
         self.purged
     }
@@ -172,13 +118,9 @@ impl ConnTable {
     /// Publishes the table's observability counters into a metrics
     /// registry under the `conn.` prefix.
     pub fn export_metrics(&self, reg: &mut gage_obs::Registry) {
-        let (lookups, hits) = self.stats();
         reg.set_counter("conn.entries", self.len() as u64);
-        reg.set_counter("conn.lookups", lookups);
-        reg.set_counter("conn.hits", hits);
-        reg.set_counter("conn.evictions", self.evictions());
+        reg.set_counter("conn.lookups", self.lookups);
         reg.set_counter("conn.purged", self.purged());
-        reg.set_gauge("conn.hit_rate", self.hit_rate());
     }
 }
 
@@ -232,16 +174,23 @@ mod tests {
         assert!(!t.contains(tuple(1).reversed()));
     }
 
+    /// The `conn.` counters as published to a registry.
+    fn counters(t: &ConnTable) -> gage_obs::Registry {
+        let mut reg = gage_obs::Registry::new();
+        t.export_metrics(&mut reg);
+        reg
+    }
+
     #[test]
     fn stats_count_hits_and_misses() {
         let mut t = ConnTable::new();
         t.insert(tuple(1), route(1));
         t.lookup(tuple(1));
         t.lookup(tuple(2));
-        assert_eq!(t.stats(), (2, 1));
+        assert_eq!(counters(&t).counter("conn.lookups"), Some(2));
         // `contains` does not count.
         t.contains(tuple(1));
-        assert_eq!(t.stats(), (2, 1));
+        assert_eq!(counters(&t).counter("conn.lookups"), Some(2));
     }
 
     #[test]
@@ -253,68 +202,27 @@ mod tests {
         t.lookup(tuple(1));
         let mut clone = t.clone();
         clone.lookup(tuple(2));
-        assert_eq!(t.stats(), (1, 1), "clone's lookups don't leak back");
-        assert_eq!(clone.stats(), (2, 1));
+        let lookups = |t: &ConnTable| counters(t).counter("conn.lookups");
+        assert_eq!(lookups(&t), Some(1), "clone's lookups don't leak back");
+        assert_eq!(lookups(&clone), Some(2));
         let shared: &ConnTable = &t;
         assert!(shared.contains(tuple(1)));
-        let _ = shared.hit_rate();
-        assert_eq!(shared.stats(), (1, 1), "shared reads don't count");
-    }
-
-    #[test]
-    fn hit_rate_is_one_before_any_lookup() {
-        let t = ConnTable::new();
-        assert_eq!(t.hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn bounded_table_evicts_oldest_first() {
-        let mut t = ConnTable::with_max_entries(3);
-        for i in 1..=3 {
-            t.insert(tuple(i), route(i));
-        }
-        assert_eq!(t.evictions(), 0);
-        // Fourth connection pushes out the oldest (port 1).
-        t.insert(tuple(4), route(4));
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.evictions(), 1);
-        assert_eq!(t.lookup(tuple(1)), None);
-        assert_eq!(t.lookup(tuple(2)), Some(route(2)));
-    }
-
-    #[test]
-    fn evict_then_reinsert() {
-        let mut t = ConnTable::with_max_entries(2);
-        t.insert(tuple(1), route(1));
-        t.insert(tuple(2), route(2));
-        t.insert(tuple(3), route(3)); // evicts 1
-        assert_eq!(t.lookup(tuple(1)), None);
-        // The evicted tuple comes back as the *newest* entry...
-        t.insert(tuple(1), route(9)); // evicts 2
-        assert_eq!(t.lookup(tuple(1)), Some(route(9)));
-        assert_eq!(t.lookup(tuple(2)), None);
-        assert_eq!(t.lookup(tuple(3)), Some(route(3)));
-        // ...so the next eviction takes tuple 3, not the reinserted one.
-        t.insert(tuple(4), route(4));
-        assert_eq!(t.lookup(tuple(3)), None);
-        assert_eq!(t.lookup(tuple(1)), Some(route(9)));
-        assert_eq!(t.evictions(), 3);
+        assert_eq!(lookups(shared), Some(1), "shared reads don't count");
     }
 
     #[test]
     fn export_metrics_publishes_counters() {
-        let mut t = ConnTable::with_max_entries(1);
+        let mut t = ConnTable::new();
         t.insert(tuple(1), route(1));
-        t.insert(tuple(2), route(2)); // evicts tuple 1
+        t.insert(tuple(2), route(2));
+        t.purge_rpn(RpnId(1));
         t.lookup(tuple(2)); // hit
         t.lookup(tuple(1)); // miss
-        let mut reg = gage_obs::Registry::new();
-        t.export_metrics(&mut reg);
+        let reg = counters(&t);
         assert_eq!(reg.counter("conn.entries"), Some(1));
         assert_eq!(reg.counter("conn.lookups"), Some(2));
-        assert_eq!(reg.counter("conn.hits"), Some(1));
-        assert_eq!(reg.counter("conn.evictions"), Some(1));
-        assert_eq!(reg.gauge("conn.hit_rate"), Some(0.5));
+        assert_eq!(reg.counter("conn.purged"), Some(1));
+        assert_eq!(reg.len(), 3, "exactly the three conn.* counters");
     }
 
     #[test]
@@ -334,38 +242,23 @@ mod tests {
         // Purging a node with no routes is a no-op.
         assert_eq!(t.purge_rpn(RpnId(9)), 0);
         assert_eq!(t.purged(), 2);
-        assert_eq!(t.evictions(), 0, "purges are not capacity evictions");
     }
 
     #[test]
     fn retain_keeps_survivors_in_order() {
-        let mut t = ConnTable::with_max_entries(3);
-        t.insert(tuple(1), route(1));
-        t.insert(tuple(2), route(2));
-        t.insert(tuple(3), route(1));
+        let mut t = ConnTable::new();
+        for (port, rpn) in [(1, 1), (2, 2), (3, 1), (4, 2), (5, 2)] {
+            t.insert(tuple(port), route(rpn));
+        }
         assert_eq!(t.retain(|_, r| r.rpn == RpnId(2)), 2);
-        assert_eq!(t.len(), 1);
-        // Capacity eviction still works on the survivors, oldest first.
-        t.insert(tuple(4), route(4));
-        t.insert(tuple(5), route(5));
-        t.insert(tuple(6), route(6));
-        assert_eq!(t.lookup(tuple(2)), None, "oldest survivor evicted");
-        assert_eq!(t.evictions(), 1);
-        let mut reg = gage_obs::Registry::new();
-        t.export_metrics(&mut reg);
-        assert_eq!(reg.counter("conn.purged"), Some(2));
-    }
-
-    #[test]
-    fn updating_existing_key_never_evicts() {
-        let mut t = ConnTable::with_max_entries(2);
-        t.insert(tuple(1), route(1));
-        t.insert(tuple(2), route(2));
-        // Re-routing a filed connection while full must not push anything out.
-        t.insert(tuple(1), route(7));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.evictions(), 0);
-        assert_eq!(t.lookup(tuple(1)), Some(route(7)));
-        assert_eq!(t.lookup(tuple(2)), Some(route(2)));
+        assert_eq!(t.len(), 3);
+        // A second pass visits the survivors in insertion order.
+        let mut seen = Vec::new();
+        t.retain(|conn, _| {
+            seen.push(conn.src.port.get());
+            true
+        });
+        assert_eq!(seen, vec![2, 4, 5]);
+        assert_eq!(counters(&t).counter("conn.purged"), Some(2));
     }
 }

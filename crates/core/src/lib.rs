@@ -28,6 +28,7 @@
 //!
 //! ```rust
 //! use gage_core::prelude::*;
+//! use gage_obs::Tracer;
 //!
 //! // Two subscribers, as in the paper's Table 2.
 //! let mut registry = SubscriberRegistry::new();
@@ -41,9 +42,10 @@
 //! );
 //! sched.nodes_mut().add_rpn(ResourceVector::new(1e6, 1e6, 12.5e6));
 //!
-//! sched.enqueue(site1, "GET /catalog").unwrap();
-//! sched.enqueue(site2, "GET /cart").unwrap();
-//! let dispatched = sched.run_cycle(0.010);
+//! let mut tracer = Tracer::disabled();
+//! sched.enqueue(site1, "GET /catalog", &mut tracer).unwrap();
+//! sched.enqueue(site2, "GET /cart", &mut tracer).unwrap();
+//! let dispatched = sched.run_cycle(0.010, &mut tracer);
 //! assert_eq!(dispatched.len(), 2);
 //! ```
 

@@ -34,8 +34,9 @@ use gage_obs::{TraceEvent, Tracer};
 /// The scheduler is generic over its request payload `R`; to thread
 /// per-request identity into its `Enqueue`/`Drop`/`Dispatch` emissions it
 /// asks the payload for a scalar tag. Payload types without a natural id
-/// (unit, borrowed strings in doc examples) return 0 — the span
-/// reconstructor treats id 0 from such emitters as anonymous.
+/// (unit, borrowed strings in doc examples) return 0. That is not
+/// anonymous: 0 is an ordinary request id, so the span reconstructor
+/// rejects a dump whose records for id 0 have no `req_arrival` before them.
 pub trait TraceTag {
     /// The request's run-wide id for trace records.
     fn trace_tag(&self) -> u64;
@@ -105,6 +106,7 @@ pub struct SubscriberCounters {
 ///
 /// ```rust
 /// use gage_core::prelude::*;
+/// use gage_obs::Tracer;
 ///
 /// let mut reg = SubscriberRegistry::new();
 /// let gold = reg.register("gold.example.com", Grps(100.0)).unwrap();
@@ -114,8 +116,9 @@ pub struct SubscriberCounters {
 ///     NodeScheduler::new(0.1),
 /// );
 /// sched.nodes_mut().add_rpn(ResourceVector::new(1e6, 1e6, 12.5e6));
-/// sched.enqueue(gold, 7).unwrap();
-/// let dispatches = sched.run_cycle(0.010);
+/// let mut tracer = Tracer::disabled();
+/// sched.enqueue(gold, 7, &mut tracer).unwrap();
+/// let dispatches = sched.run_cycle(0.010, &mut tracer);
 /// assert_eq!(dispatches.len(), 1);
 /// assert_eq!(dispatches[0].request, 7);
 /// ```
@@ -134,8 +137,6 @@ pub struct RequestScheduler<R> {
     /// round-robin deficit counters).
     spare_deficit: Vec<f64>,
     completed: Vec<u64>,
-    /// Structured trace sink; disabled by default (one branch per emit).
-    tracer: Tracer,
     /// Cycles run since construction, for `SchedCycle` records.
     cycles: u64,
     /// Scratch weight-per-subscriber buffer for the spare pass, kept
@@ -176,17 +177,9 @@ impl<R: TraceTag> RequestScheduler<R> {
             spare_deficit: vec![0.0; n],
             spare_weights: vec![0.0; n],
             completed: vec![0; n],
-            tracer: Tracer::disabled(),
             cycles: 0,
             degrade_scale: 1.0,
         }
-    }
-
-    /// Installs the trace sink the scheduler emits structured records into
-    /// (`Enqueue`/`Drop`/`Dispatch`/`SchedCycle`). Pass a clone of the
-    /// caller's [`Tracer`]; records land in the shared ring.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// The node scheduler (e.g. to register RPNs).
@@ -209,17 +202,18 @@ impl<R: TraceTag> RequestScheduler<R> {
         self.reservations.len()
     }
 
-    /// Queues a classified request for `sub`.
+    /// Queues a classified request for `sub`, tracing an `Enqueue` (or,
+    /// when full, a `Drop`) record into `tracer`.
     ///
     /// # Errors
     ///
     /// Returns the request back if `sub`'s queue is full — the caller owns
     /// the drop (sending a RST, counting it, …).
-    pub fn enqueue(&mut self, sub: SubscriberId, request: R) -> Result<(), R> {
+    pub fn enqueue(&mut self, sub: SubscriberId, request: R, tracer: &mut Tracer) -> Result<(), R> {
         let req = request.trace_tag();
         match self.queues.enqueue(sub, request) {
             Ok(_) => {
-                self.tracer.emit(TraceEvent::Enqueue {
+                tracer.emit(TraceEvent::Enqueue {
                     sub: sub.0,
                     req,
                     backlog: self.queues.len(sub) as u32,
@@ -227,25 +221,26 @@ impl<R: TraceTag> RequestScheduler<R> {
                 Ok(())
             }
             Err(request) => {
-                self.tracer.emit(TraceEvent::Drop { sub: sub.0, req });
+                tracer.emit(TraceEvent::Drop { sub: sub.0, req });
                 Err(request)
             }
         }
     }
 
     /// Puts a dispatched-but-undelivered request back at the *front* of
-    /// `sub`'s queue (it keeps its place in line). Pair with
+    /// `sub`'s queue (it keeps its place in line), tracing as
+    /// [`RequestScheduler::enqueue`] does. Pair with
     /// [`RequestScheduler::void_dispatch`] to refund the booking first.
     ///
     /// # Errors
     ///
     /// Returns the request back if the queue is full — the bounced request
     /// becomes an ordinary drop the caller owns.
-    pub fn requeue(&mut self, sub: SubscriberId, request: R) -> Result<(), R> {
+    pub fn requeue(&mut self, sub: SubscriberId, request: R, tracer: &mut Tracer) -> Result<(), R> {
         let req = request.trace_tag();
         match self.queues.requeue_front(sub, request) {
             Ok(_) => {
-                self.tracer.emit(TraceEvent::Enqueue {
+                tracer.emit(TraceEvent::Enqueue {
                     sub: sub.0,
                     req,
                     backlog: self.queues.len(sub) as u32,
@@ -253,7 +248,7 @@ impl<R: TraceTag> RequestScheduler<R> {
                 Ok(())
             }
             Err(request) => {
-                self.tracer.emit(TraceEvent::Drop { sub: sub.0, req });
+                tracer.emit(TraceEvent::Drop { sub: sub.0, req });
                 Err(request)
             }
         }
@@ -357,17 +352,23 @@ impl<R: TraceTag> RequestScheduler<R> {
     ///
     /// Returns the dispatch decisions in order. The caller must deliver each
     /// request to its RPN and later feed completions back via
-    /// [`RequestScheduler::on_report`].
-    pub fn run_cycle(&mut self, elapsed_secs: f64) -> Vec<Dispatch<R>> {
+    /// [`RequestScheduler::on_report`]. Each dispatch, any reservation
+    /// rescale and a per-cycle summary are traced into `tracer`.
+    pub fn run_cycle(&mut self, elapsed_secs: f64, tracer: &mut Tracer) -> Vec<Dispatch<R>> {
         let mut dispatches = Vec::new();
-        self.run_cycle_into(elapsed_secs, &mut dispatches);
+        self.run_cycle_into(elapsed_secs, &mut dispatches, tracer);
         dispatches
     }
 
     /// As [`RequestScheduler::run_cycle`], but appends the decisions to a
     /// caller-held buffer. The 10 ms tick calls this with one long-lived
     /// `Vec` so the steady state allocates nothing per cycle.
-    pub fn run_cycle_into(&mut self, elapsed_secs: f64, dispatches: &mut Vec<Dispatch<R>>) {
+    pub fn run_cycle_into(
+        &mut self,
+        elapsed_secs: f64,
+        dispatches: &mut Vec<Dispatch<R>>,
+        tracer: &mut Tracer,
+    ) {
         assert!(elapsed_secs >= 0.0, "time cannot run backwards");
         self.ensure_rpn_arrays();
         let n = self.reservations.len();
@@ -399,7 +400,7 @@ impl<R: TraceTag> RequestScheduler<R> {
             0.0
         };
         if (scale - self.degrade_scale).abs() > 1e-9 {
-            self.tracer.emit(TraceEvent::ReservationScale { scale });
+            tracer.emit(TraceEvent::ReservationScale { scale });
         }
         self.degrade_scale = scale;
 
@@ -431,7 +432,7 @@ impl<R: TraceTag> RequestScheduler<R> {
                 };
                 self.accounts[i].book_dispatch(rpn, predicted);
                 self.nodes.commit_dispatch(rpn, predicted);
-                self.tracer.emit(TraceEvent::Dispatch {
+                tracer.emit(TraceEvent::Dispatch {
                     sub: sub.0,
                     req: request.trace_tag(),
                     rpn: rpn.0,
@@ -452,18 +453,18 @@ impl<R: TraceTag> RequestScheduler<R> {
 
         // ---- Pass 2: spare capacity ----
         if self.cfg.spare_policy != SparePolicy::None {
-            self.run_spare_pass(dispatches);
+            self.run_spare_pass(dispatches, tracer);
         }
 
         // One summary record per cycle; the per-queue backlog scan only
         // happens when a ring is actually attached.
-        if self.tracer.is_enabled() {
+        if tracer.is_enabled() {
             let new = &dispatches[start_len..];
             let spare = new.iter().filter(|d| d.funded_by_spare).count() as u32;
             let backlog: usize = (0..n)
                 .map(|i| self.queues.len(SubscriberId(i as u32)))
                 .sum();
-            self.tracer.emit(TraceEvent::SchedCycle {
+            tracer.emit(TraceEvent::SchedCycle {
                 cycle: self.cycles,
                 dispatched: new.len() as u32,
                 spare,
@@ -478,17 +479,22 @@ impl<R: TraceTag> RequestScheduler<R> {
     /// counters carry across cycles (and are spent largest-first), so the
     /// long-run spare share is proportional to the weights even when only a
     /// fraction of a slot is free per cycle.
-    fn run_spare_pass(&mut self, dispatches: &mut Vec<Dispatch<R>>) {
+    fn run_spare_pass(&mut self, dispatches: &mut Vec<Dispatch<R>>, tracer: &mut Tracer) {
         // The weight buffer lives on the scheduler and is loaned to the
         // pass, so the early returns below cannot leak it back to the
         // allocator each cycle.
         let mut weights = std::mem::take(&mut self.spare_weights);
         weights.resize(self.reservations.len(), 0.0);
-        self.spare_pass_rounds(dispatches, &mut weights);
+        self.spare_pass_rounds(dispatches, &mut weights, tracer);
         self.spare_weights = weights;
     }
 
-    fn spare_pass_rounds(&mut self, dispatches: &mut Vec<Dispatch<R>>, weights: &mut [f64]) {
+    fn spare_pass_rounds(
+        &mut self,
+        dispatches: &mut Vec<Dispatch<R>>,
+        weights: &mut [f64],
+        tracer: &mut Tracer,
+    ) {
         let n = self.reservations.len();
         loop {
             // Backlogged queues and their weights. Empty queues forfeit any
@@ -546,7 +552,7 @@ impl<R: TraceTag> RequestScheduler<R> {
                 self.nodes.commit_dispatch(rpn, predicted);
                 self.spare_deficit[i] -= 1.0;
                 any = true;
-                self.tracer.emit(TraceEvent::Dispatch {
+                tracer.emit(TraceEvent::Dispatch {
                     sub: sub.0,
                     req: request.trace_tag(),
                     rpn: rpn.0,
@@ -656,18 +662,20 @@ mod tests {
 
     #[test]
     fn empty_scheduler_is_quiet() {
+        let mut t = Tracer::disabled();
         let mut s = scheduler(&[], 1);
-        assert!(s.run_cycle(0.01).is_empty());
+        assert!(s.run_cycle(0.01, &mut t).is_empty());
     }
 
     #[test]
     fn dispatches_within_reservation() {
+        let mut t = Tracer::disabled();
         let mut s = scheduler(&[100.0], 4);
         let sub = SubscriberId(0);
         for r in 0..10 {
-            s.enqueue(sub, r).unwrap();
+            s.enqueue(sub, r, &mut t).unwrap();
         }
-        let d = s.run_cycle(0.010);
+        let d = s.run_cycle(0.010, &mut t);
         // 100 GRPS * 10ms = 1 request of credit; spare pass drains the rest
         // because the cluster has plenty of headroom.
         assert!(!d.is_empty());
@@ -678,6 +686,7 @@ mod tests {
 
     #[test]
     fn reservation_pass_respects_balance() {
+        let mut t = Tracer::disabled();
         // Tiny cluster window forces the node scheduler to be the limit.
         let reg = registry(&[100.0, 100.0]);
         let cfg = SchedulerConfig {
@@ -689,12 +698,12 @@ mod tests {
         s.nodes_mut().add_rpn(capacity());
         let a = SubscriberId(0);
         for r in 0..100 {
-            s.enqueue(a, r).unwrap();
+            s.enqueue(a, r, &mut t).unwrap();
         }
         // One 10ms cycle credits 1 generic request (100 GRPS * 10ms);
         // with no spare pass only ~1 dispatch (the balance may dip negative
         // once) should happen.
-        let d = s.run_cycle(0.010);
+        let d = s.run_cycle(0.010, &mut t);
         assert!(
             (1..=2).contains(&d.len()),
             "got {} dispatches, expected 1-2",
@@ -702,12 +711,13 @@ mod tests {
         );
         assert!(s.balance(a).any_negative() || s.balance(a).all_nonnegative());
         // Next cycle restores credit and dispatches again.
-        let d2 = s.run_cycle(0.010);
+        let d2 = s.run_cycle(0.010, &mut t);
         assert!(!d2.is_empty());
     }
 
     #[test]
     fn isolation_under_overload() {
+        let mut t = Tracer::disabled();
         // Two subscribers, single RPN, no spare sharing: the overloaded one
         // cannot steal from the idle-but-reserved one.
         let reg = registry(&[50.0, 50.0]);
@@ -726,12 +736,12 @@ mod tests {
         // Simulate 1 second: hog floods, meek trickles at its entitled rate.
         for cycle in 0u64..100 {
             for r in 0..20 {
-                let _ = s.enqueue(hog, cycle * 100 + r);
+                let _ = s.enqueue(hog, cycle * 100 + r, &mut t);
             }
             if cycle % 2 == 0 {
-                s.enqueue(meek, 10_000 + cycle).unwrap();
+                s.enqueue(meek, 10_000 + cycle, &mut t).unwrap();
             }
-            let d = s.run_cycle(0.010);
+            let d = s.run_cycle(0.010, &mut t);
             for x in &d {
                 if x.subscriber == hog {
                     hog_dispatched += 1;
@@ -755,6 +765,7 @@ mod tests {
 
     #[test]
     fn spare_split_proportional_to_reservation() {
+        let mut t = Tracer::disabled();
         // Paper Table 2: both overloaded; extra throughput splits ∝ 250:200.
         // The cluster completes exactly 5 generic requests per 10ms cycle
         // (500 GRPS), just above the 450 GRPS total reservation, so spare
@@ -773,11 +784,11 @@ mod tests {
         for _ in 0..500 {
             // Keep both heavily backlogged (800/s offered each).
             for _ in 0..8 {
-                let _ = s.enqueue(a, next_id);
-                let _ = s.enqueue(b, next_id + 1);
+                let _ = s.enqueue(a, next_id, &mut t);
+                let _ = s.enqueue(b, next_id + 1, &mut t);
                 next_id += 2;
             }
-            let d = s.run_cycle(0.010);
+            let d = s.run_cycle(0.010, &mut t);
             for x in &d {
                 served[x.subscriber.0 as usize] += 1;
                 in_flight.push_back(x.subscriber);
@@ -807,6 +818,7 @@ mod tests {
 
     #[test]
     fn spare_policy_none_strictly_caps() {
+        let mut t = Tracer::disabled();
         let reg = registry(&[100.0]);
         let cfg = SchedulerConfig {
             spare_policy: SparePolicy::None,
@@ -820,10 +832,10 @@ mod tests {
         let mut next = 0u64;
         for _ in 0..100 {
             for _ in 0..10 {
-                let _ = s.enqueue(sub, next);
+                let _ = s.enqueue(sub, next, &mut t);
                 next += 1;
             }
-            let d = s.run_cycle(0.010);
+            let d = s.run_cycle(0.010, &mut t);
             served += d.len() as u64;
             for x in &d {
                 complete(&mut s, x.subscriber, x.rpn, 1);
@@ -838,6 +850,7 @@ mod tests {
 
     #[test]
     fn drops_happen_at_queue_overflow() {
+        let mut t = Tracer::disabled();
         let reg = registry(&[10.0]);
         let cfg = SchedulerConfig {
             queue_capacity: 4,
@@ -848,7 +861,7 @@ mod tests {
         s.nodes_mut().add_rpn(capacity());
         let sub = SubscriberId(0);
         for r in 0..10 {
-            let _ = s.enqueue(sub, r);
+            let _ = s.enqueue(sub, r, &mut t);
         }
         let c = s.counters(sub);
         assert_eq!(c.accepted, 4);
@@ -857,10 +870,11 @@ mod tests {
 
     #[test]
     fn report_updates_estimator_and_frees_windows() {
+        let mut t = Tracer::disabled();
         let mut s = scheduler(&[100.0], 1);
         let sub = SubscriberId(0);
-        s.enqueue(sub, 1).unwrap();
-        let d = s.run_cycle(0.010);
+        s.enqueue(sub, 1, &mut t).unwrap();
+        let d = s.run_cycle(0.010, &mut t);
         assert_eq!(d.len(), 1);
         let rpn = d[0].rpn;
         assert!(s.nodes().outstanding(rpn).cpu_us > 0.0);
@@ -911,16 +925,13 @@ mod tests {
         let mut s: RequestScheduler<u64> =
             RequestScheduler::new(&reg, cfg, NodeScheduler::new(0.1));
         s.nodes_mut().add_rpn(capacity());
-        let tracer = gage_obs::Tracer::enabled(256);
-        s.set_tracer(tracer.clone());
+        let mut t = Tracer::enabled(256);
         let sub = SubscriberId(0);
         for r in 0..6 {
-            let _ = s.enqueue(sub, r); // two overflow the 4-slot queue
+            let _ = s.enqueue(sub, r, &mut t); // two overflow the 4-slot queue
         }
-        let d = s.run_cycle(0.010);
-        let kinds: Vec<&'static str> = tracer
-            .with_ring(|ring| ring.iter().map(|r| r.event.kind()).collect())
-            .unwrap();
+        let d = s.run_cycle(0.010, &mut t);
+        let kinds: Vec<&'static str> = t.ring().unwrap().iter().map(|r| r.event.kind()).collect();
         assert_eq!(kinds.iter().filter(|k| **k == "enqueue").count(), 4);
         assert_eq!(kinds.iter().filter(|k| **k == "drop").count(), 2);
         assert_eq!(kinds.iter().filter(|k| **k == "dispatch").count(), d.len());
@@ -945,15 +956,16 @@ mod tests {
         let a = SubscriberId(0);
         let b = SubscriberId(1);
         let run_1s = |s: &mut RequestScheduler<u64>| {
+            let mut t = Tracer::disabled();
             let mut got = [0u64; 2];
             let mut next = 0u64;
             for _ in 0..100 {
                 for _ in 0..3 {
-                    let _ = s.enqueue(a, next);
-                    let _ = s.enqueue(b, next + 1);
+                    let _ = s.enqueue(a, next, &mut t);
+                    let _ = s.enqueue(b, next + 1, &mut t);
                     next += 2;
                 }
-                for x in s.run_cycle(0.010) {
+                for x in s.run_cycle(0.010, &mut t) {
                     got[x.subscriber.0 as usize] += 1;
                     complete(s, x.subscriber, x.rpn, 1);
                 }
@@ -997,15 +1009,19 @@ mod tests {
 
     #[test]
     fn all_nodes_down_freezes_reserved_credit() {
+        let mut t = Tracer::disabled();
         let mut s = scheduler(&[100.0], 1);
         let rpn = RpnId(0);
         s.nodes_mut().set_up(rpn, false);
         let sub = SubscriberId(0);
         for r in 0..5 {
-            s.enqueue(sub, r).unwrap();
+            s.enqueue(sub, r, &mut t).unwrap();
         }
         for _ in 0..50 {
-            assert!(s.run_cycle(0.010).is_empty(), "no live node, no dispatch");
+            assert!(
+                s.run_cycle(0.010, &mut t).is_empty(),
+                "no live node, no dispatch"
+            );
         }
         assert_eq!(s.degrade_scale(), 0.0);
         assert!(
@@ -1016,17 +1032,18 @@ mod tests {
         s.nodes_mut().set_up(rpn, true);
         let mut drained = 0;
         for _ in 0..50 {
-            drained += s.run_cycle(0.010).len();
+            drained += s.run_cycle(0.010, &mut t).len();
         }
         assert_eq!(drained, 5);
     }
 
     #[test]
     fn void_and_requeue_round_trip() {
+        let mut t = Tracer::disabled();
         let mut s = scheduler(&[100.0], 2);
         let sub = SubscriberId(0);
-        s.enqueue(sub, 42).unwrap();
-        let d = s.run_cycle(0.010);
+        s.enqueue(sub, 42, &mut t).unwrap();
+        let d = s.run_cycle(0.010, &mut t);
         assert_eq!(d.len(), 1);
         let balance_after = s.balance(sub);
         let rpn = d[0].rpn;
@@ -1037,11 +1054,11 @@ mod tests {
         assert_eq!(s.nodes().outstanding(rpn), ResourceVector::ZERO);
         assert_eq!(s.balance(sub), balance_after + d[0].predicted);
         assert_eq!(s.counters(sub).dispatched, 0, "booking undone");
-        s.requeue(sub, d[0].request).unwrap();
+        s.requeue(sub, d[0].request, &mut t).unwrap();
         assert_eq!(s.backlog(sub), 1);
 
         // The request dispatches again on a later cycle.
-        let d2 = s.run_cycle(0.010);
+        let d2 = s.run_cycle(0.010, &mut t);
         assert_eq!(d2.len(), 1);
         assert_eq!(d2[0].request, 42);
         assert_eq!(s.counters(sub).dispatched, 1);
@@ -1049,18 +1066,19 @@ mod tests {
 
     #[test]
     fn balance_cap_limits_idle_hoarding() {
+        let mut t = Tracer::disabled();
         let mut s = scheduler(&[100.0], 4);
         let sub = SubscriberId(0);
         // 10 idle seconds.
         for _ in 0..1000 {
-            let _ = s.run_cycle(0.010);
+            let _ = s.run_cycle(0.010, &mut t);
         }
         // Burst arrives; with balance capped at 50ms of reservation the
         // reserved pass can fund at most ~5 requests + 1 cycle of credit.
         for r in 0..50 {
-            s.enqueue(sub, r).unwrap();
+            s.enqueue(sub, r, &mut t).unwrap();
         }
-        let d = s.run_cycle(0.010);
+        let d = s.run_cycle(0.010, &mut t);
         let reserved = d.iter().filter(|x| !x.funded_by_spare).count();
         assert!(
             reserved <= 8,

@@ -45,20 +45,16 @@
 //! | rule | catches |
 //! |---|---|
 //! | `unused-allow` | escape comments whose rule no longer fires there, and escapes naming unknown rules |
-//! | `stale-baseline` | `lint-baseline.json` entries matching no current finding |
 //!
 //! Test code (`#[cfg(test)]` items), binaries (`src/bin/`, `main.rs`),
 //! comments and string literals are exempt from source rules. Any line can
 //! opt out with a trailing `lint:allow` comment naming the rule(s); a file
 //! can opt out of a rule with a `lint:allow-file` comment in its first ten
-//! lines. Both escapes are themselves audited: one that stops suppressing
-//! anything becomes an `unused-allow` finding. Accepted findings live in
-//! `lint-baseline.json` at the lint root ([`baseline`]), each entry with a
-//! recorded reason; entries that stop matching become `stale-baseline`
-//! findings, so the debt ledger only shrinks under review. Run as
-//! `cargo run -p gage-lint` (`--json` for the `gage-lint-v2` report,
-//! `--sarif` for CI annotation upload) or let the `workspace_clean` test
-//! gate tier-1.
+//! lines. These escapes are the only way to accept a finding, and they are
+//! themselves audited: one that stops suppressing anything becomes an
+//! `unused-allow` finding. Run as `cargo run -p gage-lint` (`--json` for
+//! the `gage-lint-v2` report, `--sarif` for CI annotation upload) or let
+//! the `workspace_clean` test gate tier-1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,14 +63,11 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-pub mod baseline;
 pub mod lexer;
 pub mod model;
 pub mod parse;
 pub mod report;
 pub mod rules;
-
-pub use baseline::Baseline;
 
 /// One lint finding, anchored to a source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,8 +96,8 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Lints the workspace rooted at `root` and returns every raw finding
-/// (no baseline applied), sorted by `(file, line, col, rule)`.
+/// Lints the workspace rooted at `root` and returns every finding, sorted
+/// by `(file, line, col, rule)`.
 ///
 /// # Errors
 ///
@@ -128,22 +121,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(findings)
-}
-
-/// Lints the workspace and applies `lint-baseline.json` from `root` when
-/// present. Returns `(findings, suppressed)` where `findings` includes any
-/// `stale-baseline` entries and `suppressed` counts baselined findings.
-///
-/// # Errors
-///
-/// As [`lint_workspace`]; additionally fails when a baseline file exists
-/// but is malformed (a broken baseline must not silently un-suppress).
-pub fn lint_workspace_baselined(root: &Path) -> io::Result<(Vec<Finding>, usize)> {
-    let findings = lint_workspace(root)?;
-    match Baseline::load(root)? {
-        Some(b) => Ok(b.apply(findings)),
-        None => Ok((findings, 0)),
-    }
 }
 
 /// Renders findings as the `gage-lint-v2` JSON report (see [`report`]).

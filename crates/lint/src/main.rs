@@ -1,28 +1,24 @@
 //! CLI for the Gage workspace static analyzer.
 //!
 //! ```text
-//! gage-lint [--json | --sarif] [--no-baseline] [ROOT]
+//! gage-lint [--json | --sarif] [ROOT]
 //! ```
 //!
 //! Lints the workspace rooted at `ROOT` (default: the current directory,
-//! which is the workspace root under `cargo run -p gage-lint`). The
-//! baseline at `ROOT/lint-baseline.json` is applied unless
-//! `--no-baseline` is given; stale baseline entries surface as findings.
-//! Prints one line per finding — or the `gage-lint-v2` JSON report with
-//! `--json`, or a SARIF 2.1.0 log with `--sarif` — and exits non-zero if
-//! any non-baselined finding remains.
+//! which is the workspace root under `cargo run -p gage-lint`). Prints one
+//! line per finding — or the `gage-lint-v2` JSON report with `--json`, or
+//! a SARIF 2.1.0 log with `--sarif` — and exits 1 if there is any finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use gage_cli::Args;
 
-const USAGE: &str = "gage-lint [--json | --sarif] [--no-baseline] [ROOT]";
+const USAGE: &str = "gage-lint [--json | --sarif] [ROOT]";
 
 struct Opts {
     json: bool,
     sarif: bool,
-    no_baseline: bool,
     root: PathBuf,
 }
 
@@ -30,7 +26,6 @@ fn parse_args(args: &mut Args) -> Result<Opts, String> {
     let opts = Opts {
         json: args.flag("--json"),
         sarif: args.flag("--sarif"),
-        no_baseline: args.flag("--no-baseline"),
         root: args.free("ROOT")?.unwrap_or_else(|| PathBuf::from(".")),
     };
     if opts.json && opts.sarif {
@@ -42,13 +37,8 @@ fn parse_args(args: &mut Args) -> Result<Opts, String> {
 fn main() -> ExitCode {
     let opts = gage_cli::run(USAGE, parse_args);
     let root = opts.root;
-    let result = if opts.no_baseline {
-        gage_lint::lint_workspace(&root).map(|f| (f, 0))
-    } else {
-        gage_lint::lint_workspace_baselined(&root)
-    };
-    let (findings, suppressed) = match result {
-        Ok(r) => r,
+    let findings = match gage_lint::lint_workspace(&root) {
+        Ok(findings) => findings,
         Err(e) => {
             eprintln!("gage-lint: cannot lint {}: {e}", root.display());
             return ExitCode::FAILURE;
@@ -64,7 +54,7 @@ fn main() -> ExitCode {
             println!("{f}");
         }
         println!(
-            "gage-lint: {} finding(s) in {} ({suppressed} baselined)",
+            "gage-lint: {} finding(s) in {}",
             findings.len(),
             root.display()
         );
@@ -84,6 +74,14 @@ mod tests {
     fn json_and_sarif_conflict() {
         let err = gage_cli::parse(["--json", "--sarif"], parse_args).err();
         let want = "--json and --sarif are mutually exclusive";
+        assert_eq!(err.as_deref(), Some(want));
+    }
+
+    #[test]
+    fn no_baseline_is_an_unexpected_argument() {
+        // `gage_cli::run` turns this usage error into exit status 2.
+        let err = gage_cli::parse(["--no-baseline", "crates/lint"], parse_args).err();
+        let want = "unexpected argument `--no-baseline`";
         assert_eq!(err.as_deref(), Some(want));
     }
 }

@@ -39,7 +39,7 @@ fn is_interior_mut(ident: &str) -> bool {
 }
 
 /// Capitalised identifiers referenced by a type string
-/// (`Option<Arc<TraceShared>>` → `Option`, `Arc`, `TraceShared`).
+/// (`Option<Arc<Mutex<Front>>>` → `Option`, `Arc`, `Mutex`, `Front`).
 fn type_idents(ty: &str) -> Vec<&str> {
     let mut out = Vec::new();
     for piece in ty.split(|c: char| !c.is_alphanumeric() && c != '_') {
@@ -246,8 +246,8 @@ mod tests {
     #[test]
     fn type_ident_extraction() {
         assert_eq!(
-            type_idents("Option<Arc<TraceShared>>"),
-            vec!["Option", "Arc", "TraceShared"]
+            type_idents("Option<Arc<Mutex<Front>>>"),
+            vec!["Option", "Arc", "Mutex", "Front"]
         );
         assert_eq!(type_idents("u64"), Vec::<&str>::new());
         assert_eq!(

@@ -106,10 +106,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "unused-allow",
         summary: "lint:allow escapes whose rule no longer fires on that line",
     },
-    RuleInfo {
-        id: "stale-baseline",
-        summary: "lint-baseline.json entries that no longer match any finding",
-    },
 ];
 
 /// Crates whose sources must stay deterministic (they produce the paper's

@@ -22,7 +22,7 @@ fn json_report_matches_golden_byte_for_byte() {
         GOLDEN_JSON,
         "gage-lint-v2 JSON drifted from fixtures/golden/bad_ws.json; if the \
          change is intentional, regenerate with `cargo run -p gage-lint -- \
-         --no-baseline --json crates/lint/fixtures/bad_ws`"
+         --json crates/lint/fixtures/bad_ws`"
     );
 }
 
@@ -34,7 +34,7 @@ fn sarif_report_matches_golden_byte_for_byte() {
         GOLDEN_SARIF,
         "SARIF output drifted from fixtures/golden/bad_ws.sarif; if the \
          change is intentional, regenerate with `cargo run -p gage-lint -- \
-         --no-baseline --sarif crates/lint/fixtures/bad_ws`"
+         --sarif crates/lint/fixtures/bad_ws`"
     );
 }
 

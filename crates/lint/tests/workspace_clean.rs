@@ -1,6 +1,6 @@
-//! The tier-1 gate: the real workspace must be lint-clean modulo the
-//! reviewed baseline. This is the `#[test]` form of `cargo run -p
-//! gage-lint` so `cargo test` enforces the invariants on every change.
+//! The tier-1 gate: the real workspace must be lint-clean. This is the
+//! `#[test]` form of `cargo run -p gage-lint` so `cargo test` enforces the
+//! invariants on every change.
 
 use std::path::Path;
 
@@ -19,35 +19,15 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn workspace_is_lint_clean() {
-    let (findings, _suppressed) =
-        gage_lint::lint_workspace_baselined(workspace_root()).expect("workspace tree is readable");
+    let findings = gage_lint::lint_workspace(workspace_root()).expect("workspace tree is readable");
     assert!(
         findings.is_empty(),
-        "workspace has non-baselined lint findings (fix them, add `// lint:allow(<rule>)` \
-         with a justification, or record them in lint-baseline.json with a reason):\n{}",
+        "workspace has lint findings (fix them, or add `// lint:allow(<rule>)` \
+         with a justification):\n{}",
         findings
             .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join("\n")
-    );
-}
-
-#[test]
-fn baseline_matches_reality() {
-    // Every baseline entry must still match a live finding (a stale entry
-    // would surface above as a `stale-baseline` finding), and the ledger
-    // must stay small: new debt needs a reviewed reason, not a reflex.
-    let raw = gage_lint::lint_workspace(workspace_root()).expect("workspace tree is readable");
-    let (_, suppressed) =
-        gage_lint::lint_workspace_baselined(workspace_root()).expect("workspace tree is readable");
-    assert_eq!(
-        suppressed,
-        raw.len(),
-        "baseline suppresses exactly the raw findings"
-    );
-    assert!(
-        suppressed <= 8,
-        "baseline ledger grew to {suppressed} entries; fix findings instead of baselining them"
     );
 }

@@ -69,7 +69,7 @@ impl SpliceMap {
         rdn_isn: SeqNum,
         rpn_isn: SeqNum,
         req: u64,
-        tracer: &Tracer,
+        tracer: &mut Tracer,
     ) -> Self {
         let map = SpliceMap::new(client, cluster, rpn_ip, rdn_isn, rpn_isn);
         tracer.emit(TraceEvent::SpliceSetup {
@@ -86,7 +86,7 @@ impl SpliceMap {
     /// opened by [`SpliceMap::new_traced`]. Called when the connection's
     /// remap state is retired (FIN/RST or request completion). `req` must
     /// be the id passed to [`SpliceMap::new_traced`].
-    pub fn trace_teardown(&self, req: u64, tracer: &Tracer) {
+    pub fn trace_teardown(&self, req: u64, tracer: &mut Tracer) {
         tracer.emit(TraceEvent::SpliceTeardown {
             req,
             client_ip: u32::from(self.client.ip),
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn traced_lifecycle_emits_setup_and_teardown() {
-        let tracer = gage_obs::Tracer::enabled(8);
+        let mut tracer = gage_obs::Tracer::enabled(8);
         let client = Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), Port::new(40_000));
         let cluster = Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP);
         let rpn_ip = Ipv4Addr::new(10, 0, 2, 4);
@@ -273,17 +273,15 @@ mod tests {
             SeqNum::new(5_000),
             SeqNum::new(80),
             42,
-            &tracer,
+            &mut tracer,
         );
         assert_eq!(
             map,
             SpliceMap::new(client, cluster, rpn_ip, SeqNum::new(5_000), SeqNum::new(80)),
             "tracing never changes splice behaviour"
         );
-        map.trace_teardown(42, &tracer);
-        let events: Vec<TraceEvent> = tracer
-            .with_ring(|r| r.iter().map(|x| x.event).collect())
-            .unwrap();
+        map.trace_teardown(42, &mut tracer);
+        let events: Vec<TraceEvent> = tracer.ring().unwrap().iter().map(|x| x.event).collect();
         assert_eq!(
             events,
             vec![

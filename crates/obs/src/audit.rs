@@ -513,15 +513,15 @@ pub fn audit_dump(dump: &str, config: &AuditConfig) -> Result<AuditReport, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceEvent, Tracer};
+    use crate::{TraceEvent, TraceRing};
     use gage_des::SimTime;
 
     /// Builds a dump where sub 0 (reservation 10 GRPS) offers 10 req/s for
     /// 4 s and is served everything except in second 2, where service
     /// collapses to 2 requests.
     fn dump_with_gap() -> String {
-        let t = Tracer::enabled(1 << 10);
-        t.emit_at(
+        let mut t = TraceRing::new(1 << 10);
+        t.push(
             SimTime::from_nanos(0),
             TraceEvent::Reservation {
                 sub: 0,
@@ -533,17 +533,17 @@ mod tests {
         for sec in 0..4u64 {
             for i in 0..10u64 {
                 let at = SimTime::from_millis(sec * 1_000 + i * 90);
-                t.emit_at(at, TraceEvent::ReqArrival { sub: 0, req });
+                t.push(at, TraceEvent::ReqArrival { sub: 0, req });
                 let starved = sec == 2 && i >= 2;
                 if !starved {
-                    t.emit_at(
+                    t.push(
                         SimTime::from_millis(sec * 1_000 + i * 90 + 5),
                         TraceEvent::ReqServed { sub: 0, req },
                     );
                 } else {
                     // Starved requests resolve later (second 3) so the
                     // dump still conserves.
-                    t.emit_at(
+                    t.push(
                         SimTime::from_millis(3_000 + 900 + i),
                         TraceEvent::ReqServed { sub: 0, req },
                     );
@@ -553,7 +553,7 @@ mod tests {
         }
         // A cycle clock: one sched_cycle per 100 ms.
         for c in 0..40u64 {
-            t.emit_at(
+            t.push(
                 SimTime::from_millis(c * 100),
                 TraceEvent::SchedCycle {
                     cycle: c,
@@ -563,7 +563,7 @@ mod tests {
                 },
             );
         }
-        t.dump().expect("enabled")
+        t.dump()
     }
 
     #[test]
@@ -590,8 +590,8 @@ mod tests {
 
     #[test]
     fn demand_free_windows_never_violate() {
-        let t = Tracer::enabled(64);
-        t.emit_at(
+        let mut t = TraceRing::new(64);
+        t.push(
             SimTime::from_nanos(0),
             TraceEvent::Reservation {
                 sub: 1,
@@ -601,22 +601,22 @@ mod tests {
         );
         // One lonely request at t=5s, served promptly: every other window
         // is demand-free.
-        t.emit_at(
+        t.push(
             SimTime::from_secs(5),
             TraceEvent::ReqArrival { sub: 1, req: 0 },
         );
-        t.emit_at(
+        t.push(
             SimTime::from_millis(5_010),
             TraceEvent::ReqServed { sub: 1, req: 0 },
         );
-        let rep = audit_dump(&t.dump().expect("enabled"), &AuditConfig::default()).expect("audits");
+        let rep = audit_dump(&t.dump(), &AuditConfig::default()).expect("audits");
         assert_eq!(rep.violation_count(), 0);
     }
 
     #[test]
     fn reservation_scale_shrinks_the_entitlement() {
-        let t = Tracer::enabled(1 << 10);
-        t.emit_at(
+        let mut t = TraceRing::new(1 << 10);
+        t.push(
             SimTime::from_nanos(0),
             TraceEvent::Reservation {
                 sub: 0,
@@ -626,12 +626,12 @@ mod tests {
         );
         // Capacity halves during second 0: entitlement is 5, and serving
         // 5 of 10 offered is then conformant.
-        t.emit_at(
+        t.push(
             SimTime::from_nanos(0),
             TraceEvent::ReservationScale { scale: 0.5 },
         );
         for req in 0..10u64 {
-            t.emit_at(
+            t.push(
                 SimTime::from_millis(req * 90),
                 TraceEvent::ReqArrival { sub: 0, req },
             );
@@ -641,9 +641,9 @@ mod tests {
             } else {
                 SimTime::from_millis(1_500 + req)
             };
-            t.emit_at(at, TraceEvent::ReqServed { sub: 0, req });
+            t.push(at, TraceEvent::ReqServed { sub: 0, req });
         }
-        let rep = audit_dump(&t.dump().expect("enabled"), &AuditConfig::default()).expect("audits");
+        let rep = audit_dump(&t.dump(), &AuditConfig::default()).expect("audits");
         let s = &rep.subscribers[0];
         assert_eq!(s.windows[0].eff_reservation_grps, Some(5.0));
         assert!(

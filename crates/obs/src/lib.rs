@@ -8,8 +8,11 @@
 //!
 //! * [`TraceRing`] / [`Tracer`] — a fixed-capacity ring of typed, `Copy`
 //!   [`TraceEvent`] records stamped with [`gage_des::SimTime`]. Emission is
-//!   allocation-free; a disabled tracer costs one branch. Dumps are
-//!   line-oriented JSON and byte-identical across same-seed runs.
+//!   allocation-free; a disabled tracer costs one branch. A `Tracer` is a
+//!   plain owned value, lent as `&mut` to each call that emits: the
+//!   simulator's world owns one, and `gage-rt` keeps one beside its
+//!   scheduler under the lock it already takes. Dumps are line-oriented
+//!   JSON and byte-identical across same-seed runs.
 //! * [`Registry`] — named counters / gauges / [`Histogram`]s (with
 //!   deterministic p50/p95/p99 estimation) and insertion-ordered,
 //!   deterministic export as `gage-json` or a table.
@@ -24,7 +27,7 @@
 //!   human table or a machine JSON conformance report.
 //!
 //! See DESIGN.md §11 for the record schema, the determinism contract and
-//! the overhead budget, and §13 for the span model and the
+//! the measured tracing overhead, and §13 for the span model and the
 //! conformance-window definition.
 
 #![forbid(unsafe_code)]
@@ -78,9 +81,9 @@ mod tests {
 
     #[test]
     fn parse_dump_round_trips() {
-        let t = Tracer::enabled(8);
-        t.emit_at(SimTime::from_millis(1), TraceEvent::Drop { sub: 0, req: 5 });
-        t.emit_at(
+        let mut t = TraceRing::new(8);
+        t.push(SimTime::from_millis(1), TraceEvent::Drop { sub: 0, req: 5 });
+        t.push(
             SimTime::from_millis(2),
             TraceEvent::Enqueue {
                 sub: 1,
@@ -88,7 +91,7 @@ mod tests {
                 backlog: 2,
             },
         );
-        let dump = t.dump().expect("enabled");
+        let dump = t.dump();
         let (header, records) = parse_dump(&dump).expect("valid dump");
         assert_eq!(header.get("retained").and_then(Json::as_u64), Some(2));
         assert_eq!(records.len(), 2);
@@ -103,9 +106,9 @@ mod tests {
         assert!(parse_dump("").is_err());
         assert!(parse_dump("{\"schema\":\"other\"}\n").is_err());
         assert!(parse_dump("{\"no_schema\":1}\n").is_err());
-        let t = Tracer::enabled(4);
-        t.emit(TraceEvent::Drop { sub: 0, req: 0 });
-        let mut dump = t.dump().expect("enabled");
+        let mut t = TraceRing::new(4);
+        t.push(SimTime::ZERO, TraceEvent::Drop { sub: 0, req: 0 });
+        let mut dump = t.dump();
         dump.push_str("not json\n");
         assert!(parse_dump(&dump).is_err());
     }

@@ -203,7 +203,7 @@ struct Entry {
 /// let mut reg = Registry::new();
 /// reg.set_counter("conn.lookups", 120);
 /// reg.inc_counter("conn.lookups", 3);
-/// reg.set_gauge("conn.hit_rate", 0.97);
+/// reg.set_gauge("rdn.cpu_util", 0.97);
 /// reg.observe("rpn.load_pct", 42.0);
 /// assert_eq!(reg.counter("conn.lookups"), Some(123));
 /// let snap = reg.snapshot_json().to_string();
@@ -499,11 +499,11 @@ mod tests {
     #[test]
     fn table_lists_every_metric() {
         let mut reg = Registry::new();
-        reg.set_counter("conn.evictions", 4);
-        reg.set_gauge("conn.hit_rate", 0.875);
+        reg.set_counter("conn.purged", 4);
+        reg.set_gauge("rdn.cpu_util", 0.875);
         reg.observe("rpn.load_pct", 55.0);
         let table = reg.to_table();
-        assert!(table.contains("conn.evictions"));
+        assert!(table.contains("conn.purged"));
         assert!(table.contains("0.8750"));
         assert!(table.contains("n=1"));
     }

@@ -1,5 +1,5 @@
 //! The structured trace ring: typed records, a fixed-capacity overwriting
-//! buffer, and the cheap [`Tracer`] handle subsystems emit through.
+//! buffer, and the [`Tracer`] subsystems emit through.
 //!
 //! Design constraints (see DESIGN.md §11):
 //!
@@ -10,11 +10,8 @@
 //! * **Deterministic** — records are stamped with [`SimTime`] (set by the
 //!   simulation loop via [`Tracer::set_now`]), never a wall clock, so two
 //!   same-seed runs produce byte-identical dumps.
-//! * **Cheaply disableable** — a disabled [`Tracer`] is `None` inside; every
+//! * **Cheaply disableable** — a disabled [`Tracer`] holds no ring; every
 //!   emit is a single branch and the ring is never allocated.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 
 use gage_des::SimTime;
 use gage_json::Json;
@@ -479,8 +476,8 @@ impl TraceEvent {
     }
 
     /// The request id this record is about, for per-request filtering.
-    /// `None` for records not tied to one request (and for records whose
-    /// emitter carries no request identity, where `req` is 0).
+    /// `None` for records not tied to one request. Id 0 is an ordinary
+    /// request id: the first request of a run.
     pub fn request(&self) -> Option<u64> {
         match self {
             TraceEvent::Dispatch { req, .. }
@@ -786,38 +783,30 @@ impl TraceRing {
     }
 }
 
-/// Shared tracer state: the ring plus the "current instant" the emitting
-/// subsystems are stamped with.
-#[derive(Debug)]
-struct TraceShared {
-    /// Current simulated instant, nanoseconds. An atomic so `set_now` and
-    /// `emit` need no lock ordering; in the single-threaded simulator this
-    /// is simply a cell.
-    now_ns: AtomicU64,
-    ring: Mutex<TraceRing>,
-}
-
-/// A cheap, cloneable handle subsystems emit trace records through.
+/// The trace sink subsystems emit through: an optional [`TraceRing`] plus
+/// the simulated instant records are stamped with.
 ///
-/// Disabled (the default) it is a `None` inside: every call is one branch
-/// and nothing is allocated. Enabled, it shares one [`TraceRing`] among all
-/// clones — the scheduler, the cluster world and the splice layer all write
-/// into the same time-ordered stream.
+/// Disabled (the default) it holds no ring: every emit is one branch and
+/// nothing is allocated. It is a plain owned value. Its owner lends it as
+/// `&mut Tracer` to each call that emits, so the scheduler, the splice
+/// layer and the cluster world all write into one time-ordered stream.
 ///
 /// ```rust
-/// use gage_obs::{TraceEvent, Tracer};
+/// use gage_obs::{TraceEvent, TraceRing, Tracer};
 /// use gage_des::SimTime;
 ///
-/// let t = Tracer::enabled(1024);
+/// let mut t = Tracer::enabled(1024);
 /// t.set_now(SimTime::from_millis(10));
 /// t.emit(TraceEvent::Drop { sub: 3, req: 17 });
+/// assert_eq!(t.ring().map(TraceRing::len), Some(1));
 /// let dump = t.dump().expect("enabled tracer dumps");
 /// assert!(dump.lines().count() == 2); // header + one record
 /// assert!(Tracer::disabled().dump().is_none());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Tracer {
-    shared: Option<Arc<TraceShared>>,
+    ring: Option<TraceRing>,
+    now: SimTime,
 }
 
 impl Tracer {
@@ -833,10 +822,8 @@ impl Tracer {
     /// Panics if `capacity` is zero.
     pub fn enabled(capacity: usize) -> Tracer {
         Tracer {
-            shared: Some(Arc::new(TraceShared {
-                now_ns: AtomicU64::new(0),
-                ring: Mutex::new(TraceRing::new(capacity)),
-            })),
+            ring: Some(TraceRing::new(capacity)),
+            now: SimTime::ZERO,
         }
     }
 
@@ -844,57 +831,32 @@ impl Tracer {
     /// computing record payloads entirely when tracing is off.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.ring.is_some()
     }
 
     /// Sets the instant subsequent [`Tracer::emit`] calls are stamped with.
-    /// The simulation loop calls this as virtual time advances; a no-op
-    /// when disabled.
+    /// The simulation loop calls this as virtual time advances.
     #[inline]
-    pub fn set_now(&self, now: SimTime) {
-        if let Some(s) = &self.shared {
-            s.now_ns.store(now.as_nanos(), Ordering::Relaxed);
-        }
+    pub fn set_now(&mut self, now: SimTime) {
+        self.now = now;
     }
 
     /// Emits a record stamped with the instant from [`Tracer::set_now`].
     #[inline]
-    pub fn emit(&self, event: TraceEvent) {
-        if let Some(s) = &self.shared {
-            let at = SimTime::from_nanos(s.now_ns.load(Ordering::Relaxed));
-            s.ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(at, event);
+    pub fn emit(&mut self, event: TraceEvent) {
+        if let Some(ring) = &mut self.ring {
+            ring.push(self.now, event);
         }
     }
 
-    /// Emits a record stamped with an explicit instant.
-    #[inline]
-    pub fn emit_at(&self, at: SimTime, event: TraceEvent) {
-        if let Some(s) = &self.shared {
-            s.ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(at, event);
-        }
-    }
-
-    /// Runs `f` against the underlying ring; `None` when disabled.
-    pub fn with_ring<R>(&self, f: impl FnOnce(&TraceRing) -> R) -> Option<R> {
-        self.shared
-            .as_ref()
-            .map(|s| f(&s.ring.lock().unwrap_or_else(PoisonError::into_inner)))
+    /// The ring the records land in; `None` when disabled.
+    pub fn ring(&self) -> Option<&TraceRing> {
+        self.ring.as_ref()
     }
 
     /// Serializes the ring (see [`TraceRing::dump`]); `None` when disabled.
     pub fn dump(&self) -> Option<String> {
-        self.with_ring(TraceRing::dump)
-    }
-
-    /// Records lost to ring overwriting so far (0 when disabled).
-    pub fn overwritten(&self) -> u64 {
-        self.with_ring(TraceRing::overwritten).unwrap_or(0)
+        self.ring.as_ref().map(TraceRing::dump)
     }
 }
 
@@ -1113,24 +1075,27 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert() {
-        let t = Tracer::disabled();
+        let mut t = Tracer::disabled();
         assert!(!t.is_enabled());
         t.set_now(SimTime::from_secs(1));
         t.emit(ev(0));
+        assert!(t.ring().is_none());
         assert!(t.dump().is_none());
-        assert_eq!(t.overwritten(), 0);
     }
 
     #[test]
-    fn tracer_clones_share_one_ring() {
-        let t = Tracer::enabled(8);
-        let clone = t.clone();
+    fn tracer_stamps_records_with_its_clock() {
+        let mut t = Tracer::enabled(8);
+        t.emit(ev(1));
         t.set_now(SimTime::from_millis(5));
-        clone.emit(ev(1));
-        t.emit_at(SimTime::from_millis(7), ev(2));
+        t.emit(ev(2));
+        t.emit(ev(3));
         let records: Vec<(u64, u64)> = t
-            .with_ring(|r| r.iter().map(|x| (x.seq, x.at.as_nanos())).collect())
-            .expect("enabled");
-        assert_eq!(records, vec![(0, 5_000_000), (1, 7_000_000)]);
+            .ring()
+            .expect("enabled")
+            .iter()
+            .map(|x| (x.seq, x.at.as_nanos()))
+            .collect();
+        assert_eq!(records, vec![(0, 0), (1, 5_000_000), (2, 5_000_000)]);
     }
 }

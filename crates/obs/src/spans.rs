@@ -410,7 +410,7 @@ pub fn reconstruct(dump: &str) -> Result<SpanReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceEvent, Tracer};
+    use crate::{TraceEvent, TraceRing};
     use gage_des::SimTime;
 
     fn ms(v: u64) -> SimTime {
@@ -421,9 +421,9 @@ mod tests {
     /// splice 5..=9, served at 11.
     #[test]
     fn happy_path_stages_add_up() {
-        let t = Tracer::enabled(64);
-        t.emit_at(ms(0), TraceEvent::ReqArrival { sub: 2, req: 0 });
-        t.emit_at(
+        let mut t = TraceRing::new(64);
+        t.push(ms(0), TraceEvent::ReqArrival { sub: 2, req: 0 });
+        t.push(
             ms(1),
             TraceEvent::Enqueue {
                 sub: 2,
@@ -431,7 +431,7 @@ mod tests {
                 backlog: 1,
             },
         );
-        t.emit_at(
+        t.push(
             ms(4),
             TraceEvent::Dispatch {
                 sub: 2,
@@ -442,7 +442,7 @@ mod tests {
                 balance_cpu_us: 1.0,
             },
         );
-        t.emit_at(
+        t.push(
             ms(5),
             TraceEvent::SpliceSetup {
                 req: 0,
@@ -452,7 +452,7 @@ mod tests {
                 seq_delta: 4,
             },
         );
-        t.emit_at(
+        t.push(
             ms(9),
             TraceEvent::SpliceTeardown {
                 req: 0,
@@ -460,7 +460,7 @@ mod tests {
                 client_port: 2,
             },
         );
-        t.emit_at(
+        t.push(
             ms(9),
             TraceEvent::ReqComplete {
                 sub: 2,
@@ -468,8 +468,8 @@ mod tests {
                 rpn: 1,
             },
         );
-        t.emit_at(ms(11), TraceEvent::ReqServed { sub: 2, req: 0 });
-        let rep = reconstruct(&t.dump().expect("enabled")).expect("reconstructs");
+        t.push(ms(11), TraceEvent::ReqServed { sub: 2, req: 0 });
+        let rep = reconstruct(&t.dump()).expect("reconstructs");
         assert_eq!(rep.spans.len(), 1);
         let s = &rep.spans[0];
         assert_eq!(s.sub, 2);
@@ -491,9 +491,9 @@ mod tests {
 
     #[test]
     fn retry_and_requeue_accumulate() {
-        let t = Tracer::enabled(64);
-        t.emit_at(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
-        t.emit_at(
+        let mut t = TraceRing::new(64);
+        t.push(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
+        t.push(
             ms(1),
             TraceEvent::Enqueue {
                 sub: 0,
@@ -502,7 +502,7 @@ mod tests {
             },
         );
         // Crash-era interception: back to the queue head at 3ms.
-        t.emit_at(
+        t.push(
             ms(2),
             TraceEvent::Dispatch {
                 sub: 0,
@@ -513,7 +513,7 @@ mod tests {
                 balance_cpu_us: 0.0,
             },
         );
-        t.emit_at(
+        t.push(
             ms(3),
             TraceEvent::DispatchRequeued {
                 sub: 0,
@@ -522,7 +522,7 @@ mod tests {
             },
         );
         // Client times out at 10ms, retries; new attempt enqueued at 14ms.
-        t.emit_at(
+        t.push(
             ms(10),
             TraceEvent::RequestRetry {
                 sub: 0,
@@ -530,7 +530,7 @@ mod tests {
                 attempt: 1,
             },
         );
-        t.emit_at(
+        t.push(
             ms(14),
             TraceEvent::Enqueue {
                 sub: 0,
@@ -538,7 +538,7 @@ mod tests {
                 backlog: 1,
             },
         );
-        t.emit_at(
+        t.push(
             ms(15),
             TraceEvent::Dispatch {
                 sub: 0,
@@ -549,8 +549,8 @@ mod tests {
                 balance_cpu_us: 0.0,
             },
         );
-        t.emit_at(ms(20), TraceEvent::ReqServed { sub: 0, req: 0 });
-        let rep = reconstruct(&t.dump().expect("enabled")).expect("reconstructs");
+        t.push(ms(20), TraceEvent::ReqServed { sub: 0, req: 0 });
+        let rep = reconstruct(&t.dump()).expect("reconstructs");
         let s = &rep.spans[0];
         assert_eq!(s.attempts, 2);
         assert_eq!(s.requeues, 1);
@@ -562,36 +562,36 @@ mod tests {
 
     #[test]
     fn double_terminal_is_an_error() {
-        let t = Tracer::enabled(16);
-        t.emit_at(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
-        t.emit_at(ms(1), TraceEvent::ReqServed { sub: 0, req: 0 });
-        t.emit_at(ms(2), TraceEvent::ReqDropped { sub: 0, req: 0 });
-        let err = reconstruct(&t.dump().expect("enabled")).expect_err("double terminal");
+        let mut t = TraceRing::new(16);
+        t.push(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
+        t.push(ms(1), TraceEvent::ReqServed { sub: 0, req: 0 });
+        t.push(ms(2), TraceEvent::ReqDropped { sub: 0, req: 0 });
+        let err = reconstruct(&t.dump()).expect_err("double terminal");
         assert!(err.contains("second terminal"), "{err}");
     }
 
     #[test]
     fn orphan_and_inflight_are_distinguished() {
         // A request-scoped record before its arrival is a hard error...
-        let t = Tracer::enabled(16);
-        t.emit_at(ms(1), TraceEvent::ReqServed { sub: 0, req: 7 });
-        let err = reconstruct(&t.dump().expect("enabled")).expect_err("orphan");
+        let mut t = TraceRing::new(16);
+        t.push(ms(1), TraceEvent::ReqServed { sub: 0, req: 7 });
+        let err = reconstruct(&t.dump()).expect_err("orphan");
         assert!(err.contains("before req_arrival"), "{err}");
         // ...while an arrival with no terminal is merely unterminated.
-        let t = Tracer::enabled(16);
-        t.emit_at(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
-        let rep = reconstruct(&t.dump().expect("enabled")).expect("valid");
+        let mut t = TraceRing::new(16);
+        t.push(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
+        let rep = reconstruct(&t.dump()).expect("valid");
         assert_eq!(rep.unterminated(), vec![0]);
         assert!(!rep.totals_for(0).conserved());
     }
 
     #[test]
     fn overwritten_ring_is_rejected() {
-        let t = Tracer::enabled(2);
+        let mut t = TraceRing::new(2);
         for req in 0..4 {
-            t.emit_at(ms(req), TraceEvent::ReqArrival { sub: 0, req });
+            t.push(ms(req), TraceEvent::ReqArrival { sub: 0, req });
         }
-        let err = reconstruct(&t.dump().expect("enabled")).expect_err("lossy ring");
+        let err = reconstruct(&t.dump()).expect_err("lossy ring");
         assert!(err.contains("overwrote"), "{err}");
     }
 }

@@ -10,7 +10,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,13 +20,17 @@ use gage_core::resource::{Grps, ResourceVector};
 use gage_core::scheduler::{RequestScheduler, SubscriberCounters};
 use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
 use gage_des::SimTime;
-use gage_obs::{Histogram, Registry, Tracer};
+use gage_obs::{Histogram, Registry, TraceEvent, Tracer};
 use parking_lot::Mutex;
 
 use crate::backend::format_pred;
 use crate::http::{read_request_head, write_error_response, RequestHead};
 use crate::proto::{recv_msg, ControlMsg};
 use crate::relay::splice;
+
+/// Trace ring size, in records, of `gage-rdn --trace` and of every
+/// [`crate::harness::deploy`] front end.
+pub const TRACE_CAPACITY: usize = 1 << 16;
 
 /// One hosted site.
 #[derive(Debug, Clone)]
@@ -83,8 +87,8 @@ struct QueuedConn {
     stream: TcpStream,
     head: RequestHead,
     size: u64,
-    /// Monotone per-front-end request id, stamped into the scheduler's
-    /// `enqueue`/`drop`/`dispatch` trace records.
+    /// Per-front-end request id, dense from 0, stamped into every trace
+    /// record of the request.
     req: u64,
     /// When the connection entered its subscriber queue.
     enqueued: Instant,
@@ -106,7 +110,16 @@ struct FrontendStats {
     service_ms: Mutex<Histogram>,
 }
 
-type SharedScheduler = Arc<Mutex<RequestScheduler<QueuedConn>>>;
+/// The scheduler, its trace sink and the request-id counter, behind the
+/// one lock that every enqueue, cycle and report already takes.
+#[derive(Debug)]
+struct Front {
+    scheduler: RequestScheduler<QueuedConn>,
+    tracer: Tracer,
+    next_req: u64,
+}
+
+type SharedFront = Arc<Mutex<Front>>;
 
 /// A running front end; stops its worker threads on drop.
 #[derive(Debug)]
@@ -115,16 +128,15 @@ pub struct FrontendHandle {
     pub http_addr: SocketAddr,
     /// The bound control address (give this to back ends).
     pub control_addr: SocketAddr,
-    scheduler: SharedScheduler,
+    front: SharedFront,
     stop: Arc<AtomicBool>,
-    tracer: Tracer,
     stats: Arc<FrontendStats>,
 }
 
 impl FrontendHandle {
     /// Lifetime counters for one subscriber.
     pub fn counters(&self, sub: SubscriberId) -> SubscriberCounters {
-        self.scheduler.lock().counters(sub)
+        self.front.lock().scheduler.counters(sub)
     }
 
     /// Live metrics snapshot: queue-wait and service-time histograms (with
@@ -146,7 +158,7 @@ impl FrontendHandle {
     /// Records are stamped with nanoseconds since the front end started,
     /// quantized to the scheduler tick that most recently ran.
     pub fn trace_dump(&self) -> Option<String> {
-        self.tracer.dump()
+        self.front.lock().tracer.dump()
     }
 
     /// Stops the server: both accept loops exit after the next connection
@@ -186,37 +198,37 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
     for _ in &cfg.backends {
         nodes.add_rpn(cfg.backend_capacity);
     }
-    let tracer = match cfg.trace_capacity {
+    let mut tracer = match cfg.trace_capacity {
         Some(capacity) => Tracer::enabled(capacity),
         None => Tracer::disabled(),
     };
-    let mut request_scheduler = RequestScheduler::new(&registry, cfg.scheduler, nodes);
-    request_scheduler.set_tracer(tracer.clone());
     // One `Reservation` record per site up front, mirroring the
     // simulator: dumps become self-describing for `gage-audit`. The
     // runtime frontend is a single RDN, so every site is on shard 0.
     for i in 0..registry.len() {
         let sub = gage_core::subscriber::SubscriberId(i as u32);
         let grps = registry.get(sub).expect("registered").reservation.0;
-        tracer.emit(gage_obs::TraceEvent::Reservation {
+        tracer.emit(TraceEvent::Reservation {
             sub: i as u32,
             grps,
             shard: 0,
         });
     }
-    let scheduler: SharedScheduler = Arc::new(Mutex::new(request_scheduler));
+    let front: SharedFront = Arc::new(Mutex::new(Front {
+        scheduler: RequestScheduler::new(&registry, cfg.scheduler, nodes),
+        tracer,
+        next_req: 0,
+    }));
     let registry = Arc::new(registry);
     let backends = Arc::new(cfg.backends.clone());
     let stop = Arc::new(AtomicBool::new(false));
-    let next_req = Arc::new(AtomicU64::new(0));
     let stats = Arc::new(FrontendStats::default());
 
     // Accept loop: classify and enqueue.
     {
-        let scheduler = Arc::clone(&scheduler);
+        let front = Arc::clone(&front);
         let registry = Arc::clone(&registry);
         let stop = Arc::clone(&stop);
-        let next_req = Arc::clone(&next_req);
         let read_timeout = cfg.client_read_timeout;
         std::thread::spawn(move || loop {
             let Ok((stream, _)) = listener.accept() else {
@@ -225,23 +237,20 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let scheduler = Arc::clone(&scheduler);
+            let front = Arc::clone(&front);
             let registry = Arc::clone(&registry);
-            let next_req = Arc::clone(&next_req);
             std::thread::spawn(move || {
-                let _ =
-                    classify_and_enqueue(stream, &scheduler, &registry, &next_req, read_timeout);
+                let _ = classify_and_enqueue(stream, &front, &registry, read_timeout);
             });
         });
     }
 
     // Scheduling cycle.
     {
-        let scheduler = Arc::clone(&scheduler);
+        let front = Arc::clone(&front);
         let backends = Arc::clone(&backends);
         let stop = Arc::clone(&stop);
         let stats = Arc::clone(&stats);
-        let tracer = tracer.clone();
         let started = Instant::now();
         let cycle = Duration::from_secs_f64(cfg.scheduler.scheduling_cycle_secs);
         std::thread::spawn(move || loop {
@@ -249,10 +258,16 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            // Advance the trace clock once per tick: record timestamps are
-            // nanoseconds since start, quantized to the scheduler cycle.
-            tracer.set_now(SimTime::from_nanos(started.elapsed().as_nanos() as u64));
-            let dispatches = scheduler.lock().run_cycle(cycle.as_secs_f64());
+            let dispatches = {
+                let mut guard = front.lock();
+                let Front {
+                    scheduler, tracer, ..
+                } = &mut *guard;
+                // Advance the trace clock once per tick: record timestamps
+                // are nanoseconds since start, quantized to the cycle.
+                tracer.set_now(SimTime::from_nanos(started.elapsed().as_nanos() as u64));
+                scheduler.run_cycle(cycle.as_secs_f64(), tracer)
+            };
             for d in dispatches {
                 let Some(&addr) = backends.get(d.rpn.0 as usize) else {
                     continue;
@@ -261,9 +276,10 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
                     .queue_wait_ms
                     .lock()
                     .observe(d.request.enqueued.elapsed().as_secs_f64() * 1e3);
+                let front = Arc::clone(&front);
                 let stats = Arc::clone(&stats);
                 std::thread::spawn(move || {
-                    dispatch_one(d.request, d.subscriber, d.predicted, addr, &stats);
+                    dispatch_one(d.request, d.subscriber, d.predicted, addr, &front, &stats);
                 });
             }
         });
@@ -271,7 +287,7 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
 
     // Control listener: registrations and reports.
     {
-        let scheduler = Arc::clone(&scheduler);
+        let front = Arc::clone(&front);
         let backends = Arc::clone(&backends);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || loop {
@@ -281,10 +297,10 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let scheduler = Arc::clone(&scheduler);
+            let front = Arc::clone(&front);
             let backends = Arc::clone(&backends);
             std::thread::spawn(move || {
-                let _ = control_conn(stream, &scheduler, &backends);
+                let _ = control_conn(stream, &front, &backends);
             });
         });
     }
@@ -292,18 +308,16 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
     Ok(FrontendHandle {
         http_addr,
         control_addr,
-        scheduler,
+        front,
         stop,
-        tracer,
         stats,
     })
 }
 
 fn classify_and_enqueue(
     mut stream: TcpStream,
-    scheduler: &SharedScheduler,
+    front: &Mutex<Front>,
     registry: &SubscriberRegistry,
-    next_req: &AtomicU64,
     read_timeout: Duration,
 ) -> std::io::Result<()> {
     // Bound the head read: a stalled or byte-dribbling client is turned
@@ -334,31 +348,55 @@ fn classify_and_enqueue(
         return Ok(());
     };
     let size = head.size_hint().unwrap_or(6 * 1024);
-    let queued = QueuedConn {
-        stream,
-        head,
-        size,
-        req: next_req.fetch_add(1, Ordering::Relaxed),
-        enqueued: Instant::now(),
+    let rejected = {
+        let mut guard = front.lock();
+        let Front {
+            scheduler,
+            tracer,
+            next_req,
+        } = &mut *guard;
+        let req = *next_req;
+        *next_req += 1;
+        tracer.emit(TraceEvent::ReqArrival { sub: sub.0, req });
+        let queued = QueuedConn {
+            stream,
+            head,
+            size,
+            req,
+            enqueued: Instant::now(),
+        };
+        let rejected = scheduler.enqueue(sub, queued, tracer).err();
+        if rejected.is_some() {
+            tracer.emit(TraceEvent::ReqDropped { sub: sub.0, req });
+        }
+        rejected
     };
-    if let Err(rejected) = scheduler.lock().enqueue(sub, queued) {
+    if let Some(mut rejected) = rejected {
         // Queue full: this is the paper's "dropped" outcome.
-        let mut stream = rejected.stream;
-        let _ = write_error_response(&mut stream, "503 Service Unavailable");
+        let _ = write_error_response(&mut rejected.stream, "503 Service Unavailable");
     }
     Ok(())
 }
 
+/// Relays one dispatched connection to its back end and traces how it
+/// ended: served once the relay returns, failed on either 502.
 fn dispatch_one(
     mut conn: QueuedConn,
     sub: SubscriberId,
     predicted: ResourceVector,
     backend_addr: SocketAddr,
+    front: &Mutex<Front>,
     stats: &FrontendStats,
 ) {
     let started = Instant::now();
+    let failed = TraceEvent::RequestFailed {
+        sub: sub.0,
+        req: conn.req,
+        attempts: 1,
+    };
     let Ok(mut upstream) = TcpStream::connect(backend_addr) else {
         let _ = write_error_response(&mut conn.stream, "502 Bad Gateway");
+        front.lock().tracer.emit(failed);
         return;
     };
     // Forward the head with Gage's bookkeeping headers.
@@ -371,10 +409,16 @@ fn dispatch_one(
         .insert("x-size".to_string(), conn.size.to_string());
     if upstream.write_all(&head.to_bytes()).is_err() {
         let _ = write_error_response(&mut conn.stream, "502 Bad Gateway");
+        front.lock().tracer.emit(failed);
         return;
     }
     // Application-level splice until both sides close.
     let _ = splice(&conn.stream, &upstream);
+    let served = TraceEvent::ReqServed {
+        sub: sub.0,
+        req: conn.req,
+    };
+    front.lock().tracer.emit(served);
     stats
         .service_ms
         .lock()
@@ -383,7 +427,7 @@ fn dispatch_one(
 
 fn control_conn(
     stream: TcpStream,
-    scheduler: &SharedScheduler,
+    front: &Mutex<Front>,
     backends: &[SocketAddr],
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream);
@@ -402,7 +446,7 @@ fn control_conn(
                     continue; // unregistered peer: ignore
                 };
                 report.rpn = rpn;
-                scheduler.lock().on_report(&report);
+                front.lock().scheduler.on_report(&report);
             }
         }
     }

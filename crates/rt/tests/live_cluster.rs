@@ -1,9 +1,10 @@
 //! End-to-end test of the real-network variant: an in-process deployment
 //! with a front end, two back ends and open-loop clients over loopback TCP.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gage_core::subscriber::SubscriberId;
+use gage_obs::audit::{audit_dump, AuditConfig};
 use gage_rt::backend::BackendCost;
 use gage_rt::client::{run_load, ClientConfig};
 use gage_rt::harness::{deploy, DeployOptions};
@@ -131,6 +132,37 @@ fn small_load_is_fully_served() {
         stats.attempted
     );
     assert!(stats.bytes >= stats.ok * 2_048);
+
+    // The front end's own trace must audit cleanly. Relay threads record
+    // `req_served` after the client already has its bytes, so poll until
+    // every request has reached a terminal state or the deadline passes.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let report = loop {
+        let dump = deployment.frontend.trace_dump().expect("deploy traces");
+        let report = audit_dump(&dump, &AuditConfig::default()).expect("live dump audits");
+        if report.unterminated.is_empty() || Instant::now() > deadline {
+            break report;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(
+        report.unterminated.is_empty(),
+        "requests without a terminal record: {:?}",
+        report.unterminated
+    );
+    assert!(
+        report.requests >= stats.ok,
+        "every served request is traced"
+    );
+    for sub in &report.subscribers {
+        let t = sub.totals;
+        assert_eq!(
+            t.offered,
+            t.served + t.dropped + t.failed,
+            "sub{}: {t:?}",
+            sub.sub
+        );
+    }
 }
 
 #[test]
