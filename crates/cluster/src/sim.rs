@@ -127,7 +127,7 @@ use gage_core::scheduler::{Dispatch, SubscriberCounters};
 use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
 use gage_des::{Context, Model, SimDuration, SimTime, Simulation};
 use gage_net::addr::{Endpoint, FourTuple, Port};
-use gage_obs::{Registry, TraceEvent, Tracer};
+use gage_obs::{Registry, TraceEvent, TraceRing, Tracer};
 use gage_workload::Trace;
 
 use crate::faults::{FaultEvent, FaultPlan, FaultState};
@@ -461,6 +461,13 @@ impl ClusterSim {
     /// `None` unless [`ClusterSim::enable_tracing`] was called.
     pub fn trace_dump(&self) -> Option<String> {
         self.world().tracer.dump()
+    }
+
+    /// Lends the trace ring to in-process consumers such as
+    /// [`gage_obs::audit::audit`], which then skip the text dump; `None`
+    /// unless [`ClusterSim::enable_tracing`] was called.
+    pub fn trace_ring(&self) -> Option<&TraceRing> {
+        self.world().tracer.ring()
     }
 
     /// Builds a live metrics snapshot of the whole cluster: connection

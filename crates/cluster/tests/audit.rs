@@ -9,7 +9,8 @@
 //! 2. **Exact cross-check** — per-subscriber span totals equal the sim's
 //!    own [`SubscriberMetrics`] counters field-for-field.
 //! 3. **Replayability** — the audit JSON report of two same-seed runs is
-//!    byte-identical.
+//!    byte-identical, pinned by digest, and auditing the ring in process
+//!    gives the same report as auditing its text dump.
 //! 4. **Violation detection** — a no-fault baseline reports zero
 //!    conformance violations, while a mid-run crash produces a violation
 //!    window overlapping the crash epoch.
@@ -19,7 +20,7 @@ use gage_cluster::sim::{ClusterSim, SiteSpec};
 use gage_cluster::FaultPlan;
 use gage_core::resource::Grps;
 use gage_des::{SimDuration, SimTime};
-use gage_obs::audit::{audit_dump, AuditConfig, AuditReport};
+use gage_obs::audit::{audit, audit_dump, AuditConfig, AuditReport};
 use gage_obs::spans::reconstruct;
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace};
 use rand::rngs::StdRng;
@@ -96,8 +97,8 @@ fn crash_run(seed: u64) -> ClusterSim {
 /// Every issued request lands in exactly one terminal state, and the span
 /// totals equal the sim's own metrics counters field-for-field.
 fn assert_spans_match_metrics(sim: &ClusterSim) {
-    let dump = sim.trace_dump().expect("tracing enabled");
-    let report = reconstruct(&dump).expect("dump reconstructs");
+    let ring = sim.trace_ring().expect("tracing enabled");
+    let report = reconstruct(ring).expect("ring reconstructs");
     assert_eq!(
         report.unterminated(),
         Vec::<u64>::new(),
@@ -132,20 +133,51 @@ fn crash_run_reconstructs_every_request() {
     assert_spans_match_metrics(&sim);
 }
 
+/// Byte length and FNV-1a-64 digest of `crash_run(7)`'s audit report, as
+/// `to_json()` and as `to_table()`: the report contract pinned exactly, so
+/// a refactor of the decoder or the fold cannot drift within it. A change
+/// that alters the report on purpose updates these constants in its own
+/// diff.
+const AUDIT_JSON_LEN: usize = 3_609;
+const AUDIT_JSON_FNV1A64: u64 = 0x2696_280f_b9f1_8624;
+const AUDIT_TABLE_LEN: usize = 351;
+const AUDIT_TABLE_FNV1A64: u64 = 0x4cba_2e30_2bcb_778a;
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[test]
 fn audit_json_is_byte_identical_across_same_seed_runs() {
-    let audit = |_: ()| -> String {
+    let audit = |_: ()| -> (String, String) {
         let sim = crash_run(7);
         let dump = sim.trace_dump().expect("tracing enabled");
-        audit_dump(&dump, &AuditConfig::default())
-            .expect("audit succeeds")
-            .to_json()
-            .to_string()
+        let report = audit_dump(&dump, &AuditConfig::default()).expect("audit succeeds");
+        (report.to_json().to_string(), report.to_table())
     };
-    let a = audit(());
-    let b = audit(());
+    let (a, table) = audit(());
+    let (b, _) = audit(());
     assert!(a.len() > 1_000, "report covers real activity");
     assert_eq!(a, b, "same-seed audit reports diverged");
+    assert_eq!(
+        (
+            a.len(),
+            fnv1a64(a.as_bytes()),
+            table.len(),
+            fnv1a64(table.as_bytes())
+        ),
+        (
+            AUDIT_JSON_LEN,
+            AUDIT_JSON_FNV1A64,
+            AUDIT_TABLE_LEN,
+            AUDIT_TABLE_FNV1A64
+        ),
+        "crash_run(7)'s audit report changed (JSON length and FNV-1a-64, \
+         table length and FNV-1a-64); if the change is intended, update the \
+         AUDIT_* constants in the same diff"
+    );
 }
 
 #[test]
@@ -178,8 +210,15 @@ fn no_fault_baseline_reports_zero_violations() {
 #[test]
 fn crash_run_reports_violation_overlapping_crash_epoch() {
     let sim = crash_run(7);
+    let ring = sim.trace_ring().expect("tracing enabled");
+    let report: AuditReport = audit(ring, &AuditConfig::default()).expect("audit succeeds");
+    // Auditing the ring in process and auditing its text dump agree.
     let dump = sim.trace_dump().expect("tracing enabled");
-    let report: AuditReport = audit_dump(&dump, &AuditConfig::default()).expect("audit succeeds");
+    let from_text = audit_dump(&dump, &AuditConfig::default()).expect("dump audits");
+    assert_eq!(
+        from_text, report,
+        "the in-process audit differs from the dump's"
+    );
     assert!(
         report.violation_count() > 0,
         "losing half the cluster must violate the reservation: {}",

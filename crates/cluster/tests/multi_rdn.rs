@@ -21,6 +21,7 @@ use gage_cluster::sim::{ClusterSim, SiteSpec};
 use gage_cluster::FaultPlan;
 use gage_core::resource::Grps;
 use gage_des::{SimDuration, SimTime};
+use gage_obs::audit::{audit_dump, AuditConfig};
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,6 +51,13 @@ fn site(host: &str, seed: u64) -> SiteSpec {
 /// own diff.
 const CHAOS_DUMP_LEN: usize = 4_646_246;
 const CHAOS_DUMP_FNV1A64: u64 = 0xe687_3f6f_87f9_117e;
+
+/// The same pin for the chaos dump's audit report, as `to_json()` and as
+/// `to_table()`.
+const CHAOS_AUDIT_JSON_LEN: usize = 12_439;
+const CHAOS_AUDIT_JSON_FNV1A64: u64 = 0xf2ce_3751_7e6f_350e;
+const CHAOS_AUDIT_TABLE_LEN: usize = 1_061;
+const CHAOS_AUDIT_TABLE_FNV1A64: u64 = 0x74f3_4aa9_10cc_9b55;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -180,5 +188,24 @@ fn chaos_dump_replays_byte_identically() {
         (CHAOS_DUMP_LEN, CHAOS_DUMP_FNV1A64),
         "the chaos dump changed (length, FNV-1a-64); if the change is \
          intended, update CHAOS_DUMP_LEN and CHAOS_DUMP_FNV1A64 in the same diff"
+    );
+    let report = audit_dump(&first, &AuditConfig::default()).expect("chaos dump audits");
+    let (json, table) = (report.to_json().to_string(), report.to_table());
+    assert_eq!(
+        (
+            json.len(),
+            fnv1a64(json.as_bytes()),
+            table.len(),
+            fnv1a64(table.as_bytes())
+        ),
+        (
+            CHAOS_AUDIT_JSON_LEN,
+            CHAOS_AUDIT_JSON_FNV1A64,
+            CHAOS_AUDIT_TABLE_LEN,
+            CHAOS_AUDIT_TABLE_FNV1A64
+        ),
+        "the chaos dump's audit report changed (JSON length and FNV-1a-64, \
+         table length and FNV-1a-64); if the change is intended, update the \
+         CHAOS_AUDIT_* constants in the same diff"
     );
 }

@@ -2,14 +2,14 @@
 //! must produce **byte-identical** trace dumps (the gage-obs contract —
 //! records are stamped with virtual time only, the ring is shared in
 //! deterministic emission order, and serialization is insertion-ordered).
-//! Also checks the dump is valid line-JSON and covers every event family
-//! the stack emits.
+//! Also checks the dump decodes back into the ring that wrote it and covers
+//! every event family the stack emits.
 
 use gage_cluster::params::{ClusterParams, ServiceCostModel};
 use gage_cluster::sim::{ClusterSim, SiteSpec};
 use gage_core::resource::Grps;
 use gage_des::SimTime;
-use gage_json::Json;
+use gage_obs::TraceRing;
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,20 +94,11 @@ fn different_seed_traces_diverge() {
 #[test]
 fn trace_dump_is_valid_and_covers_all_event_families() {
     let dump = traced_run(42, 6);
-    let (header, records) = gage_obs::parse_dump(&dump).expect("dump parses");
-    assert_eq!(
-        header.get("schema").and_then(Json::as_str),
-        Some(gage_obs::TRACE_SCHEMA)
-    );
-    let retained = header.get("retained").and_then(Json::as_u64).unwrap();
-    assert_eq!(records.len() as u64, retained);
+    let ring = TraceRing::from_dump(&dump).expect("dump decodes");
+    assert_eq!(ring.dump(), dump, "decoding inverts the dump byte for byte");
+    assert_eq!(ring.overwritten(), 0);
 
-    let count = |kind: &str| {
-        records
-            .iter()
-            .filter(|r| r.get("kind").and_then(Json::as_str) == Some(kind))
-            .count()
-    };
+    let count = |kind: &str| ring.iter().filter(|r| r.event.kind() == kind).count();
     for kind in [
         "sched_cycle",
         "dispatch",
@@ -121,13 +112,11 @@ fn trace_dump_is_valid_and_covers_all_event_families() {
         assert!(count(kind) > 0, "no {kind} records in a 6 s overloaded run");
     }
     // Timestamps are monotone non-decreasing (virtual-time stamped in
-    // emission order) and seq numbers are dense.
-    let mut last_t = 0u64;
-    for (i, r) in records.iter().enumerate() {
-        let t = r.get("t_ns").and_then(Json::as_u64).expect("t_ns");
-        assert!(t >= last_t, "record {i} went back in time");
-        last_t = t;
-        assert_eq!(r.get("seq").and_then(Json::as_u64), Some(i as u64));
+    // emission order); `from_dump` has checked that seq numbers are dense.
+    let mut last_t = SimTime::ZERO;
+    for (i, r) in ring.iter().enumerate() {
+        assert!(r.at >= last_t, "record {i} went back in time");
+        last_t = r.at;
     }
 }
 

@@ -1,12 +1,4 @@
-//! Fixture: every TraceKind variant needs an emit site and a consumer arm.
-
-pub enum TraceKind {
-    Emitted,
-    NeverEmitted,
-    NeverConsumed,
-    RpnCrash,
-    PartitionStart,
-}
+//! Fixture: every TraceEvent variant needs an emit site and a consumer arm.
 
 pub enum TraceEvent {
     Emitted,

@@ -1,4 +1,4 @@
-//! Fixture: the span reconstructor must enumerate every TraceKind variant.
+//! Fixture: the span reconstructor must enumerate every TraceEvent variant.
 
 pub fn classify(kind: &str) -> u32 {
     match kind {
@@ -14,11 +14,11 @@ pub fn classify_allowed(kind: &str) -> u32 {
     }
 }
 
-pub fn consume(kind: TraceKind) -> u32 {
-    match kind {
-        TraceKind::Emitted => 1,
-        TraceKind::NeverEmitted => 2,
-        TraceKind::RpnCrash => 3,
-        TraceKind::PartitionStart => 4,
+pub fn consume(event: TraceEvent) -> u32 {
+    match event {
+        TraceEvent::Emitted => 1,
+        TraceEvent::NeverEmitted => 2,
+        TraceEvent::RpnCrash => 3,
+        TraceEvent::PartitionStart => 4,
     }
 }

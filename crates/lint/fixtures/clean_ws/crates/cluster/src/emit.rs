@@ -1,4 +1,4 @@
-//! Clean fixture: the only TraceKind variant has a production emit site.
+//! Clean fixture: every TraceEvent variant has a production emit site.
 
 pub fn emit(t: &Tracer) {
     t.emit(TraceEvent::Served);

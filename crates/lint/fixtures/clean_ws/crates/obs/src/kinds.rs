@@ -1,9 +1,4 @@
-//! Clean fixture: the TraceKind variant is both emitted and consumed.
-
-pub enum TraceKind {
-    Served,
-    RpnCrash,
-}
+//! Clean fixture: the TraceEvent variant is both emitted and consumed.
 
 pub enum TraceEvent {
     Served,

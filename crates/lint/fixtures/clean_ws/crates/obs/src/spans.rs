@@ -1,8 +1,8 @@
 //! Clean fixture: the reconstructor consumes every variant explicitly.
 
-pub fn consume(kind: TraceKind) -> u32 {
-    match kind {
-        TraceKind::Served => 1,
-        TraceKind::RpnCrash => 2,
+pub fn consume(event: TraceEvent) -> u32 {
+    match event {
+        TraceEvent::Served => 1,
+        TraceEvent::RpnCrash => 2,
     }
 }

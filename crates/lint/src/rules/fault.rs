@@ -7,11 +7,11 @@
 //! compiler accepts a variant that is never applied — a scripted fault
 //! that silently never happens, the worst kind of passing chaos test. The
 //! causal record has the same gap: every injected fault must land in the
-//! trace as some `TraceKind` variant, or `gage-audit` reconstructs a
+//! trace as some `TraceEvent` variant, or `gage-audit` reconstructs a
 //! timeline where degradation has no cause. This pass finds the
 //! `FaultEvent` enum, collects `FaultEvent::<V>` paths outside the
 //! defining file (the apply sites), and checks each variant both ways:
-//! missing apply site, and no `TraceKind` variant whose name contains the
+//! missing apply site, and no `TraceEvent` variant whose name contains the
 //! fault variant's name (`Crash` is covered by `RpnCrash`, `RdnCrash` by
 //! itself).
 
@@ -40,7 +40,7 @@ pub fn run(ws: &Workspace, sink: &mut Sink) {
                         .map(|v| (v.name.clone(), v.line))
                         .collect();
                     def = Some((file, vars));
-                } else if item.name == "TraceKind" {
+                } else if item.name == "TraceEvent" {
                     kinds = item.variants.iter().map(|v| v.name.clone()).collect();
                 }
             }
@@ -92,7 +92,7 @@ pub fn run(ws: &Workspace, sink: &mut Sink) {
                 line,
                 1,
                 format!(
-                    "`FaultEvent::{variant}` has no matching `TraceKind` variant; an \
+                    "`FaultEvent::{variant}` has no matching `TraceEvent` variant; an \
                      injected fault that leaves no trace record gives `gage-audit` a \
                      timeline where degradation has no cause"
                 ),

@@ -92,11 +92,11 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "trace-kind-coverage",
-        summary: "TraceKind variants with no emit site or no spans.rs consumer arm",
+        summary: "TraceEvent variants with no emit site or no spans.rs consumer arm",
     },
     RuleInfo {
         id: "fault-kind-coverage",
-        summary: "FaultEvent variants with no apply site or no matching TraceKind",
+        summary: "FaultEvent variants with no apply site or no matching TraceEvent",
     },
     RuleInfo {
         id: "panic-reachability",
@@ -155,7 +155,7 @@ pub const OBS_MODULES: &[(&str, &[&str])] = &[
 ];
 
 /// (crate, module stems) that fold raw trace records back into structured
-/// timelines; these must match every `TraceKind` variant explicitly.
+/// timelines; these must match every `TraceEvent` variant explicitly.
 pub const TRACE_EXHAUSTIVE_MODULES: &[(&str, &[&str])] = &[("gage-obs", &["spans"])];
 
 /// (crate, module stems) allowed to flip node liveness with

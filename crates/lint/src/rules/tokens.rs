@@ -171,7 +171,7 @@ fn check_tokens(krate: &CrateModel, file: &FileModel, sink: &mut Sink) {
                 at(
                     sink,
                     "trace-kind-exhaustive",
-                    "wildcard `_ =>` arm in a trace reconstructor; match every TraceKind \
+                    "wildcard `_ =>` arm in a trace reconstructor; match every TraceEvent \
                      variant explicitly so new kinds fail to compile instead of silently \
                      vanishing from timelines"
                         .to_string(),

@@ -1,17 +1,17 @@
-//! `trace-kind-coverage`: every `TraceKind` variant needs an emit site and
+//! `trace-kind-coverage`: every `TraceEvent` variant needs an emit site and
 //! a consumer arm.
 //!
-//! The trace schema is load-bearing in three places: components emit
-//! `TraceEvent::<V>` records, the ring stores them tagged `TraceKind::<V>`,
-//! and the reconstructors (`spans.rs`) fold them back into timelines. A
-//! variant with no emit site is dead schema (or instrumentation that got
-//! dropped in a refactor); a variant with no consumer arm means real
-//! records silently vanish from every reconstructed timeline. The compiler
-//! checks neither — the emit side is open-ended and the consumer side only
-//! has to be exhaustive over the enum, not over intent. This pass closes
-//! the loop: it finds the `TraceKind` enum, collects `TraceEvent::<V>`
-//! constructor sites outside the defining file and `TraceKind::<V>` arms
-//! inside the reconstructor modules, and flags any variant missing either.
+//! The trace schema is load-bearing in two places: components emit
+//! `TraceEvent::<V>` records, and the reconstructors (`spans.rs`) fold
+//! them back into timelines by matching `TraceEvent::<V>`. A variant with
+//! no emit site is dead schema (or instrumentation that got dropped in a
+//! refactor); a variant with no consumer arm means real records silently
+//! vanish from every reconstructed timeline. The compiler checks neither —
+//! the emit side is open-ended and the consumer side only has to be
+//! exhaustive over the enum, not over intent. This pass closes the loop:
+//! it finds the `TraceEvent` enum, collects `TraceEvent::<V>` paths inside
+//! the reconstructor modules (consumer arms) and everywhere else outside
+//! the defining file (emit sites), and flags any variant missing either.
 
 use std::collections::BTreeSet;
 
@@ -22,12 +22,12 @@ use crate::rules::{self, Sink};
 
 /// Runs the trace coverage analysis over the whole workspace.
 pub fn run(ws: &Workspace, sink: &mut Sink) {
-    // Locate the TraceKind enum definition (file + variants).
+    // Locate the TraceEvent enum definition (file + variants).
     let mut def: Option<(&FileModel, Vec<(String, usize)>)> = None;
     for krate in &ws.crates {
         for file in &krate.files {
             for item in &file.items {
-                if item.kind == ItemKind::Enum && item.name == "TraceKind" && !item.is_test {
+                if item.kind == ItemKind::Enum && item.name == "TraceEvent" && !item.is_test {
                     let vars = item
                         .variants
                         .iter()
@@ -54,17 +54,13 @@ pub fn run(ws: &Workspace, sink: &mut Sink) {
                 if file.test_mask[i] || file.toks[i].kind != TokKind::Ident {
                     continue;
                 }
-                let head = file.toks[i].text(&file.src);
-                if head != "TraceEvent" && head != "TraceKind" {
-                    continue;
-                }
-                if txt(file, i + 1) != "::" {
+                if file.toks[i].text(&file.src) != "TraceEvent" || txt(file, i + 1) != "::" {
                     continue;
                 }
                 let variant = txt(file, i + 2);
-                if consumer && head == "TraceKind" {
+                if consumer {
                     consumed.insert(variant.to_string());
-                } else if !defining && !consumer && head == "TraceEvent" {
+                } else if !defining {
                     emitted.insert(variant.to_string());
                 }
             }
@@ -79,7 +75,7 @@ pub fn run(ws: &Workspace, sink: &mut Sink) {
                 line,
                 1,
                 format!(
-                    "`TraceKind::{variant}` has no `TraceEvent::{variant}` emit site; \
+                    "`TraceEvent::{variant}` has no emit site; \
                      a kind no component emits is dead schema (or its instrumentation \
                      was dropped in a refactor)"
                 ),
@@ -92,7 +88,7 @@ pub fn run(ws: &Workspace, sink: &mut Sink) {
                 line,
                 1,
                 format!(
-                    "`TraceKind::{variant}` has no consumer arm in a trace reconstructor; \
+                    "`TraceEvent::{variant}` has no consumer arm in a trace reconstructor; \
                      records of this kind silently vanish from reconstructed timelines"
                 ),
             );

@@ -1,6 +1,6 @@
 //! Proves `trace-kind-coverage` is live, not vacuously passing: build a
 //! minimal workspace in a scratch directory, lint it fully covered, then
-//! orphan one `TraceKind` variant (drop its emit site, then its consumer
+//! orphan one `TraceEvent` variant (drop its emit site, then its consumer
 //! arm) and watch the analysis fire at the variant's line.
 
 use std::fs;
@@ -14,7 +14,7 @@ fn write(root: &Path, rel: &str, body: &str) {
     fs::write(path, body).expect("write fixture file");
 }
 
-/// Lays out a two-crate workspace where `TraceKind::Served` is emitted in
+/// Lays out a two-crate workspace where `TraceEvent::Served` is emitted in
 /// gage-cluster and consumed in the gage-obs reconstructor.
 fn scaffold(name: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -39,12 +39,12 @@ fn scaffold(name: &str) -> PathBuf {
     write(
         &root,
         "crates/obs/src/kinds.rs",
-        "//! Scratch fixture.\n\npub enum TraceKind {\n    Served,\n}\n\npub enum TraceEvent {\n    Served,\n}\n",
+        "//! Scratch fixture.\n\npub enum TraceEvent {\n    Served,\n}\n",
     );
     write(
         &root,
         "crates/obs/src/spans.rs",
-        "//! Scratch fixture.\n\npub fn consume(kind: TraceKind) -> u32 {\n    match kind {\n        TraceKind::Served => 1,\n    }\n}\n",
+        "//! Scratch fixture.\n\npub fn consume(event: TraceEvent) -> u32 {\n    match event {\n        TraceEvent::Served => 1,\n    }\n}\n",
     );
     write(
         &root,
@@ -84,9 +84,11 @@ fn orphaning_a_variant_fires_and_restoring_it_clears() {
         1,
         "exactly the orphaned variant: {orphaned:?}"
     );
-    assert_eq!(orphaned[0].0, 4, "finding points at TraceKind::Served");
+    assert_eq!(orphaned[0].0, 4, "finding points at TraceEvent::Served");
     assert!(
-        orphaned[0].1.contains("no `TraceEvent::Served` emit site"),
+        orphaned[0]
+            .1
+            .contains("`TraceEvent::Served` has no emit site"),
         "message names the missing emit: {}",
         orphaned[0].1
     );
@@ -101,7 +103,7 @@ fn orphaning_a_variant_fires_and_restoring_it_clears() {
     write(
         &root,
         "crates/obs/src/spans.rs",
-        "//! Scratch fixture.\n\npub fn consume(_kind: TraceKind) -> u32 {\n    0\n}\n",
+        "//! Scratch fixture.\n\npub fn consume(_event: TraceEvent) -> u32 {\n    0\n}\n",
     );
     let unconsumed = coverage_findings_at(&root);
     assert_eq!(
@@ -120,7 +122,7 @@ fn orphaning_a_variant_fires_and_restoring_it_clears() {
     write(
         &root,
         "crates/obs/src/spans.rs",
-        "//! Scratch fixture.\n\npub fn consume(kind: TraceKind) -> u32 {\n    match kind {\n        TraceKind::Served => 1,\n    }\n}\n",
+        "//! Scratch fixture.\n\npub fn consume(event: TraceEvent) -> u32 {\n    match event {\n        TraceEvent::Served => 1,\n    }\n}\n",
     );
     assert!(
         coverage_findings_at(&root).is_empty(),
@@ -132,12 +134,12 @@ fn orphaning_a_variant_fires_and_restoring_it_clears() {
 fn a_new_variant_must_arrive_with_emit_and_consumer() {
     let root = scaffold("coverage_live_new_variant");
 
-    // Add a variant to both enums without touching emitters or the
+    // Add a variant to the enum without touching emitters or the
     // reconstructor — the shape of a half-finished instrumentation PR.
     write(
         &root,
         "crates/obs/src/kinds.rs",
-        "//! Scratch fixture.\n\npub enum TraceKind {\n    Served,\n    Retried,\n}\n\npub enum TraceEvent {\n    Served,\n    Retried,\n}\n",
+        "//! Scratch fixture.\n\npub enum TraceEvent {\n    Served,\n    Retried,\n}\n",
     );
     let findings = coverage_findings_at(&root);
     assert_eq!(

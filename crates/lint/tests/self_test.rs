@@ -71,7 +71,7 @@ fn every_rule_trips_on_the_fixture_corpus() {
         has(&f, "obs-no-adhoc-print", "crates/cluster/src/sim.rs", 5),
         "stdout()"
     );
-    // trace reconstructors must enumerate every TraceKind variant.
+    // trace reconstructors must enumerate every TraceEvent variant.
     assert!(
         has(&f, "trace-kind-exhaustive", "crates/obs/src/spans.rs", 6),
         "wildcard arm"
@@ -184,7 +184,7 @@ fn fault_kind_coverage_finds_orphans_both_ways() {
         f.iter().any(|x| x.rule == "fault-kind-coverage"
             && x.file == faults
             && x.line == 5
-            && x.message.contains("no matching `TraceKind`")),
+            && x.message.contains("no matching `TraceEvent`")),
         "applied-but-untraced variant (Recover)"
     );
     assert!(
@@ -194,7 +194,7 @@ fn fault_kind_coverage_finds_orphans_both_ways() {
             && x.message.contains("no apply site")),
         "traced-but-unapplied variant (Partition)"
     );
-    // Crash is applied in apply.rs and covered by TraceKind::RpnCrash.
+    // Crash is applied in apply.rs and covered by TraceEvent::RpnCrash.
     assert!(!any_at(&f, faults, 4), "covered variant is not flagged");
 }
 

@@ -3,10 +3,10 @@
 //! The paper's guarantee is windowed: each subscriber should receive its
 //! reserved GRPS in every scheduling interval where it has demand, even
 //! under overload and co-tenant misbehaviour. This module checks that claim
-//! *from the trace alone*: it folds a dump into per-request spans
+//! *from the trace alone*: it folds a ring into per-request spans
 //! ([`crate::spans`]), buckets arrivals and completions into fixed
 //! conformance windows, derives each subscriber's effective entitlement
-//! from the dump's own `reservation` records and any `reservation_scale`
+//! from the ring's own `reservation` records and any `reservation_scale`
 //! events (fault-era capacity rescaling), and flags **violation windows**
 //! where delivered service fell below `tolerance ×
 //! min(offered, effective reservation)` — demand-limited windows are never
@@ -14,25 +14,33 @@
 //! with start/end scheduler cycles (mapped through `sched_cycle` records)
 //! and a depth (worst fractional shortfall).
 //!
-//! Everything is a pure function of the dump bytes, so same-seed runs
-//! produce byte-identical JSON reports.
+//! Everything is a pure function of the records, so same-seed runs
+//! produce byte-identical JSON reports, and auditing a ring in process
+//! gives the same report as auditing its dump.
 
 use std::fmt::Write as _;
 
 use gage_json::Json;
 
-use crate::spans::{SpanReport, SpanTotals, Terminal};
-use crate::{Histogram, TraceKind};
+use crate::spans::{SpanTotals, Terminal};
+use crate::{Histogram, TraceRing};
 
 /// Schema tag stamped into every JSON conformance report.
 pub const AUDIT_SCHEMA: &str = "gage-audit-v1";
 
+/// The shortest conformance window, ns: the paper's 10 ms scheduling
+/// cycle. A window is a unit of promised service, and nothing is promised
+/// for less than one cycle; the auditor also keeps counters per window, so
+/// a shorter one would size them by nanoseconds.
+pub const MIN_WINDOW_NS: u64 = 10_000_000;
+
 /// Auditor knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditConfig {
-    /// Conformance window length, ns. Defaults to one second — two orders
-    /// of magnitude above the 10 ms scheduling cycle, so queueing jitter
-    /// inside a window doesn't read as a violation.
+    /// Conformance window length, ns, at least [`MIN_WINDOW_NS`]. Defaults
+    /// to one second — two orders of magnitude above the 10 ms scheduling
+    /// cycle, so queueing jitter inside a window doesn't read as a
+    /// violation.
     pub window_ns: u64,
     /// Fraction of the expected service a window may fall short of before
     /// it counts as violated.
@@ -61,7 +69,7 @@ pub struct WindowStat {
     /// `min(offered, effective_reservation × window_secs)`, requests.
     pub expected: f64,
     /// The effective (fault-rescaled) reservation during the window, GRPS.
-    /// Absent when the dump carries no `reservation` record for the
+    /// Absent when the ring holds no `reservation` record for the
     /// subscriber — then `expected` falls back to offered demand.
     pub eff_reservation_grps: Option<f64>,
     /// Whether this window violated conformance.
@@ -79,7 +87,7 @@ pub struct Violation {
     pub start_ns: u64,
     /// End of the run (exclusive window edge), ns.
     pub end_ns: u64,
-    /// First scheduler cycle at or after `start_ns` (0 if the dump holds
+    /// First scheduler cycle at or after `start_ns` (0 if the ring holds
     /// no `sched_cycle` records).
     pub start_cycle: u64,
     /// Last scheduler cycle at or before `end_ns` (0 if none).
@@ -94,10 +102,9 @@ pub struct Violation {
 pub struct SubscriberAudit {
     /// The subscriber.
     pub sub: u32,
-    /// Configured reservation from the dump's `reservation` record, GRPS.
+    /// Configured reservation from the ring's `reservation` record, GRPS.
     pub reservation_grps: Option<f64>,
-    /// The RDN shard the subscriber is homed on, from the `reservation`
-    /// record (`None` for pre-shard dumps without the field).
+    /// The RDN shard the subscriber is homed on, from the same record.
     pub shard: Option<u16>,
     /// Conservation totals reconstructed from spans — cross-checked
     /// field-for-field against `SubscriberMetrics` by the cluster tests.
@@ -112,12 +119,12 @@ pub struct SubscriberAudit {
     pub violations: Vec<Violation>,
 }
 
-/// The full conformance report for one dump.
+/// The full conformance report for one ring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
     /// The knobs the report was computed with.
     pub config: AuditConfig,
-    /// Requests reconstructed from the dump.
+    /// Requests reconstructed from the ring.
     pub requests: u64,
     /// Request ids that never reached a terminal state.
     pub unterminated: Vec<u64>,
@@ -279,113 +286,58 @@ impl AuditReport {
     }
 }
 
-/// Cluster-level context the span fold skips but the auditor needs:
-/// reservations, the reservation-scale step function and the scheduler
-/// cycle clock.
-#[derive(Debug, Default)]
-struct ClusterContext {
-    /// `(sub, grps, shard)` from `reservation` records.
-    reservations: Vec<(u32, f64, u16)>,
-    /// `(t_ns, scale)` from `reservation_scale` records, in dump order.
-    scales: Vec<(u64, f64)>,
-    /// `(t_ns, cycle)` from `sched_cycle` records, in dump order.
-    cycles: Vec<(u64, u64)>,
+/// The smallest reservation scale in effect at any point during
+/// `[start_ns, end_ns)` — conservative: a subscriber is only entitled to
+/// what the degraded cluster could owe it.
+fn min_scale_in(scales: &[(u64, f64)], start_ns: u64, end_ns: u64) -> f64 {
+    // Scale active as the window opens: last change at or before start.
+    let mut scale = scales
+        .iter()
+        .take_while(|(t, _)| *t <= start_ns)
+        .last()
+        .map_or(1.0, |(_, s)| *s);
+    for (t, s) in scales {
+        if *t > start_ns && *t < end_ns {
+            scale = scale.min(*s);
+        }
+    }
+    scale
 }
 
-impl ClusterContext {
-    fn from_records(records: &[Json]) -> ClusterContext {
-        let mut ctx = ClusterContext::default();
-        for rec in records {
-            let kind = rec
-                .get("kind")
-                .and_then(Json::as_str)
-                .and_then(TraceKind::parse);
-            let t = rec.get("t_ns").and_then(Json::as_u64).unwrap_or(0);
-            match kind {
-                Some(TraceKind::Reservation) => {
-                    if let (Some(sub), Some(grps)) = (
-                        rec.get("sub").and_then(Json::as_u64),
-                        rec.get("grps").and_then(Json::as_f64),
-                    ) {
-                        // Additive field: pre-shard dumps default to 0.
-                        let shard = rec.get("shard").and_then(Json::as_u64).unwrap_or(0) as u16;
-                        ctx.reservations.push((sub as u32, grps, shard));
-                    }
-                }
-                Some(TraceKind::ReservationScale) => {
-                    if let Some(scale) = rec.get("scale").and_then(Json::as_f64) {
-                        ctx.scales.push((t, scale));
-                    }
-                }
-                Some(TraceKind::SchedCycle) => {
-                    if let Some(cycle) = rec.get("cycle").and_then(Json::as_u64) {
-                        ctx.cycles.push((t, cycle));
-                    }
-                }
-                _ => {}
-            }
-        }
-        ctx
-    }
-
-    fn reservation_of(&self, sub: u32) -> Option<f64> {
-        self.reservations
-            .iter()
-            .find(|(s, _, _)| *s == sub)
-            .map(|(_, g, _)| *g)
-    }
-
-    fn shard_of(&self, sub: u32) -> Option<u16> {
-        self.reservations
-            .iter()
-            .find(|(s, _, _)| *s == sub)
-            .map(|(_, _, shard)| *shard)
-    }
-
-    /// The smallest reservation scale in effect at any point during
-    /// `[start_ns, end_ns)` — conservative: a subscriber is only entitled
-    /// to what the degraded cluster could owe it.
-    fn min_scale_in(&self, start_ns: u64, end_ns: u64) -> f64 {
-        // Scale active as the window opens: last change at or before start.
-        let mut scale = self
-            .scales
-            .iter()
-            .take_while(|(t, _)| *t <= start_ns)
-            .last()
-            .map_or(1.0, |(_, s)| *s);
-        for (t, s) in &self.scales {
-            if *t > start_ns && *t < end_ns {
-                scale = scale.min(*s);
-            }
-        }
-        scale
-    }
-
-    /// First scheduler cycle at or after `t_ns`; falls back to the last
-    /// known cycle, then 0.
-    fn cycle_at_or_after(&self, t_ns: u64) -> u64 {
-        self.cycles
-            .iter()
-            .find(|(t, _)| *t >= t_ns)
-            .or_else(|| self.cycles.last())
-            .map_or(0, |(_, c)| *c)
-    }
-
-    /// Last scheduler cycle at or before `t_ns`; 0 if none.
-    fn cycle_at_or_before(&self, t_ns: u64) -> u64 {
-        self.cycles
-            .iter()
-            .take_while(|(t, _)| *t <= t_ns)
-            .last()
-            .map_or(0, |(_, c)| *c)
-    }
+/// First scheduler cycle at or after `t_ns`; falls back to the last known
+/// cycle, then 0.
+fn cycle_at_or_after(cycles: &[(u64, u64)], t_ns: u64) -> u64 {
+    cycles
+        .iter()
+        .find(|(t, _)| *t >= t_ns)
+        .or_else(|| cycles.last())
+        .map_or(0, |(_, c)| *c)
 }
 
-/// Audits pre-parsed dump parts: a span report plus the raw records (for
-/// reservations, scale changes and cycle mapping).
-pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig) -> AuditReport {
-    let ctx = ClusterContext::from_records(records);
-    let window_ns = config.window_ns.max(1);
+/// Last scheduler cycle at or before `t_ns`; 0 if none.
+fn cycle_at_or_before(cycles: &[(u64, u64)], t_ns: u64) -> u64 {
+    cycles
+        .iter()
+        .take_while(|(t, _)| *t <= t_ns)
+        .last()
+        .map_or(0, |(_, c)| *c)
+}
+
+/// Folds a ring into spans ([`crate::spans::reconstruct`]) and audits them.
+///
+/// # Errors
+///
+/// Fails on everything [`crate::spans::reconstruct`] rejects (overwritten
+/// ring, out-of-range or duplicate ids, orphan records, double terminals),
+/// and on a window shorter than [`MIN_WINDOW_NS`].
+pub fn audit(ring: &TraceRing, config: &AuditConfig) -> Result<AuditReport, String> {
+    let window_ns = config.window_ns;
+    if window_ns < MIN_WINDOW_NS {
+        return Err(format!(
+            "window of {window_ns} ns is shorter than the {MIN_WINDOW_NS} ns scheduling cycle"
+        ));
+    }
+    let spans = crate::spans::reconstruct(ring)?;
     let window_secs = window_ns as f64 / 1e9;
 
     // The audited horizon ends at the last request activity; trailing
@@ -402,7 +354,8 @@ pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig)
     let mut subscribers = Vec::new();
     for sub in spans.subscribers() {
         let totals = spans.totals_for(sub);
-        let reservation = ctx.reservation_of(sub);
+        let homed = spans.reservations.iter().find(|(s, _, _)| *s == sub);
+        let reservation = homed.map(|(_, grps, _)| *grps);
 
         let mut offered = vec![0u64; window_count as usize];
         let mut served = vec![0u64; window_count as usize];
@@ -423,7 +376,7 @@ pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig)
         for w in 0..window_count {
             let start_ns = w * window_ns;
             let end_ns = start_ns + window_ns;
-            let eff = reservation.map(|r| r * ctx.min_scale_in(start_ns, end_ns));
+            let eff = reservation.map(|r| r * min_scale_in(&spans.scales, start_ns, end_ns));
             let demand = offered[w as usize] as f64;
             let entitled = eff.map_or(demand, |e| (e * window_secs).min(demand));
             // Below one expected request a window carries no signal.
@@ -453,7 +406,7 @@ pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig)
                 Some(run) if run.end_window + 1 == w.index => {
                     run.end_window = w.index;
                     run.end_ns = end_ns;
-                    run.end_cycle = ctx.cycle_at_or_before(end_ns);
+                    run.end_cycle = cycle_at_or_before(&spans.cycles, end_ns);
                     run.depth = run.depth.max(depth);
                 }
                 _ => violations.push(Violation {
@@ -461,8 +414,8 @@ pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig)
                     end_window: w.index,
                     start_ns,
                     end_ns,
-                    start_cycle: ctx.cycle_at_or_after(start_ns),
-                    end_cycle: ctx.cycle_at_or_before(end_ns),
+                    start_cycle: cycle_at_or_after(&spans.cycles, start_ns),
+                    end_cycle: cycle_at_or_before(&spans.cycles, end_ns),
                     depth,
                 }),
             }
@@ -471,7 +424,7 @@ pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig)
         subscribers.push(SubscriberAudit {
             sub,
             reservation_grps: reservation,
-            shard: ctx.shard_of(sub),
+            shard: homed.map(|(_, _, shard)| *shard),
             totals,
             latency_ms,
             queue_wait_ms,
@@ -480,40 +433,27 @@ pub fn audit_records(spans: &SpanReport, records: &[Json], config: &AuditConfig)
         });
     }
 
-    AuditReport {
+    Ok(AuditReport {
         config: *config,
         requests: spans.spans.len() as u64,
         unterminated: spans.unterminated(),
         subscribers,
-    }
+    })
 }
 
-/// Parses a dump, reconstructs spans and audits them in one call.
+/// Decodes a dump ([`TraceRing::from_dump`]) and audits it.
 ///
 /// # Errors
 ///
-/// Fails on everything [`crate::spans::reconstruct`] rejects (malformed
-/// dump, overwritten ring, double terminals, orphan records).
+/// Fails on everything [`TraceRing::from_dump`] and [`audit`] reject.
 pub fn audit_dump(dump: &str, config: &AuditConfig) -> Result<AuditReport, String> {
-    let (header, records) = crate::parse_dump(dump)?;
-    let overwritten = header
-        .get("overwritten")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if overwritten > 0 {
-        return Err(format!(
-            "ring overwrote {overwritten} records; audit would be incomplete \
-             (re-run with a larger trace capacity)"
-        ));
-    }
-    let spans = crate::spans::reconstruct_records(&records)?;
-    Ok(audit_records(&spans, &records, config))
+    audit(&TraceRing::from_dump(dump)?, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceEvent, TraceRing};
+    use crate::TraceEvent;
     use gage_des::SimTime;
 
     /// Builds a dump where sub 0 (reservation 10 GRPS) offers 10 req/s for
@@ -589,6 +529,19 @@ mod tests {
     }
 
     #[test]
+    fn windows_shorter_than_one_cycle_are_rejected() {
+        let config = AuditConfig {
+            window_ns: MIN_WINDOW_NS - 1,
+            ..AuditConfig::default()
+        };
+        let err = audit_dump(&dump_with_gap(), &config).expect_err("sub-cycle window");
+        assert!(
+            err.contains("shorter than the 10000000 ns scheduling cycle"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn demand_free_windows_never_violate() {
         let mut t = TraceRing::new(64);
         t.push(
@@ -660,11 +613,8 @@ mod tests {
         let (ja, jb) = (a.to_json().to_string(), b.to_json().to_string());
         assert_eq!(ja, jb, "same dump, same bytes");
         assert!(ja.starts_with("{\"schema\":\"gage-audit-v1\""));
-        let parsed = gage_json::parse(&ja).expect("report parses");
-        assert_eq!(
-            parsed.get("violations_total").and_then(Json::as_u64),
-            Some(1)
-        );
+        assert_eq!(gage_json::parse(&ja).map(|j| j.to_string()), Ok(ja.clone()));
+        assert!(ja.contains(",\"violations_total\":1,"), "{ja}");
         let table = a.to_table();
         assert!(table.contains("VIOLATION sub=0"));
         assert!(table.contains("lat_p95ms"));

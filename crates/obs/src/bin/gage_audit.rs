@@ -11,6 +11,8 @@
 //! reservation, and prints either a human table (default) or the machine
 //! JSON report (`--json`, schema `gage-audit-v1`).
 //!
+//! * `--window SECS` the conformance window, at least 0.01 s: the paper's
+//!   10 ms scheduling cycle (default 1 s);
 //! * `--shard RDN`  scope the report to subscribers homed on one RDN's
 //!   shard (from the dump's `reservation` records);
 //! * `--after SECS` ignore violation runs that *start* before `SECS` —
@@ -19,8 +21,9 @@
 //!
 //! Exit status:
 //!
-//! * 1 if the dump is malformed, the ring overwrote history, or any
-//!   request fails to reconstruct into exactly one terminal state;
+//! * 1 if the dump is malformed, the ring overwrote history, a request id
+//!   is out of range, or any request fails to reconstruct into exactly one
+//!   terminal state;
 //! * with `--expect-clean`, also 1 if any request is still unterminated
 //!   or any conformance violation is reported (after the
 //!   `--shard`/`--after` filters) — the CI clean-run gate;
@@ -30,7 +33,7 @@
 use std::process::ExitCode;
 
 use gage_cli::Args;
-use gage_obs::audit::{audit_dump, AuditConfig};
+use gage_obs::audit::{audit_dump, AuditConfig, MIN_WINDOW_NS};
 
 const USAGE: &str = "gage-audit <path> [--json] [--window SECS] [--tolerance F] [--expect-clean] \
                      [--shard RDN] [--after SECS]";
@@ -53,7 +56,8 @@ fn parse_args(args: &mut Args) -> Result<Opts, String> {
         shard: args.opt("--shard")?,
         after_ns: checked(args, "--after", |secs| secs >= 0.0)?.map(ns),
         config: AuditConfig {
-            window_ns: checked(args, "--window", |secs| secs > 0.0)?.map_or(defaults.window_ns, ns),
+            window_ns: checked(args, "--window", |secs| secs * 1e9 >= MIN_WINDOW_NS as f64)?
+                .map_or(defaults.window_ns, ns),
             tolerance: checked(args, "--tolerance", |f| (0.0..=1.0).contains(&f))?
                 .unwrap_or(defaults.tolerance),
         },

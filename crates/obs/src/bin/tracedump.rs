@@ -11,8 +11,10 @@
 //! * `--req N`    keep only records about request id `N` — one request's
 //!   whole causal timeline.
 //! * `--from S` / `--to S`   keep records with `S_from <= t < S_to` (seconds).
-//! * `--check`    validate only: parse every line, print a summary, exit
-//!   non-zero on any malformed line (used by the CI trace-smoke step).
+//! * `--check`    validate only: decode every line, check that the records
+//!   re-encode to the same bytes, print a summary, and exit non-zero
+//!   otherwise (used by the CI trace-smoke, partition-chaos and
+//!   audit-smoke steps).
 //! * `--stats`    print per-kind record counts instead of the records.
 //!
 //! A missing or unparsable flag value is a usage error (exit 2), never a
@@ -22,8 +24,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use gage_cli::Args;
-use gage_json::Json;
-use gage_obs::parse_dump;
+use gage_obs::{TraceRecord, TraceRing};
 
 const USAGE: &str = "tracedump <path> [--kind K] [--sub N] [--req N] [--from SECS] [--to SECS] \
                      [--check] [--stats]";
@@ -52,23 +53,23 @@ fn parse_args(args: &mut Args) -> Result<Opts, String> {
     })
 }
 
-fn keep(record: &Json, opts: &Opts) -> bool {
+fn keep(record: &TraceRecord, opts: &Opts) -> bool {
     if let Some(kind) = &opts.kind {
-        if record.get("kind").and_then(Json::as_str) != Some(kind.as_str()) {
+        if record.event.kind() != kind {
             return false;
         }
     }
     if let Some(sub) = opts.sub {
-        if record.get("sub").and_then(Json::as_u64) != Some(sub) {
+        if record.event.subscriber().map(u64::from) != Some(sub) {
             return false;
         }
     }
     if let Some(req) = opts.req {
-        if record.get("req").and_then(Json::as_u64) != Some(req) {
+        if record.event.request() != Some(req) {
             return false;
         }
     }
-    let t_secs = record.get("t_ns").and_then(Json::as_f64).unwrap_or(0.0) / 1e9;
+    let t_secs = record.at.as_nanos() as f64 / 1e9;
     if let Some(from) = opts.from_secs {
         if t_secs < from {
             return false;
@@ -83,18 +84,12 @@ fn keep(record: &Json, opts: &Opts) -> bool {
 }
 
 /// Renders one record as `  12.345678s  #seq  kind  k=v k=v ...`.
-fn render(record: &Json) -> String {
-    let t_secs = record.get("t_ns").and_then(Json::as_f64).unwrap_or(0.0) / 1e9;
-    let seq = record.get("seq").and_then(Json::as_u64).unwrap_or(0);
-    let kind = record.get("kind").and_then(Json::as_str).unwrap_or("?");
+fn render(record: &TraceRecord) -> String {
+    let t_secs = record.at.as_nanos() as f64 / 1e9;
+    let (seq, kind) = (record.seq, record.event.kind());
     let mut line = format!("{t_secs:>12.6}s  #{seq:<8}  {kind:<15}");
-    if let Json::Obj(pairs) = record {
-        for (k, v) in pairs {
-            if matches!(k.as_str(), "seq" | "t_ns" | "kind") {
-                continue;
-            }
-            line.push_str(&format!("  {k}={v}"));
-        }
+    for (k, v) in record.event.fields() {
+        line.push_str(&format!("  {k}={v}"));
     }
     line
 }
@@ -108,34 +103,42 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (header, records) = match parse_dump(&text) {
-        Ok(parsed) => parsed,
+    let ring = match TraceRing::from_dump(&text) {
+        Ok(ring) => ring,
         Err(e) => {
             eprintln!("tracedump: invalid dump {}: {e}", opts.path);
             return ExitCode::FAILURE;
         }
     };
-    let emitted = header.get("emitted").and_then(Json::as_u64).unwrap_or(0);
-    let overwritten = header
-        .get("overwritten")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
+    let (emitted, overwritten) = (ring.emitted(), ring.overwritten());
     if opts.check {
+        let redump = ring.dump();
+        if redump != text {
+            let at = match redump.lines().zip(text.lines()).position(|(a, b)| a != b) {
+                Some(i) => format!("line {}", i + 1),
+                None => "a line ending".to_string(),
+            };
+            eprintln!(
+                "tracedump: invalid dump {}: re-encoding differs at {at}",
+                opts.path
+            );
+            return ExitCode::FAILURE;
+        }
         println!(
             "ok: {} records retained ({emitted} emitted, {overwritten} overwritten)",
-            records.len()
+            ring.len()
         );
         return ExitCode::SUCCESS;
     }
-    let kept: Vec<&Json> = records.iter().filter(|r| keep(r, &opts)).collect();
+    let kept: Vec<&TraceRecord> = ring.iter().filter(|r| keep(r, &opts)).collect();
     if opts.stats {
         // Per-kind counts in first-seen order (deterministic, no hash map).
-        let mut counts: Vec<(String, u64)> = Vec::new();
+        let mut counts: Vec<(&str, u64)> = Vec::new();
         for r in &kept {
-            let kind = r.get("kind").and_then(Json::as_str).unwrap_or("?");
-            match counts.iter_mut().find(|(k, _)| k == kind) {
+            let kind = r.event.kind();
+            match counts.iter_mut().find(|(k, _)| *k == kind) {
                 Some((_, c)) => *c += 1,
-                None => counts.push((kind.to_string(), 1)),
+                None => counts.push((kind, 1)),
             }
         }
         for (kind, count) in &counts {
@@ -166,7 +169,7 @@ fn main() -> ExitCode {
         out,
         "# {} records shown ({} retained)",
         kept.len(),
-        records.len()
+        ring.len()
     );
     ExitCode::SUCCESS
 }

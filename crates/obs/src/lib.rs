@@ -12,13 +12,14 @@
 //!   plain owned value, lent as `&mut` to each call that emits: the
 //!   simulator's world owns one, and `gage-rt` keeps one beside its
 //!   scheduler under the lock it already takes. Dumps are line-oriented
-//!   JSON and byte-identical across same-seed runs.
+//!   JSON and byte-identical across same-seed runs, and
+//!   [`TraceRing::from_dump`] decodes one back into the ring that wrote it.
 //! * [`Registry`] — named counters / gauges / [`Histogram`]s (with
 //!   deterministic p50/p95/p99 estimation) and insertion-ordered,
 //!   deterministic export as `gage-json` or a table.
-//! * [`spans`] — folds a dump back into per-request causal timelines
-//!   (arrival → enqueue → dispatch → splice → terminal state) with
-//!   per-stage durations.
+//! * [`spans`] — folds a ring's records back into per-request causal
+//!   timelines (arrival → enqueue → dispatch → splice → terminal state)
+//!   with per-stage durations, in one `match` on [`TraceEvent`].
 //! * [`audit`] — the per-subscriber QoS conformance auditor: delivered
 //!   GRPS per window vs. the (possibly fault-rescaled) reservation.
 //! * `tracedump` (bin) — pretty-prints and filters dumps by subscriber,
@@ -39,77 +40,4 @@ mod ring;
 pub mod spans;
 
 pub use registry::{Histogram, Registry, METRICS_SCHEMA};
-pub use ring::{TraceEvent, TraceKind, TraceRecord, TraceRing, Tracer, TRACE_SCHEMA};
-
-use gage_json::Json;
-
-/// Parses a dump produced by [`TraceRing::dump`] back into its header and
-/// record objects, validating the schema tag and every line's JSON.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming the first offending line if the
-/// dump is empty, the header is missing or mistagged, or any line fails to
-/// parse.
-pub fn parse_dump(text: &str) -> Result<(Json, Vec<Json>), String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or_else(|| "empty dump".to_string())?;
-    let header = gage_json::parse(first).map_err(|e| format!("line 1: {e}"))?;
-    match header.get("schema").and_then(Json::as_str) {
-        Some(TRACE_SCHEMA) => {}
-        Some(other) => return Err(format!("unexpected schema {other:?}")),
-        None => return Err("header missing schema tag".to_string()),
-    }
-    let mut records = Vec::new();
-    for (i, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let v = gage_json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if v.get("kind").and_then(Json::as_str).is_none() {
-            return Err(format!("line {}: record missing kind", i + 1));
-        }
-        records.push(v);
-    }
-    Ok((header, records))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gage_des::SimTime;
-
-    #[test]
-    fn parse_dump_round_trips() {
-        let mut t = TraceRing::new(8);
-        t.push(SimTime::from_millis(1), TraceEvent::Drop { sub: 0, req: 5 });
-        t.push(
-            SimTime::from_millis(2),
-            TraceEvent::Enqueue {
-                sub: 1,
-                req: 6,
-                backlog: 2,
-            },
-        );
-        let dump = t.dump();
-        let (header, records) = parse_dump(&dump).expect("valid dump");
-        assert_eq!(header.get("retained").and_then(Json::as_u64), Some(2));
-        assert_eq!(records.len(), 2);
-        assert_eq!(
-            records[1].get("kind").and_then(Json::as_str),
-            Some("enqueue")
-        );
-    }
-
-    #[test]
-    fn parse_dump_rejects_garbage() {
-        assert!(parse_dump("").is_err());
-        assert!(parse_dump("{\"schema\":\"other\"}\n").is_err());
-        assert!(parse_dump("{\"no_schema\":1}\n").is_err());
-        let mut t = TraceRing::new(4);
-        t.push(SimTime::ZERO, TraceEvent::Drop { sub: 0, req: 0 });
-        let mut dump = t.dump();
-        dump.push_str("not json\n");
-        assert!(parse_dump(&dump).is_err());
-    }
-}
+pub use ring::{TraceEvent, TraceRecord, TraceRing, Tracer, TRACE_SCHEMA};

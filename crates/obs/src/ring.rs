@@ -278,185 +278,7 @@ pub enum TraceEvent {
     },
 }
 
-/// The fieldless tag of a [`TraceEvent`] variant.
-///
-/// Analysis code (the span reconstructor in [`crate::spans`], kind filters
-/// in `tracedump`) matches on this enum rather than on raw strings, so the
-/// compiler — backed by the `trace-kind-exhaustive` lint rule — can prove
-/// every trace kind is handled when a new variant is added.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TraceKind {
-    /// `sched_cycle`
-    SchedCycle,
-    /// `dispatch`
-    Dispatch,
-    /// `enqueue`
-    Enqueue,
-    /// `drop`
-    Drop,
-    /// `splice_setup`
-    SpliceSetup,
-    /// `splice_teardown`
-    SpliceTeardown,
-    /// `acct_report`
-    AcctReport,
-    /// `node_load`
-    NodeLoad,
-    /// `node_down`
-    NodeDown,
-    /// `node_up`
-    NodeUp,
-    /// `rpn_crash`
-    RpnCrash,
-    /// `rpn_recover`
-    RpnRecover,
-    /// `request_retry`
-    RequestRetry,
-    /// `request_failed`
-    RequestFailed,
-    /// `routes_purged`
-    RoutesPurged,
-    /// `dispatch_requeue`
-    DispatchRequeued,
-    /// `reservation_scale`
-    ReservationScale,
-    /// `req_arrival`
-    ReqArrival,
-    /// `req_served`
-    ReqServed,
-    /// `req_dropped`
-    ReqDropped,
-    /// `req_complete`
-    ReqComplete,
-    /// `reservation`
-    Reservation,
-    /// `queue_stats`
-    QueueStats,
-    /// `rdn_crash`
-    RdnCrash,
-    /// `rdn_recover`
-    RdnRecover,
-    /// `report_gossip`
-    ReportGossip,
-    /// `shard_takeover`
-    ShardTakeover,
-    /// `acct_merge`
-    AcctMerge,
-}
-
-impl TraceKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [TraceKind; 28] = [
-        TraceKind::SchedCycle,
-        TraceKind::Dispatch,
-        TraceKind::Enqueue,
-        TraceKind::Drop,
-        TraceKind::SpliceSetup,
-        TraceKind::SpliceTeardown,
-        TraceKind::AcctReport,
-        TraceKind::NodeLoad,
-        TraceKind::NodeDown,
-        TraceKind::NodeUp,
-        TraceKind::RpnCrash,
-        TraceKind::RpnRecover,
-        TraceKind::RequestRetry,
-        TraceKind::RequestFailed,
-        TraceKind::RoutesPurged,
-        TraceKind::DispatchRequeued,
-        TraceKind::ReservationScale,
-        TraceKind::ReqArrival,
-        TraceKind::ReqServed,
-        TraceKind::ReqDropped,
-        TraceKind::ReqComplete,
-        TraceKind::Reservation,
-        TraceKind::QueueStats,
-        TraceKind::RdnCrash,
-        TraceKind::RdnRecover,
-        TraceKind::ReportGossip,
-        TraceKind::ShardTakeover,
-        TraceKind::AcctMerge,
-    ];
-
-    /// Stable snake_case tag used in dumps and `tracedump` filters.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceKind::SchedCycle => "sched_cycle",
-            TraceKind::Dispatch => "dispatch",
-            TraceKind::Enqueue => "enqueue",
-            TraceKind::Drop => "drop",
-            TraceKind::SpliceSetup => "splice_setup",
-            TraceKind::SpliceTeardown => "splice_teardown",
-            TraceKind::AcctReport => "acct_report",
-            TraceKind::NodeLoad => "node_load",
-            TraceKind::NodeDown => "node_down",
-            TraceKind::NodeUp => "node_up",
-            TraceKind::RpnCrash => "rpn_crash",
-            TraceKind::RpnRecover => "rpn_recover",
-            TraceKind::RequestRetry => "request_retry",
-            TraceKind::RequestFailed => "request_failed",
-            TraceKind::RoutesPurged => "routes_purged",
-            TraceKind::DispatchRequeued => "dispatch_requeue",
-            TraceKind::ReservationScale => "reservation_scale",
-            TraceKind::ReqArrival => "req_arrival",
-            TraceKind::ReqServed => "req_served",
-            TraceKind::ReqDropped => "req_dropped",
-            TraceKind::ReqComplete => "req_complete",
-            TraceKind::Reservation => "reservation",
-            TraceKind::QueueStats => "queue_stats",
-            TraceKind::RdnCrash => "rdn_crash",
-            TraceKind::RdnRecover => "rdn_recover",
-            TraceKind::ReportGossip => "report_gossip",
-            TraceKind::ShardTakeover => "shard_takeover",
-            TraceKind::AcctMerge => "acct_merge",
-        }
-    }
-
-    /// Parses a dump tag back into a kind; `None` for unknown tags.
-    pub fn parse(tag: &str) -> Option<TraceKind> {
-        TraceKind::ALL.iter().copied().find(|k| k.as_str() == tag)
-    }
-}
-
 impl TraceEvent {
-    /// The variant's fieldless tag.
-    pub fn kind_tag(&self) -> TraceKind {
-        match self {
-            TraceEvent::SchedCycle { .. } => TraceKind::SchedCycle,
-            TraceEvent::Dispatch { .. } => TraceKind::Dispatch,
-            TraceEvent::Enqueue { .. } => TraceKind::Enqueue,
-            TraceEvent::Drop { .. } => TraceKind::Drop,
-            TraceEvent::SpliceSetup { .. } => TraceKind::SpliceSetup,
-            TraceEvent::SpliceTeardown { .. } => TraceKind::SpliceTeardown,
-            TraceEvent::AcctReport { .. } => TraceKind::AcctReport,
-            TraceEvent::NodeLoad { .. } => TraceKind::NodeLoad,
-            TraceEvent::NodeDown { .. } => TraceKind::NodeDown,
-            TraceEvent::NodeUp { .. } => TraceKind::NodeUp,
-            TraceEvent::RpnCrash { .. } => TraceKind::RpnCrash,
-            TraceEvent::RpnRecover { .. } => TraceKind::RpnRecover,
-            TraceEvent::RequestRetry { .. } => TraceKind::RequestRetry,
-            TraceEvent::RequestFailed { .. } => TraceKind::RequestFailed,
-            TraceEvent::RoutesPurged { .. } => TraceKind::RoutesPurged,
-            TraceEvent::DispatchRequeued { .. } => TraceKind::DispatchRequeued,
-            TraceEvent::ReservationScale { .. } => TraceKind::ReservationScale,
-            TraceEvent::ReqArrival { .. } => TraceKind::ReqArrival,
-            TraceEvent::ReqServed { .. } => TraceKind::ReqServed,
-            TraceEvent::ReqDropped { .. } => TraceKind::ReqDropped,
-            TraceEvent::ReqComplete { .. } => TraceKind::ReqComplete,
-            TraceEvent::Reservation { .. } => TraceKind::Reservation,
-            TraceEvent::QueueStats { .. } => TraceKind::QueueStats,
-            TraceEvent::RdnCrash { .. } => TraceKind::RdnCrash,
-            TraceEvent::RdnRecover { .. } => TraceKind::RdnRecover,
-            TraceEvent::ReportGossip { .. } => TraceKind::ReportGossip,
-            TraceEvent::ShardTakeover { .. } => TraceKind::ShardTakeover,
-            TraceEvent::AcctMerge { .. } => TraceKind::AcctMerge,
-        }
-    }
-
-    /// Stable snake_case kind tag used in dumps and `tracedump` filters.
-    pub fn kind(&self) -> &'static str {
-        self.kind_tag().as_str()
-    }
-
     /// The subscriber this record is about, for per-subscriber filtering.
     pub fn subscriber(&self) -> Option<u32> {
         match self {
@@ -495,153 +317,192 @@ impl TraceEvent {
             _ => None,
         }
     }
+}
 
-    /// The record's payload as ordered JSON fields (dump time only).
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        match *self {
-            TraceEvent::SchedCycle {
-                cycle,
-                dispatched,
-                spare,
-                backlog,
-            } => vec![
-                ("cycle", Json::from(cycle)),
-                ("dispatched", Json::from(dispatched)),
-                ("spare", Json::from(spare)),
-                ("backlog", Json::from(backlog)),
-            ],
-            TraceEvent::Dispatch {
-                sub,
-                req,
-                rpn,
-                spare,
-                predicted_cpu_us,
-                balance_cpu_us,
-            } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("rpn", Json::from(rpn)),
-                ("spare", Json::from(spare)),
-                ("predicted_cpu_us", Json::from(predicted_cpu_us)),
-                ("balance_cpu_us", Json::from(balance_cpu_us)),
-            ],
-            TraceEvent::Enqueue { sub, req, backlog } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("backlog", Json::from(backlog)),
-            ],
-            TraceEvent::Drop { sub, req } => {
-                vec![("sub", Json::from(sub)), ("req", Json::from(req))]
+/// Writes the dump codec of [`TraceEvent`] from one table: each variant's
+/// kind tag, then its fields in dump order, each dumped under its own name.
+/// The compiler checks the table against the enum: a variant or a field
+/// left out of it fails to build.
+macro_rules! trace_codec {
+    ($($variant:ident $tag:literal { $($field:ident),+ })+) => {
+        impl TraceEvent {
+            /// Stable snake_case kind tag used in dumps and `tracedump` filters.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $tag,)+
+                }
             }
-            TraceEvent::SpliceSetup {
-                req,
-                client_ip,
-                client_port,
-                rpn_ip,
-                seq_delta,
-            } => vec![
-                ("req", Json::from(req)),
-                ("client_ip", Json::from(client_ip)),
-                ("client_port", Json::from(client_port)),
-                ("rpn_ip", Json::from(rpn_ip)),
-                ("seq_delta", Json::from(seq_delta)),
-            ],
-            TraceEvent::SpliceTeardown {
-                req,
-                client_ip,
-                client_port,
-            } => vec![
-                ("req", Json::from(req)),
-                ("client_ip", Json::from(client_ip)),
-                ("client_port", Json::from(client_port)),
-            ],
-            TraceEvent::AcctReport {
-                rpn,
-                subscribers,
-                completed,
-            } => vec![
-                ("rpn", Json::from(rpn)),
-                ("subscribers", Json::from(subscribers)),
-                ("completed", Json::from(completed)),
-            ],
-            TraceEvent::NodeLoad { rpn, load } => {
-                vec![("rpn", Json::from(rpn)), ("load", Json::from(load))]
+
+            /// The record's payload as the ordered JSON fields a dump line
+            /// carries after `seq`, `t_ns` and `kind`.
+            pub fn fields(&self) -> Vec<(&'static str, Json)> {
+                match *self {
+                    $(TraceEvent::$variant { $($field),+ } => {
+                        vec![$((stringify!($field), Json::from($field))),+]
+                    })+
+                }
             }
-            TraceEvent::NodeDown { rpn }
-            | TraceEvent::NodeUp { rpn }
-            | TraceEvent::RpnCrash { rpn }
-            | TraceEvent::RpnRecover { rpn } => vec![("rpn", Json::from(rpn))],
-            TraceEvent::RequestRetry { sub, req, attempt } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("attempt", Json::from(attempt)),
-            ],
-            TraceEvent::RequestFailed { sub, req, attempts } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("attempts", Json::from(attempts)),
-            ],
-            TraceEvent::RoutesPurged { rpn, count } => {
-                vec![("rpn", Json::from(rpn)), ("count", Json::from(count))]
+
+            /// Reads the payload of a `kind` record back: the inverse of
+            /// [`TraceEvent::fields`].
+            fn decode(kind: &str, fields: &mut Fields<'_>) -> Result<TraceEvent, String> {
+                Ok(match kind {
+                    $($tag => TraceEvent::$variant {
+                        $($field: fields.next(stringify!($field))?),+
+                    },)+
+                    _ => return Err(format!("unknown kind {kind:?}")),
+                })
             }
-            TraceEvent::DispatchRequeued { sub, req, rpn } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("rpn", Json::from(rpn)),
-            ],
-            TraceEvent::ReservationScale { scale } => vec![("scale", Json::from(scale))],
-            TraceEvent::ReqArrival { sub, req }
-            | TraceEvent::ReqServed { sub, req }
-            | TraceEvent::ReqDropped { sub, req } => {
-                vec![("sub", Json::from(sub)), ("req", Json::from(req))]
-            }
-            TraceEvent::ReqComplete { sub, req, rpn } => vec![
-                ("sub", Json::from(sub)),
-                ("req", Json::from(req)),
-                ("rpn", Json::from(rpn)),
-            ],
-            TraceEvent::Reservation { sub, grps, shard } => vec![
-                ("sub", Json::from(sub)),
-                ("grps", Json::from(grps)),
-                ("shard", Json::from(shard)),
-            ],
-            TraceEvent::QueueStats {
-                depth,
-                scheduled,
-                cancelled,
-                cascades,
-            } => vec![
-                ("depth", Json::from(depth)),
-                ("scheduled", Json::from(scheduled)),
-                ("cancelled", Json::from(cancelled)),
-                ("cascades", Json::from(cascades)),
-            ],
-            TraceEvent::RdnCrash { rdn } | TraceEvent::RdnRecover { rdn } => {
-                vec![("rdn", Json::from(rdn))]
-            }
-            TraceEvent::ReportGossip { from, to, rows } => vec![
-                ("from", Json::from(from)),
-                ("to", Json::from(to)),
-                ("rows", Json::from(rows)),
-            ],
-            TraceEvent::ShardTakeover {
-                shard,
-                from,
-                to,
-                subs,
-            } => vec![
-                ("shard", Json::from(shard)),
-                ("from", Json::from(from)),
-                ("to", Json::from(to)),
-                ("subs", Json::from(subs)),
-            ],
-            TraceEvent::AcctMerge { rdn, from, changed } => vec![
-                ("rdn", Json::from(rdn)),
-                ("from", Json::from(from)),
-                ("changed", Json::from(changed)),
-            ],
+        }
+    };
+}
+
+trace_codec! {
+    SchedCycle "sched_cycle" { cycle, dispatched, spare, backlog }
+    Dispatch "dispatch" { sub, req, rpn, spare, predicted_cpu_us, balance_cpu_us }
+    Enqueue "enqueue" { sub, req, backlog }
+    Drop "drop" { sub, req }
+    SpliceSetup "splice_setup" { req, client_ip, client_port, rpn_ip, seq_delta }
+    SpliceTeardown "splice_teardown" { req, client_ip, client_port }
+    AcctReport "acct_report" { rpn, subscribers, completed }
+    NodeLoad "node_load" { rpn, load }
+    NodeDown "node_down" { rpn }
+    NodeUp "node_up" { rpn }
+    RpnCrash "rpn_crash" { rpn }
+    RpnRecover "rpn_recover" { rpn }
+    RequestRetry "request_retry" { sub, req, attempt }
+    RequestFailed "request_failed" { sub, req, attempts }
+    RoutesPurged "routes_purged" { rpn, count }
+    DispatchRequeued "dispatch_requeue" { sub, req, rpn }
+    ReservationScale "reservation_scale" { scale }
+    ReqArrival "req_arrival" { sub, req }
+    ReqServed "req_served" { sub, req }
+    ReqDropped "req_dropped" { sub, req }
+    ReqComplete "req_complete" { sub, req, rpn }
+    Reservation "reservation" { sub, grps, shard }
+    QueueStats "queue_stats" { depth, scheduled, cancelled, cascades }
+    RdnCrash "rdn_crash" { rdn }
+    RdnRecover "rdn_recover" { rdn }
+    ReportGossip "report_gossip" { from, to, rows }
+    ShardTakeover "shard_takeover" { shard, from, to, subs }
+    AcctMerge "acct_merge" { rdn, from, changed }
+}
+
+/// A value type a dump field decodes into, range-checked.
+trait Field: Sized {
+    fn decode(value: &Json) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn decode(value: &Json) -> Option<u64> {
+        value.as_u64()
+    }
+}
+
+impl Field for u32 {
+    fn decode(value: &Json) -> Option<u32> {
+        value.as_u64()?.try_into().ok()
+    }
+}
+
+impl Field for u16 {
+    fn decode(value: &Json) -> Option<u16> {
+        value.as_u64()?.try_into().ok()
+    }
+}
+
+impl Field for usize {
+    fn decode(value: &Json) -> Option<usize> {
+        value.as_u64()?.try_into().ok()
+    }
+}
+
+impl Field for bool {
+    fn decode(value: &Json) -> Option<bool> {
+        value.as_bool()
+    }
+}
+
+impl Field for f64 {
+    /// `null` is how the writer prints a non-finite value; it reads back
+    /// as NaN, which prints as `null` again.
+    fn decode(value: &Json) -> Option<f64> {
+        match value {
+            Json::Null => Some(f64::NAN),
+            _ => value.as_f64(),
         }
     }
+}
+
+/// Reads one dump line's fields in the order the writer put them.
+struct Fields<'a>(std::slice::Iter<'a, (String, Json)>);
+
+impl<'a> Fields<'a> {
+    fn of(line: &'a Json) -> Result<Fields<'a>, String> {
+        match line {
+            Json::Obj(pairs) => Ok(Fields(pairs.iter())),
+            _ => Err("not a JSON object".to_string()),
+        }
+    }
+
+    fn value(&mut self, key: &str) -> Result<&'a Json, String> {
+        match self.0.next() {
+            Some((k, v)) if k == key => Ok(v),
+            Some((k, _)) => Err(format!("expected field {key:?}, found {k:?}")),
+            None => Err(format!("missing field {key:?}")),
+        }
+    }
+
+    fn next<T: Field>(&mut self, key: &str) -> Result<T, String> {
+        let value = self.value(key)?;
+        T::decode(value).ok_or_else(|| {
+            let ty = std::any::type_name::<T>();
+            format!("field {key:?}: {value} is not a {ty}")
+        })
+    }
+
+    fn str(&mut self, key: &str) -> Result<&'a str, String> {
+        let value = self.value(key)?;
+        value
+            .as_str()
+            .ok_or_else(|| format!("field {key:?}: {value} is not a string"))
+    }
+
+    fn end(mut self) -> Result<(), String> {
+        match self.0.next() {
+            Some((k, _)) => Err(format!("unexpected field {k:?}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Decodes a dump header into `(emitted, retained, overwritten, capacity)`.
+fn decode_header(line: &str) -> Result<(u64, usize, u64, usize), String> {
+    let json = gage_json::parse(line).map_err(|e| e.to_string())?;
+    let mut f = Fields::of(&json)?;
+    let schema = f.str("schema")?;
+    if schema != TRACE_SCHEMA {
+        return Err(format!("unexpected schema {schema:?}"));
+    }
+    let header = (
+        f.next("emitted")?,
+        f.next("retained")?,
+        f.next("overwritten")?,
+        f.next("capacity")?,
+    );
+    f.end()?;
+    Ok(header)
+}
+
+/// Decodes one record line.
+fn decode_record(line: &str) -> Result<TraceRecord, String> {
+    let json = gage_json::parse(line).map_err(|e| e.to_string())?;
+    let mut f = Fields::of(&json)?;
+    let seq = f.next("seq")?;
+    let at = SimTime::from_nanos(f.next("t_ns")?);
+    let event = TraceEvent::decode(f.str("kind")?, &mut f)?;
+    f.end()?;
+    Ok(TraceRecord { seq, at, event })
 }
 
 /// One stamped record in the ring.
@@ -780,6 +641,61 @@ impl TraceRing {
             out.push('\n');
         }
         out
+    }
+
+    /// Decodes a dump written by [`TraceRing::dump`], its exact inverse:
+    /// `TraceRing::from_dump(&d)?.dump() == d`. The header's counts are
+    /// checked against the records, never trusted to size a buffer: the
+    /// decoded ring allocates one slot per record line, whatever capacity
+    /// the header names.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending line if the schema tag is not
+    /// [`TRACE_SCHEMA`], a line is not a record of a known kind with every
+    /// field present, in order, typed and in range, the `seq` numbers are
+    /// not a dense run, or the header's `retained`, `emitted`,
+    /// `overwritten` and `capacity` disagree with the records or each
+    /// other.
+    pub fn from_dump(text: &str) -> Result<TraceRing, String> {
+        let mut lines = text.lines();
+        let header = lines.next().ok_or("empty dump")?;
+        let (emitted, retained, overwritten, capacity) =
+            decode_header(header).map_err(|e| format!("line 1: {e}"))?;
+        let mut buf: Vec<TraceRecord> = Vec::new();
+        for (line, n) in lines.zip(2..) {
+            let record = decode_record(line).map_err(|e| format!("line {n}: {e}"))?;
+            // Retained records are the newest, gap-free suffix of the stream.
+            let want = overwritten + buf.len() as u64;
+            if record.seq != want {
+                return Err(format!("line {n}: seq {} where {want} is due", record.seq));
+            }
+            buf.push(record);
+        }
+        if buf.len() != retained {
+            return Err(format!(
+                "header says {retained} records retained, the dump holds {}",
+                buf.len()
+            ));
+        }
+        if emitted != retained as u64 + overwritten {
+            return Err(format!(
+                "header says {emitted} emitted, not {retained} retained + {overwritten} overwritten"
+            ));
+        }
+        if capacity == 0 || retained > capacity {
+            return Err(format!(
+                "header capacity {capacity} cannot hold {retained} records"
+            ));
+        }
+        Ok(TraceRing {
+            // A full ring iterates from `next`; 0 keeps the records in order.
+            next: if retained < capacity { retained } else { 0 },
+            buf,
+            capacity,
+            overwritten,
+            emitted,
+        })
     }
 }
 
@@ -1017,59 +933,141 @@ mod tests {
         }
         let dump = r.dump();
         let mut lines = dump.lines();
-        let header = gage_json::parse(lines.next().expect("header")).expect("valid json");
         assert_eq!(
-            header.get("schema").and_then(gage_json::Json::as_str),
-            Some(TRACE_SCHEMA)
-        );
-        assert_eq!(
-            header.get("overwritten").and_then(gage_json::Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            header.get("retained").and_then(gage_json::Json::as_u64),
-            Some(2)
+            lines.next(),
+            Some(
+                r#"{"schema":"gage-trace-v1","emitted":3,"retained":2,"overwritten":1,"capacity":2}"#
+            )
         );
         assert_eq!(lines.count(), 2, "one line per retained record");
     }
 
-    #[test]
-    fn every_kind_dumps_and_parses() {
-        let events = one_of_each();
-        assert_eq!(
-            events.len(),
-            TraceKind::ALL.len(),
-            "one_of_each must cover every kind"
-        );
+    fn ring_of(events: &[TraceEvent]) -> TraceRing {
         let mut r = TraceRing::new(32);
         for (i, e) in events.iter().enumerate() {
             r.push(SimTime::from_millis(i as u64), *e);
         }
-        let dump = r.dump();
-        for (line, e) in dump.lines().skip(1).zip(&events) {
-            let v = gage_json::parse(line).expect("record parses");
-            assert_eq!(
-                v.get("kind").and_then(gage_json::Json::as_str),
-                Some(e.kind())
-            );
-        }
+        r
     }
 
     #[test]
-    fn trace_kind_tags_roundtrip() {
-        // ALL covers each variant exactly once, tags are unique, and
-        // parse() inverts as_str().
-        let mut tags: Vec<&str> = TraceKind::ALL.iter().map(|k| k.as_str()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), TraceKind::ALL.len(), "tags must be unique");
-        for k in TraceKind::ALL {
-            assert_eq!(TraceKind::parse(k.as_str()), Some(k));
+    fn from_dump_inverts_every_kind() {
+        let events = one_of_each();
+        let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 28, "one_of_each() holds every kind once");
+        let ring = ring_of(&events);
+        let dump = ring.dump();
+        let back = TraceRing::from_dump(&dump).expect("decodes");
+        assert_eq!(back.dump(), dump);
+        assert!(
+            back.iter().eq(ring.iter()),
+            "every record decodes as written"
+        );
+        assert_eq!(back.capacity(), 32);
+    }
+
+    #[test]
+    fn from_dump_reads_null_back_as_nan() {
+        let ring = ring_of(&[TraceEvent::NodeLoad {
+            rpn: 4,
+            load: f64::NAN,
+        }]);
+        let dump = ring.dump();
+        assert!(dump.ends_with("\"kind\":\"node_load\",\"rpn\":4,\"load\":null}\n"));
+        let back = TraceRing::from_dump(&dump).expect("decodes");
+        assert_eq!(back.dump(), dump);
+        let load = back.iter().map(|r| r.event).next();
+        assert!(matches!(load, Some(TraceEvent::NodeLoad { rpn: 4, load }) if load.is_nan()));
+    }
+
+    #[test]
+    fn from_dump_inverts_a_wrapped_ring() {
+        let mut r = TraceRing::new(4);
+        for i in 0..10u64 {
+            r.push(SimTime::from_nanos(i), ev(i as u32));
         }
-        assert_eq!(TraceKind::parse("no_such_kind"), None);
-        // kind_tag() agrees with kind() for every variant.
-        for e in one_of_each() {
-            assert_eq!(e.kind_tag().as_str(), e.kind());
+        let back = TraceRing::from_dump(&r.dump()).expect("decodes");
+        assert_eq!(back.dump(), r.dump());
+        assert_eq!((back.overwritten(), back.emitted()), (6, 10));
+        // The decoded ring keeps wrapping where the original would.
+        let (mut a, mut b) = (r, back);
+        a.push(SimTime::from_nanos(10), ev(10));
+        b.push(SimTime::from_nanos(10), ev(10));
+        assert_eq!(b.dump(), a.dump());
+    }
+
+    #[test]
+    fn from_dump_takes_the_header_capacity_without_allocating_it() {
+        let dump = ring_of(&[ev(1)])
+            .dump()
+            .replace("\"capacity\":32", "\"capacity\":1099511627776");
+        let back = TraceRing::from_dump(&dump).expect("decodes");
+        assert_eq!(back.capacity(), 1 << 40);
+        assert_eq!(back.dump(), dump);
+    }
+
+    #[test]
+    fn from_dump_rejects_malformed_dumps() {
+        let dump = ring_of(&[
+            TraceEvent::Enqueue {
+                sub: 1,
+                req: 5,
+                backlog: 2,
+            },
+            TraceEvent::NodeDown { rpn: 3 },
+        ])
+        .dump();
+        let cases = [
+            (String::new(), "empty dump"),
+            (
+                dump.replace("gage-trace-v1", "gage-trace-v0"),
+                "line 1: unexpected schema \"gage-trace-v0\"",
+            ),
+            (
+                dump.replace("node_down", "node_sideways"),
+                "line 3: unknown kind \"node_sideways\"",
+            ),
+            (
+                dump.replace(",\"backlog\":2", ""),
+                "line 2: missing field \"backlog\"",
+            ),
+            (
+                dump.replace("\"sub\":1", "\"sub\":\"1\""),
+                "line 2: field \"sub\": \"1\" is not a u32",
+            ),
+            (
+                dump.replace("\"rpn\":3", "\"rpn\":65536"),
+                "line 3: field \"rpn\": 65536 is not a u16",
+            ),
+            (
+                dump.replace(",\"backlog\":2}", ",\"backlog\":2,\"extra\":0}"),
+                "line 2: unexpected field \"extra\"",
+            ),
+            (
+                dump.replace("\"retained\":2", "\"retained\":3"),
+                "header says 3 records retained, the dump holds 2",
+            ),
+            (
+                dump.replace("\"emitted\":2", "\"emitted\":4"),
+                "header says 4 emitted, not 2 retained + 0 overwritten",
+            ),
+            (
+                dump.replace("\"seq\":1", "\"seq\":2"),
+                "line 3: seq 2 where 1 is due",
+            ),
+            (
+                format!("{dump}garbage\n"),
+                "line 4: json parse error at byte 0: expected a value",
+            ),
+        ];
+        for (bad, want) in cases {
+            assert_eq!(
+                TraceRing::from_dump(&bad).err().as_deref(),
+                Some(want),
+                "{bad}"
+            );
         }
     }
 

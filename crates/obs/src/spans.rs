@@ -1,12 +1,14 @@
-//! Per-request causal timelines reconstructed from a trace dump.
+//! Per-request causal timelines reconstructed from a trace ring.
 //!
-//! A [`TraceRing`](crate::TraceRing) dump is a flat, time-ordered stream of
-//! events from every subsystem at once. This module folds that stream back
-//! into one [`Span`] per request — arrival → classify → enqueue → dispatch
-//! → splice → terminal state, including crash-era requeues and client
-//! retries — with per-stage durations (queue wait, service, splice legs,
-//! retry backoff), the same request-path accounting Magpie/X-Trace apply to
-//! real systems, here exact because the stream is deterministic.
+//! A [`TraceRing`] holds a flat, time-ordered stream of events from every
+//! subsystem at once. This module folds that stream back into one [`Span`]
+//! per request — arrival → classify → enqueue → dispatch → splice →
+//! terminal state, including crash-era requeues and client retries — with
+//! per-stage durations (queue wait, service, splice legs, retry backoff),
+//! the same request-path accounting Magpie/X-Trace apply to real systems,
+//! here exact because the stream is deterministic. The same pass collects
+//! the cluster-level series the auditor needs: reservations, reservation
+//! scale changes and the scheduler-cycle clock.
 //!
 //! The reconstruction enforces a hard invariant: **every request resolves
 //! into at most one terminal state** (`req_served`, `req_dropped` or
@@ -16,14 +18,12 @@
 //! reported so callers (the `gage-audit` binary, the CI smoke job) can fail
 //! on it.
 //!
-//! The fold matches on [`TraceKind`] exhaustively — no `_ =>` wildcard — so
-//! a newly added trace kind is a compile error here until someone decides
-//! how the auditor should treat it (enforced by the `trace-kind-exhaustive`
-//! lint rule).
+//! The fold is one `match` on [`TraceEvent`] that names every variant — no
+//! `_ =>` wildcard — so a newly added trace kind is a compile error here
+//! until someone decides how the auditor should treat it (enforced by the
+//! `trace-kind-exhaustive` lint rule).
 
-use gage_json::Json;
-
-use crate::TraceKind;
+use crate::{TraceEvent, TraceRecord, TraceRing};
 
 /// The three ways a request's timeline can end, mirroring the
 /// `offered == served + dropped + failed` conservation buckets.
@@ -112,11 +112,18 @@ impl SpanTotals {
     }
 }
 
-/// The result of folding a dump: all spans, ordered by request id.
+/// The result of folding a ring: all spans, ordered by request id, and the
+/// cluster-level series the span fold has no request to attach to.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanReport {
-    /// One span per request id seen in the dump, ascending by id.
+    /// One span per request id seen in the ring, ascending by id.
     pub spans: Vec<Span>,
+    /// `(sub, grps, shard)` from `reservation` records, in ring order.
+    pub reservations: Vec<(u32, f64, u16)>,
+    /// `(t_ns, scale)` from `reservation_scale` records, in ring order.
+    pub scales: Vec<(u64, f64)>,
+    /// `(t_ns, cycle)` from `sched_cycle` records, in ring order.
+    pub cycles: Vec<(u64, u64)>,
 }
 
 impl SpanReport {
@@ -211,206 +218,162 @@ impl SpanState {
     }
 }
 
-fn u64_field(rec: &Json, key: &str) -> Result<u64, String> {
-    rec.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("record missing u64 field {key:?}"))
-}
-
-fn sub_field(rec: &Json) -> Result<u32, String> {
-    Ok(u64_field(rec, "sub")? as u32)
-}
-
-/// Folds parsed dump records (from [`crate::parse_dump`]) into spans.
+/// Folds a ring's records into spans and the cluster-level series.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending record if one is malformed, has
-/// an unknown kind, references a request id before its `req_arrival`, or
-/// lands a second terminal state on a request.
-pub fn reconstruct_records(records: &[Json]) -> Result<SpanReport, String> {
-    // Request ids are assigned densely from 0 in emission order, so a
-    // Vec indexed by id is both the natural store and deterministic.
-    let mut states: Vec<Option<SpanState>> = Vec::new();
-
-    // Looks up the live state for a request-scoped record; `req_arrival`
-    // must come first because ids are born there.
-    fn state_of(
-        states: &mut [Option<SpanState>],
-        req: u64,
-        kind: TraceKind,
-    ) -> Result<&mut SpanState, String> {
-        states
-            .get_mut(req as usize)
-            .and_then(Option::as_mut)
-            .ok_or_else(|| format!("req {req}: {} before req_arrival", kind.as_str()))
-    }
-
-    for (i, rec) in records.iter().enumerate() {
-        let fail = |e: String| format!("record {i}: {e}");
-        let kind_str = rec
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| fail("missing kind".into()))?;
-        let kind =
-            TraceKind::parse(kind_str).ok_or_else(|| fail(format!("unknown kind {kind_str:?}")))?;
-        let t = u64_field(rec, "t_ns").map_err(&fail)?;
-        match kind {
-            // Cluster-level records carry no single request's identity;
-            // the auditor consumes them separately (cycle mapping,
-            // reservation scale) and the span fold skips them.
-            TraceKind::SchedCycle => {}
-            TraceKind::AcctReport => {}
-            TraceKind::NodeLoad => {}
-            TraceKind::NodeDown => {}
-            TraceKind::NodeUp => {}
-            TraceKind::RpnCrash => {}
-            TraceKind::RpnRecover => {}
-            TraceKind::RoutesPurged => {}
-            TraceKind::ReservationScale => {}
-            TraceKind::Reservation => {}
-            TraceKind::QueueStats => {}
-            TraceKind::RdnCrash => {}
-            TraceKind::RdnRecover => {}
-            TraceKind::ReportGossip => {}
-            TraceKind::ShardTakeover => {}
-            TraceKind::AcctMerge => {}
-            TraceKind::ReqArrival => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let sub = sub_field(rec).map_err(&fail)?;
-                let idx = req as usize;
-                if states.len() <= idx {
-                    states.resize(idx + 1, None);
-                }
-                if states[idx].is_some() {
-                    return Err(fail(format!("req {req}: duplicate req_arrival")));
-                }
-                states[idx] = Some(SpanState::new(req, sub, t));
-            }
-            TraceKind::Enqueue => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.last_enqueue_ns = Some(t);
-                if let Some(r) = s.retry_pending_ns.take() {
-                    s.span.retry_backoff_ns += t.saturating_sub(r);
-                }
-            }
-            TraceKind::Drop => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.span.sched_drops += 1;
-            }
-            TraceKind::Dispatch => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                if let Some(e) = s.last_enqueue_ns.take() {
-                    s.span.queue_wait_ns += t.saturating_sub(e);
-                }
-                s.last_dispatch_ns = Some(t);
-            }
-            TraceKind::DispatchRequeued => {
-                // The dispatch was intercepted en route to a dead node and
-                // put back at the queue head: queue waiting resumes now.
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.span.requeues += 1;
-                s.last_enqueue_ns = Some(t);
-                s.last_dispatch_ns = None;
-            }
-            TraceKind::SpliceSetup => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                if let Some(d) = s.last_dispatch_ns.take() {
-                    s.span.splice_ns += t.saturating_sub(d);
-                }
-                s.splice_open_ns = Some(t);
-            }
-            TraceKind::SpliceTeardown => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                if let Some(open) = s.splice_open_ns.take() {
-                    s.span.service_ns += t.saturating_sub(open);
-                }
-                s.last_teardown_ns = Some(t);
-            }
-            TraceKind::ReqComplete => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-            }
-            TraceKind::RequestRetry => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.span.attempts += 1;
-                s.retry_pending_ns = Some(t);
-                // The timed-out attempt's partial stage markers are stale.
-                s.last_enqueue_ns = None;
-                s.last_dispatch_ns = None;
-                s.splice_open_ns = None;
-            }
-            TraceKind::ReqServed => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.terminate(Terminal::Served, t).map_err(&fail)?;
-            }
-            TraceKind::ReqDropped => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.terminate(Terminal::Dropped, t).map_err(&fail)?;
-            }
-            TraceKind::RequestFailed => {
-                let req = u64_field(rec, "req").map_err(&fail)?;
-                let s = state_of(&mut states, req, kind).map_err(&fail)?;
-                s.span.records += 1;
-                s.terminate(Terminal::Failed, t).map_err(&fail)?;
-            }
-        }
-    }
-
-    Ok(SpanReport {
-        spans: states
-            .into_iter()
-            .flatten()
-            .map(|state| state.span)
-            .collect(),
-    })
-}
-
-/// Parses a full dump and folds it into spans.
-///
-/// # Errors
-///
-/// Fails on anything [`crate::parse_dump`] rejects, on a dump whose ring
-/// overwrote history (`overwritten > 0` — the timeline would be missing
-/// its oldest records), and on everything [`reconstruct_records`] rejects.
-pub fn reconstruct(dump: &str) -> Result<SpanReport, String> {
-    let (header, records) = crate::parse_dump(dump)?;
-    let overwritten = header
-        .get("overwritten")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if overwritten > 0 {
+/// Returns a message naming the offending record if the ring overwrote
+/// history (the timelines would be missing their oldest records), a
+/// request id arrives twice or is out of range, a request-scoped record
+/// comes before its `req_arrival`, or a request lands a second terminal
+/// state.
+pub fn reconstruct(ring: &TraceRing) -> Result<SpanReport, String> {
+    if ring.overwritten() > 0 {
         return Err(format!(
-            "ring overwrote {overwritten} records; timelines would be incomplete \
-             (re-run with a larger trace capacity)"
+            "ring overwrote {} records; timelines would be incomplete \
+             (re-run with a larger trace capacity)",
+            ring.overwritten()
         ));
     }
-    reconstruct_records(&records)
+    let mut report = SpanReport::default();
+    // Request ids count up from 0, one `req_arrival` each, so no id reaches
+    // the ring's length, and a Vec indexed by id is both the natural store
+    // and deterministic.
+    let mut states: Vec<Option<SpanState>> = Vec::new();
+    for (i, rec) in ring.iter().enumerate() {
+        fold(&mut report, &mut states, ring.len(), rec).map_err(|e| format!("record {i}: {e}"))?;
+    }
+    report.spans = states.into_iter().flatten().map(|s| s.span).collect();
+    Ok(report)
+}
+
+/// Folds one record into the report, or into the state of the request it
+/// is about.
+fn fold(
+    report: &mut SpanReport,
+    states: &mut Vec<Option<SpanState>>,
+    ring_len: usize,
+    rec: &TraceRecord,
+) -> Result<(), String> {
+    let t = rec.at.as_nanos();
+    match rec.event {
+        TraceEvent::SchedCycle { cycle, .. } => report.cycles.push((t, cycle)),
+        TraceEvent::ReservationScale { scale } => report.scales.push((t, scale)),
+        TraceEvent::Reservation { sub, grps, shard } => {
+            report.reservations.push((sub, grps, shard));
+        }
+        // The other cluster-level records carry no single request's
+        // identity, and the auditor reads none of them.
+        TraceEvent::AcctReport { .. }
+        | TraceEvent::NodeLoad { .. }
+        | TraceEvent::NodeDown { .. }
+        | TraceEvent::NodeUp { .. }
+        | TraceEvent::RpnCrash { .. }
+        | TraceEvent::RpnRecover { .. }
+        | TraceEvent::RoutesPurged { .. }
+        | TraceEvent::QueueStats { .. }
+        | TraceEvent::RdnCrash { .. }
+        | TraceEvent::RdnRecover { .. }
+        | TraceEvent::ReportGossip { .. }
+        | TraceEvent::ShardTakeover { .. }
+        | TraceEvent::AcctMerge { .. } => {}
+        TraceEvent::ReqArrival { sub, req } => {
+            if req >= ring_len as u64 {
+                return Err(format!(
+                    "req {req} out of range: ids count up from 0, one per \
+                     req_arrival, and the ring holds {ring_len} records"
+                ));
+            }
+            let idx = req as usize;
+            if states.len() <= idx {
+                states.resize(idx + 1, None);
+            }
+            if states[idx].is_some() {
+                return Err(format!("req {req}: duplicate req_arrival"));
+            }
+            states[idx] = Some(SpanState::new(req, sub, t));
+        }
+        TraceEvent::Enqueue { req, .. } => {
+            let s = state_of(states, req, rec)?;
+            s.last_enqueue_ns = Some(t);
+            if let Some(r) = s.retry_pending_ns.take() {
+                s.span.retry_backoff_ns += t.saturating_sub(r);
+            }
+        }
+        TraceEvent::Drop { req, .. } => state_of(states, req, rec)?.span.sched_drops += 1,
+        TraceEvent::Dispatch { req, .. } => {
+            let s = state_of(states, req, rec)?;
+            if let Some(e) = s.last_enqueue_ns.take() {
+                s.span.queue_wait_ns += t.saturating_sub(e);
+            }
+            s.last_dispatch_ns = Some(t);
+        }
+        TraceEvent::DispatchRequeued { req, .. } => {
+            // The dispatch was intercepted en route to a dead node and
+            // put back at the queue head: queue waiting resumes now.
+            let s = state_of(states, req, rec)?;
+            s.span.requeues += 1;
+            s.last_enqueue_ns = Some(t);
+            s.last_dispatch_ns = None;
+        }
+        TraceEvent::SpliceSetup { req, .. } => {
+            let s = state_of(states, req, rec)?;
+            if let Some(d) = s.last_dispatch_ns.take() {
+                s.span.splice_ns += t.saturating_sub(d);
+            }
+            s.splice_open_ns = Some(t);
+        }
+        TraceEvent::SpliceTeardown { req, .. } => {
+            let s = state_of(states, req, rec)?;
+            if let Some(open) = s.splice_open_ns.take() {
+                s.span.service_ns += t.saturating_sub(open);
+            }
+            s.last_teardown_ns = Some(t);
+        }
+        TraceEvent::ReqComplete { req, .. } => {
+            state_of(states, req, rec)?;
+        }
+        TraceEvent::RequestRetry { req, .. } => {
+            let s = state_of(states, req, rec)?;
+            s.span.attempts += 1;
+            s.retry_pending_ns = Some(t);
+            // The timed-out attempt's partial stage markers are stale.
+            s.last_enqueue_ns = None;
+            s.last_dispatch_ns = None;
+            s.splice_open_ns = None;
+        }
+        TraceEvent::ReqServed { req, .. } => {
+            state_of(states, req, rec)?.terminate(Terminal::Served, t)?;
+        }
+        TraceEvent::ReqDropped { req, .. } => {
+            state_of(states, req, rec)?.terminate(Terminal::Dropped, t)?;
+        }
+        TraceEvent::RequestFailed { req, .. } => {
+            state_of(states, req, rec)?.terminate(Terminal::Failed, t)?;
+        }
+    }
+    Ok(())
+}
+
+/// The state a request-scoped record continues, with the record counted;
+/// `req_arrival` must come first because ids are born there.
+fn state_of<'a>(
+    states: &'a mut [Option<SpanState>],
+    req: u64,
+    rec: &TraceRecord,
+) -> Result<&'a mut SpanState, String> {
+    let state = usize::try_from(req)
+        .ok()
+        .and_then(|idx| states.get_mut(idx))
+        .and_then(Option::as_mut)
+        .ok_or_else(|| format!("req {req}: {} before req_arrival", rec.event.kind()))?;
+    state.span.records += 1;
+    Ok(state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceEvent, TraceRing};
     use gage_des::SimTime;
 
     fn ms(v: u64) -> SimTime {
@@ -469,7 +432,7 @@ mod tests {
             },
         );
         t.push(ms(11), TraceEvent::ReqServed { sub: 2, req: 0 });
-        let rep = reconstruct(&t.dump()).expect("reconstructs");
+        let rep = reconstruct(&t).expect("reconstructs");
         assert_eq!(rep.spans.len(), 1);
         let s = &rep.spans[0];
         assert_eq!(s.sub, 2);
@@ -550,7 +513,7 @@ mod tests {
             },
         );
         t.push(ms(20), TraceEvent::ReqServed { sub: 0, req: 0 });
-        let rep = reconstruct(&t.dump()).expect("reconstructs");
+        let rep = reconstruct(&t).expect("reconstructs");
         let s = &rep.spans[0];
         assert_eq!(s.attempts, 2);
         assert_eq!(s.requeues, 1);
@@ -566,7 +529,7 @@ mod tests {
         t.push(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
         t.push(ms(1), TraceEvent::ReqServed { sub: 0, req: 0 });
         t.push(ms(2), TraceEvent::ReqDropped { sub: 0, req: 0 });
-        let err = reconstruct(&t.dump()).expect_err("double terminal");
+        let err = reconstruct(&t).expect_err("double terminal");
         assert!(err.contains("second terminal"), "{err}");
     }
 
@@ -575,14 +538,27 @@ mod tests {
         // A request-scoped record before its arrival is a hard error...
         let mut t = TraceRing::new(16);
         t.push(ms(1), TraceEvent::ReqServed { sub: 0, req: 7 });
-        let err = reconstruct(&t.dump()).expect_err("orphan");
+        let err = reconstruct(&t).expect_err("orphan");
         assert!(err.contains("before req_arrival"), "{err}");
         // ...while an arrival with no terminal is merely unterminated.
         let mut t = TraceRing::new(16);
         t.push(ms(0), TraceEvent::ReqArrival { sub: 0, req: 0 });
-        let rep = reconstruct(&t.dump()).expect("valid");
+        let rep = reconstruct(&t).expect("valid");
         assert_eq!(rep.unterminated(), vec![0]);
         assert!(!rep.totals_for(0).conserved());
+    }
+
+    #[test]
+    fn request_ids_past_the_ring_are_rejected_before_allocating() {
+        for req in [100_000_000, 1 << 53, u64::MAX] {
+            let mut t = TraceRing::new(2);
+            t.push(ms(0), TraceEvent::ReqArrival { sub: 0, req });
+            let err = reconstruct(&t).expect_err("hostile id");
+            assert!(
+                err.starts_with(&format!("record 0: req {req} out of range")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -591,7 +567,7 @@ mod tests {
         for req in 0..4 {
             t.push(ms(req), TraceEvent::ReqArrival { sub: 0, req });
         }
-        let err = reconstruct(&t.dump()).expect_err("lossy ring");
+        let err = reconstruct(&t).expect_err("lossy ring");
         assert!(err.contains("overwrote"), "{err}");
     }
 }
