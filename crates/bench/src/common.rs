@@ -98,6 +98,19 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Asserts that `rendered` is byte-identical to `golden`, the committed
+/// text of `crates/bench/golden/<file>`. Each harness pins its seed-7
+/// rendering this way, so a refactor cannot drift inside the loose shape
+/// bounds its test also checks.
+#[cfg(test)]
+pub(crate) fn assert_golden(rendered: &str, golden: &str, file: &str) {
+    assert!(
+        rendered == golden,
+        "the rendering drifted from crates/bench/golden/{file}; if the change is \
+         intentional, replace that file with this text:\n{rendered}"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -216,6 +216,11 @@ mod tests {
     #[test]
     fn figure_shape() {
         let fig = run(7);
+        crate::common::assert_golden(
+            &render(&fig),
+            include_str!("../golden/fig3.txt"),
+            "fig3.txt",
+        );
         // (2 s cycle, 1 s interval) is the pathological point: ≈100 %.
         assert!(
             fig.cycle(2_000).at(1) > 80.0,

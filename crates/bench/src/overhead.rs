@@ -55,6 +55,11 @@ mod tests {
     #[test]
     fn overhead_is_a_few_percent() {
         let o = run(7);
+        crate::common::assert_golden(
+            &render(&o),
+            include_str!("../golden/overhead.txt"),
+            "overhead.txt",
+        );
         assert!((o.per_request_us - 56.7).abs() < 1e-9);
         assert!(
             (2.0..=4.0).contains(&o.cpu_pct),

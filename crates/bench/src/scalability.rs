@@ -159,6 +159,11 @@ mod tests {
     #[test]
     fn throughput_scales_linearly() {
         let s = run(7);
+        crate::common::assert_golden(
+            &render(&s),
+            include_str!("../golden/scalability.txt"),
+            "scalability.txt",
+        );
         let t1 = s.points[0].throughput;
         let t8 = s.points[7].throughput;
         assert!((480.0..=600.0).contains(&t1), "1-RPN throughput {t1:.0}");

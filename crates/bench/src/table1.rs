@@ -105,6 +105,11 @@ mod tests {
     #[test]
     fn shape_matches_paper() {
         let rows = run(7);
+        crate::common::assert_golden(
+            &render(&rows),
+            include_str!("../golden/table1.txt"),
+            "table1.txt",
+        );
         // Sites within reservation fully served, nothing dropped.
         for r in &rows[..2] {
             assert!(

@@ -108,6 +108,11 @@ mod tests {
     #[test]
     fn spare_ratio_tracks_reservations() {
         let rows = run(7);
+        crate::common::assert_golden(
+            &render(&rows),
+            include_str!("../golden/table2.txt"),
+            "table2.txt",
+        );
         assert!(
             rows[0].served >= 245.0,
             "site1 under-reserved: {:?}",

@@ -288,11 +288,9 @@ pub struct ClusterParams {
     pub watchdog_grace_cycles: f64,
     /// Client-side timeout/retry policy (the `failed` conservation bucket).
     pub client_retry: ClientRetryParams,
-    /// Number of worker threads flushing per-RPN event lanes between
-    /// scheduling-cycle barriers. `1` (the default) flushes inline on the
-    /// simulation thread. Any value produces byte-identical results: lanes
-    /// only change *who* executes each RPN's independent work, never the
-    /// order it is merged back in.
+    /// Has no effect: every per-RPN lane flushes on the simulation
+    /// thread, whatever the value. The field remains only because the
+    /// `simbench` benchmark still sets it.
     pub lanes: usize,
 }
 

@@ -35,20 +35,19 @@
 //! Each RPN owns an *inbox* of newly arrived requests. Between two
 //! scheduling-cycle barriers nothing reads another RPN's inbox, so
 //! flushing an inbox — chaining each request through the node's CPU, disk
-//! and NIC [`BusyLine`](crate::server::BusyLine)s and recording its finish
-//! times — is independent per RPN. At the barrier ([`Ev::SchedTick`]) every lane is flushed,
-//! optionally on `params.lanes` worker threads over disjoint RPN chunks,
-//! and the resulting completions are merged back **in fixed RPN order**
-//! and scheduled at their exact finish times. Because a lane's arithmetic
-//! depends only on its own RPN's state and the merge order is static,
-//! same-seed runs are byte-identical for every lane count.
+//! and NIC [`BusyLine`](crate::server::BusyLine)s — depends only on that
+//! RPN's state. At the barrier ([`Ev::SchedTick`]) every lane is flushed
+//! on the simulation thread **in fixed RPN order**, and each flush
+//! schedules its requests' completions at their exact finish times, so
+//! same-seed runs schedule them in the same order and stay byte-identical.
 //! Finish times earlier than the barrier clamp to the barrier instant
 //! (the engine never schedules into the past), so a sub-cycle response
 //! completes at the next tick — bounded by one 10 ms cycle, well inside
 //! every latency band the paper's tables quote.
 //!
-//! In [`GageMode::Bypass`] there is no scheduling tick, so lanes flush
-//! inline on arrival, which degenerates to the exact unbatched timing.
+//! In [`GageMode::Bypass`] there is no scheduling tick, so a lane flushes
+//! as each request arrives, which degenerates to the exact unbatched
+//! timing.
 //!
 //! # Failure and recovery
 //!
@@ -251,9 +250,6 @@ pub struct World {
     /// Scheduling ticks handled so far (drives the periodic queue-stats
     /// trace record).
     sched_ticks: u64,
-    /// Instant of the most recent handled event — the "now" that debug
-    /// views evaluate stage occupancy against.
-    last_event_at: SimTime,
     /// The simulator's one trace sink, lent to the schedulers and the
     /// splice layer on each call that emits; disabled unless
     /// [`ClusterSim::enable_tracing`] is called.
@@ -273,7 +269,6 @@ impl Model for World {
         // Keep the trace clock on virtual time: every record emitted while
         // handling this event is stamped with the event's instant.
         self.tracer.set_now(ctx.now());
-        self.last_event_at = ctx.now();
         match event {
             Ev::Issue { sub, idx } => self.on_issue(ctx, sub, idx),
             Ev::UrlArrive { sub, conn } => self.on_url_arrive(ctx, sub, conn),
@@ -359,7 +354,6 @@ impl ClusterSim {
             faults: FaultState::inactive(),
             dispatch_buf: Vec::new(),
             sched_ticks: 0,
-            last_event_at: SimTime::ZERO,
             tracer: Tracer::disabled(),
             traces: Vec::new(),
             registry,

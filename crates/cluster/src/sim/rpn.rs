@@ -44,12 +44,6 @@ struct ActiveReq {
     /// the completion only bridges ACKs through that same life of it.
     rdn: u16,
     rdn_epoch: u32,
-    /// CPU and disk stage finish times for [`World::rpn_occupancy`],
-    /// filled in when the owning lane flushes (until then the request is
-    /// inbox-resident and both read as [`SimTime::MAX`], i.e. "still in
-    /// the CPU stage").
-    cpu_fin: SimTime,
-    disk_fin: SimTime,
 }
 
 /// One entry of an RPN lane's inbox: a request waiting for the next
@@ -68,17 +62,6 @@ struct LaneJob {
     cpu_mult: f64,
     /// Per-request Gage overhead in reference-machine µs (0 in bypass).
     overhead_us: f64,
-}
-
-/// One entry of an RPN lane's outbox: a finish time the barrier merge
-/// turns into an [`Ev::Complete`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LaneDone {
-    conn: FourTuple,
-    fin: SimTime,
-    /// Whether the request took the disk stage (its collapsed completion
-    /// covers one more legacy event).
-    has_disk: bool,
 }
 
 /// Per-subscriber completion accumulator between accounting reports.
@@ -101,8 +84,6 @@ pub(super) struct Rpn {
     active: DetMap<FourTuple, ActiveReq>,
     /// Requests arrived since the last barrier, in arrival order.
     inbox: Vec<LaneJob>,
-    /// Completions produced by the last flush, merged at the barrier.
-    outbox: Vec<LaneDone>,
     /// Running sums of predicted vectors of in-service requests, one per
     /// dispatching front end — each accounting tick reports the slice a
     /// front booked itself, without walking `active`.
@@ -146,7 +127,6 @@ impl Rpn {
             workers,
             active: DetMap::new(),
             inbox: Vec::new(),
-            outbox: Vec::new(),
             outstanding_by_rdn: vec![ResourceVector::ZERO; params.rdn_count],
             isn_counter: 7,
             cycle: vec![CycleAccum::default(); n_sites],
@@ -168,69 +148,6 @@ pub(super) fn clock_skew(seed: u64, i: usize) -> f64 {
     1.0 + ppm * 1e-6
 }
 
-/// Flushes one RPN's lane: chains every inbox request through the node's
-/// CPU → disk → NIC service lines in arrival order, records per-stage
-/// finish times on the matching [`ActiveReq`], and queues a [`LaneDone`]
-/// per request for the barrier merge.
-///
-/// Deliberately a free function over `(&mut Rpn, &ClusterParams)`: it
-/// touches no RDN, tracer, RNG or cross-node state, which is what makes
-/// flushing all lanes from worker threads sound (the `lane-shared-state`
-/// lint keeps interior mutability out of everything reachable from here).
-fn flush_lane(rpn: &mut Rpn, params: &ClusterParams) {
-    let speed = params.rpn_speed;
-    let mut inbox = std::mem::take(&mut rpn.inbox);
-    for job in inbox.drain(..) {
-        let service_cpu_us = params.service.cpu_us(job.size) * job.cpu_mult;
-        let cpu_us = (service_cpu_us + job.overhead_us) / speed;
-        let cpu_fin = rpn
-            .cpu
-            .offer(job.ready, SimDuration::from_secs_f64(cpu_us / 1e6));
-        let disk_us = match params.service.disk {
-            DiskPolicy::None => 0.0,
-            DiskPolicy::PerRequest { us } => us,
-            DiskPolicy::Cache {
-                seek_us,
-                transfer_bytes_per_sec,
-                ..
-            } => {
-                let miss = rpn
-                    .cache
-                    .as_mut()
-                    .is_some_and(|c| !c.access(&job.path, job.size));
-                if miss {
-                    seek_us + job.size as f64 / transfer_bytes_per_sec * 1e6
-                } else {
-                    0.0
-                }
-            }
-        };
-        let disk_fin = if disk_us > 0.0 {
-            rpn.disk
-                .offer(cpu_fin, SimDuration::from_secs_f64(disk_us / 1e6))
-        } else {
-            cpu_fin
-        };
-        let wire = response_wire_bytes(job.size);
-        let nic_fin = rpn.nic.offer(
-            disk_fin,
-            SimDuration::from_secs_f64(wire / NETWORK.rpn_egress_bytes_per_sec),
-        );
-        if let Some(req) = rpn.active.get_mut(&job.conn) {
-            // CPU is accounted in reference-machine µs.
-            req.usage = ResourceVector::new(cpu_us * speed, disk_us, wire);
-            req.cpu_fin = cpu_fin;
-            req.disk_fin = disk_fin;
-        }
-        rpn.outbox.push(LaneDone {
-            conn: job.conn,
-            fin: nic_fin,
-            has_disk: disk_us > 0.0,
-        });
-    }
-    rpn.inbox = inbox;
-}
-
 pub(super) fn response_packet_counts(size: u64) -> (u64, u64) {
     let data_pkts = (size + 200).div_ceil(NETWORK.mss as u64).max(1);
     (data_pkts, data_pkts) // one ACK per data packet, per the paper
@@ -242,75 +159,77 @@ fn response_wire_bytes(size: u64) -> f64 {
 }
 
 impl World {
-    /// Flushes every RPN lane (see [`flush_lane`]). With `params.lanes > 1`
-    /// the RPN array is split into contiguous chunks flushed by scoped
-    /// worker threads; each lane's arithmetic is confined to its own RPN,
-    /// so the result is independent of the thread count.
-    ///
-    /// Threads are only spawned when the barrier batch is large enough to
-    /// amortize the ~tens-of-µs spawn/join cost; below
-    /// `LANE_PARALLEL_THRESHOLD` jobs the flush runs inline. The
-    /// threshold is a pure function of deterministic state (inbox sizes),
-    /// and inline vs threaded flushing computes identical results, so the
-    /// cutover cannot perturb determinism.
-    fn flush_lanes(&mut self) {
-        /// Minimum jobs in a barrier batch before worker threads pay off.
-        const LANE_PARALLEL_THRESHOLD: usize = 1024;
-        let jobs: usize = self.rpns.iter().map(|r| r.inbox.len()).sum();
-        if jobs == 0 {
-            return;
-        }
+    /// Flushes RPN `r`'s lane: chains every inbox request through the
+    /// node's CPU → disk → NIC service lines in arrival order, records its
+    /// usage on the matching [`ActiveReq`] and schedules its
+    /// [`Ev::Complete`] at the NIC finish time (clamped to now by the
+    /// engine), crediting the collapsed per-stage events as logical events.
+    fn flush_lane(&mut self, ctx: &mut Context<'_, Ev>, r: usize) {
         let params = &self.params;
-        let rpns = &mut self.rpns;
-        let lanes = params.lanes.max(1).min(rpns.len());
-        if lanes <= 1 || jobs < LANE_PARALLEL_THRESHOLD {
-            for rpn in rpns.iter_mut() {
-                flush_lane(rpn, params);
-            }
-        } else {
-            let chunk = rpns.len().div_ceil(lanes);
-            std::thread::scope(|s| {
-                for slice in rpns.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for rpn in slice {
-                            flush_lane(rpn, params);
-                        }
-                    });
+        let speed = params.rpn_speed;
+        let rpn = &mut self.rpns[r];
+        let mut inbox = std::mem::take(&mut rpn.inbox);
+        for job in inbox.drain(..) {
+            let service_cpu_us = params.service.cpu_us(job.size) * job.cpu_mult;
+            let cpu_us = (service_cpu_us + job.overhead_us) / speed;
+            let cpu_fin = rpn
+                .cpu
+                .offer(job.ready, SimDuration::from_secs_f64(cpu_us / 1e6));
+            let disk_us = match params.service.disk {
+                DiskPolicy::None => 0.0,
+                DiskPolicy::PerRequest { us } => us,
+                DiskPolicy::Cache {
+                    seek_us,
+                    transfer_bytes_per_sec,
+                    ..
+                } => {
+                    let miss = rpn
+                        .cache
+                        .as_mut()
+                        .is_some_and(|c| !c.access(&job.path, job.size));
+                    if miss {
+                        seek_us + job.size as f64 / transfer_bytes_per_sec * 1e6
+                    } else {
+                        0.0
+                    }
                 }
-            });
-        }
-    }
-
-    /// Merges RPN `r`'s outbox into the event queue: every completion is
-    /// scheduled at its exact finish time (clamped to now by the engine)
-    /// and the collapsed per-stage events are credited as logical events.
-    /// Always called in fixed RPN order — this is the determinism barrier.
-    fn merge_outbox(&mut self, ctx: &mut Context<'_, Ev>, r: usize) {
-        let epoch = self.rpns[r].epoch;
-        let mut outbox = std::mem::take(&mut self.rpns[r].outbox);
-        for done in outbox.drain(..) {
+            };
+            let disk_fin = if disk_us > 0.0 {
+                rpn.disk
+                    .offer(cpu_fin, SimDuration::from_secs_f64(disk_us / 1e6))
+            } else {
+                cpu_fin
+            };
+            let wire = response_wire_bytes(job.size);
+            let nic_fin = rpn.nic.offer(
+                disk_fin,
+                SimDuration::from_secs_f64(wire / NETWORK.rpn_egress_bytes_per_sec),
+            );
+            if let Some(req) = rpn.active.get_mut(&job.conn) {
+                // CPU is accounted in reference-machine µs.
+                req.usage = ResourceVector::new(cpu_us * speed, disk_us, wire);
+            }
             // One legacy CpuDone + NicDone pair collapses into Complete
             // (+1 logical), plus DiskDone when the disk stage ran.
-            ctx.count_logical(1 + u64::from(done.has_disk));
+            ctx.count_logical(1 + u64::from(disk_us > 0.0));
             ctx.schedule_at(
-                done.fin,
+                nic_fin,
                 Ev::Complete {
                     rpn: r as u16,
-                    epoch,
-                    conn: done.conn,
+                    epoch: rpn.epoch,
+                    conn: job.conn,
                 },
             );
         }
-        self.rpns[r].outbox = outbox;
+        rpn.inbox = inbox;
     }
 
     /// The lane barrier the scheduling tick runs first: flush every lane
-    /// (possibly in parallel), then merge completions back in fixed RPN
-    /// order.
+    /// in fixed RPN order, so completions are scheduled in the same order
+    /// on every run.
     pub(super) fn lane_barrier(&mut self, ctx: &mut Context<'_, Ev>) {
-        self.flush_lanes();
         for r in 0..self.rpns.len() {
-            self.merge_outbox(ctx, r);
+            self.flush_lane(ctx, r);
         }
     }
 
@@ -376,8 +295,6 @@ impl World {
                 reap_pid,
                 rdn: meta.rdn,
                 rdn_epoch: meta.rdn_epoch,
-                cpu_fin: SimTime::MAX,
-                disk_fin: SimTime::MAX,
             },
         );
         rpn.inbox.push(LaneJob {
@@ -390,9 +307,8 @@ impl World {
         });
         if self.params.mode == GageMode::Bypass {
             // No scheduling tick exists to act as the barrier: flush this
-            // lane inline, which reproduces exact unbatched timing.
-            flush_lane(&mut self.rpns[rpn_idx as usize], &self.params);
-            self.merge_outbox(ctx, rpn_idx as usize);
+            // lane at once, which reproduces exact unbatched timing.
+            self.flush_lane(ctx, rpn_idx as usize);
         }
     }
 
@@ -564,85 +480,6 @@ impl World {
                     epoch,
                 },
             );
-        }
-    }
-
-    /// Debug view: per-RPN (active requests, cpu stage, disk stage, nic
-    /// stage) occupancy. A request counts toward the stage whose finish
-    /// time is still in the future at the last handled event (inbox-
-    /// resident requests count as CPU-stage: they have not started).
-    pub fn rpn_occupancy(&self) -> Vec<(usize, usize, usize, usize)> {
-        let now = self.last_event_at;
-        self.rpns
-            .iter()
-            .map(|r| {
-                let active = r.active.len();
-                let cpu = r.active.values().filter(|a| a.cpu_fin > now).count();
-                let disk = r
-                    .active
-                    .values()
-                    .filter(|a| a.cpu_fin <= now && a.disk_fin > now)
-                    .count();
-                (active, cpu, disk, active - cpu - disk)
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sim::ClusterSim;
-    use gage_net::addr::{Endpoint, Port};
-
-    fn sim_with_lanes(lanes: usize) -> ClusterSim {
-        let params = ClusterParams {
-            rpn_count: 8,
-            lanes,
-            ..Default::default()
-        };
-        ClusterSim::new(params, Vec::new(), 7)
-    }
-
-    fn stuff_inboxes(world: &mut World, per_rpn: usize) {
-        for (r, rpn) in world.rpns.iter_mut().enumerate() {
-            for j in 0..per_rpn {
-                let i = (r * per_rpn + j) as u32;
-                let client = Endpoint::new(Ipv4Addr::from(0x0a01_0000 | i), Port::new(2_000));
-                let conn = FourTuple::new(
-                    client,
-                    Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
-                );
-                rpn.inbox.push(LaneJob {
-                    conn,
-                    ready: SimTime::from_nanos(u64::from(i) * 1_000),
-                    path: format!("/f{}.html", i % 37),
-                    size: 1_000 + u64::from(i % 5_000),
-                    cpu_mult: 1.0,
-                    overhead_us: 75.0,
-                });
-            }
-        }
-    }
-
-    /// The scoped-thread flush path (reached only above the parallel
-    /// threshold, which no small workload crosses) must compute exactly
-    /// what the inline path computes.
-    #[test]
-    fn threaded_flush_matches_inline_flush() {
-        let mut inline = sim_with_lanes(1);
-        let mut threaded = sim_with_lanes(4);
-        // 8 RPNs x 200 jobs = 1600, comfortably above the 1024-job
-        // threshold, so lanes=4 genuinely takes std::thread::scope.
-        stuff_inboxes(inline.sim.model_mut(), 200);
-        stuff_inboxes(threaded.sim.model_mut(), 200);
-        inline.sim.model_mut().flush_lanes();
-        threaded.sim.model_mut().flush_lanes();
-        for (a, b) in inline.world().rpns.iter().zip(threaded.world().rpns.iter()) {
-            assert!(a.inbox.is_empty() && b.inbox.is_empty());
-            assert_eq!(a.outbox.len(), 200);
-            assert_eq!(a.outbox, b.outbox);
-            assert_eq!((a.cpu, a.disk, a.nic), (b.cpu, b.disk, b.nic));
         }
     }
 }

@@ -286,14 +286,6 @@ fn observability_accessors_report_live_state() {
     // The estimator converged near the true generic cost.
     let pred = subs[0].2;
     assert!((9_000.0..=11_000.0).contains(&pred.cpu_us), "{pred:?}");
-    let occ = sim.world().rpn_occupancy();
-    assert_eq!(occ.len(), 2);
-    // Active requests are exactly those in some pipeline stage or between
-    // stages; never wildly more than the in-flight window allows.
-    for (active, cpu, disk, nic) in occ {
-        assert!(active >= cpu.max(disk).max(nic));
-        assert!(active < 500);
-    }
     assert_eq!(sim.rpn_live_processes(), vec![1, 1]);
     assert_eq!(sim.world().unknown_host_drops, 0);
     assert!(sim.world().reserved_dispatches + sim.world().spare_dispatches > 0);

@@ -55,8 +55,7 @@ pub fn classify_packet(pkt: &Packet, established: bool) -> PacketClass {
 }
 
 /// Parses the head of an HTTP/1.x request: the request line and the `Host`
-/// header. Absolute-URI request targets (`GET http://site1/x`) take
-/// precedence over the `Host` header, per RFC 7230 §5.4.
+/// header, resolved to a host by [`request_host`].
 ///
 /// Returns `None` if the payload does not look like an HTTP request or no
 /// host can be determined.
@@ -85,49 +84,50 @@ pub fn parse_http_request(payload: &[u8]) -> Option<HttpRequestInfo> {
     ) {
         return None;
     }
-
-    // Absolute-URI target?
-    let (host_from_target, path) = if let Some(rest) = target.strip_prefix("http://") {
-        match rest.find('/') {
-            Some(i) => (Some(&rest[..i]), rest[i..].to_string()),
-            None => (Some(rest), "/".to_string()),
-        }
-    } else {
-        (None, target.to_string())
-    };
-
-    let host_raw = match host_from_target {
-        Some(h) => Some(h.to_string()),
-        None => lines.find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            if name.eq_ignore_ascii_case("host") {
-                Some(value.trim().to_string())
-            } else {
-                None
-            }
-        }),
-    }?;
-
-    let host = host_raw
-        .rsplit_once(':')
-        .map(|(h, port)| {
-            if port.chars().all(|c| c.is_ascii_digit()) {
-                h.to_string()
-            } else {
-                host_raw.clone()
-            }
-        })
-        .unwrap_or(host_raw)
-        .to_ascii_lowercase();
-
-    if host.is_empty() {
-        return None;
-    }
-
+    let host_header = lines.find_map(|l| {
+        let (name, value) = l.split_once(':')?;
+        name.eq_ignore_ascii_case("host").then(|| value.trim())
+    });
+    let host = request_host(target, host_header)?;
+    let path = split_absolute(target).map_or(target, |(_, path)| path);
     Some(HttpRequestInfo {
         method: method.to_string(),
-        path,
+        path: path.to_string(),
         host,
+    })
+}
+
+/// The host a request names, as subscriber classification uses it: an
+/// absolute-form target (`GET http://site1/x`) wins over the `Host` header,
+/// as RFC 7230 §5.3.2 and §5.4 require; a numeric `:port` suffix is
+/// stripped and the result lower-cased. `None` when neither names a
+/// non-empty host.
+///
+/// ```rust
+/// use gage_core::classify::request_host;
+/// assert_eq!(request_host("/x", Some("Site1.COM:8080")).as_deref(), Some("site1.com"));
+/// assert_eq!(request_host("http://a.com/x", Some("b.com")).as_deref(), Some("a.com"));
+/// assert_eq!(request_host("/x", Some("")), None);
+/// ```
+pub fn request_host(target: &str, host_header: Option<&str>) -> Option<String> {
+    let raw = match split_absolute(target) {
+        Some((authority, _)) => authority,
+        None => host_header?,
+    };
+    let host = match raw.rsplit_once(':') {
+        Some((h, port)) if port.chars().all(|c| c.is_ascii_digit()) => h,
+        _ => raw,
+    };
+    (!host.is_empty()).then(|| host.to_ascii_lowercase())
+}
+
+/// Splits an absolute-form target `http://authority[/path]` into its
+/// authority and path (`/` when absent); `None` for any other form.
+fn split_absolute(target: &str) -> Option<(&str, &str)> {
+    let rest = target.strip_prefix("http://")?;
+    Some(match rest.find('/') {
+        Some(i) => rest.split_at(i),
+        None => (rest, "/"),
     })
 }
 

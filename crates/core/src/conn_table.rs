@@ -59,9 +59,7 @@ impl ConnTable {
     }
 
     /// Looks up the route for an incoming packet's four-tuple. Takes
-    /// `&mut self` for the lookup counter — a plain field, so the table
-    /// stays free of interior mutability and safe to hand to an event lane
-    /// (the `lane-shared-state` lint checks exactly that).
+    /// `&mut self` because it bumps the lookup counter, a plain field.
     pub fn lookup(&mut self, tuple: FourTuple) -> Option<Route> {
         self.lookups += 1;
         self.map.get(&tuple).copied()

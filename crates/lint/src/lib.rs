@@ -34,7 +34,6 @@
 //!
 //! | rule | catches |
 //! |---|---|
-//! | `lane-shared-state` | interior mutability, statics and TLS reachable from the lane roots (`ClusterSim`, `EventQueue`, `RequestScheduler`) via the struct graph — what would break deterministic parallel lanes (ROADMAP item 2) |
 //! | `rng-stream-discipline` | `SimRng::seed_from` without a named `.split("stream")` derivation outside gage-des; stream labels aliased across two modules |
 //! | `trace-kind-coverage` | `TraceEvent` variants with no emit site or no reconstructor consumer arm |
 //! | `fault-kind-coverage` | `FaultEvent` variants with no apply site outside the `FaultPlan` builders, or no `TraceEvent` variant carrying the fault into the causal record |
@@ -110,7 +109,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         rules::tokens::run(krate, &mut sink);
     }
     rules::manifest::run(&ws, &mut sink);
-    rules::lane::run(&ws, &mut sink);
     rules::rng::run(&ws, &mut sink);
     rules::trace::run(&ws, &mut sink);
     rules::fault::run(&ws, &mut sink);

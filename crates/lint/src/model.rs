@@ -3,9 +3,9 @@
 //! [`load`] walks every `Cargo.toml` under the lint root, lexes and parses
 //! each package's `src/` tree, and captures the `lint:allow` escapes from
 //! the raw text (allows live in comments, which the lexer consumes). The
-//! cross-file analyses — shared-state reachability, RNG stream discipline,
-//! trace coverage, panic reachability — all run against this model rather
-//! than re-reading files.
+//! cross-file analyses — RNG stream discipline, trace and fault coverage,
+//! panic reachability — all run against this model rather than re-reading
+//! files.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;

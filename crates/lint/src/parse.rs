@@ -1,12 +1,11 @@
 //! A lightweight item parser over the token stream.
 //!
 //! Recovers just enough structure for cross-file analysis: item spans
-//! (`fn`/`struct`/`enum`/`impl`/`mod`/`static`), struct fields with their
-//! type text, enum variants, the `impl` type each method belongs to, and
-//! which tokens sit inside `#[cfg(test)]`-gated items. It is not a Rust
-//! parser — it tracks brace structure and a handful of keywords, and
-//! anything unrecognized is skipped token-by-token, which is the right
-//! degradation for a linter.
+//! (`fn`/`struct`/`enum`/`impl`/`mod`/`static`), enum variants, the `impl`
+//! type each method belongs to, and which tokens sit inside
+//! `#[cfg(test)]`-gated items. It is not a Rust parser — it tracks brace
+//! structure and a handful of keywords, and anything unrecognized is
+//! skipped token-by-token, which is the right degradation for a linter.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -15,25 +14,12 @@ use crate::lexer::{Tok, TokKind};
 pub enum ItemKind {
     /// A function or method (`impl_type` names the surrounding impl).
     Fn,
-    /// A struct definition (fields captured when brace-style).
+    /// A struct definition.
     Struct,
     /// An enum definition (variant names captured).
     Enum,
     /// A `static` item — shared mutable state candidate.
     Static,
-}
-
-/// One named field of a brace-style struct.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Field {
-    /// Field name.
-    pub name: String,
-    /// The field's type, as joined token text (e.g. `Cell<u64>`).
-    pub ty: String,
-    /// 1-based line of the field name.
-    pub line: usize,
-    /// 1-based column of the field name.
-    pub col: usize,
 }
 
 /// One enum variant.
@@ -62,8 +48,6 @@ pub struct Item {
     pub body: std::ops::Range<usize>,
     /// Whether the item (or an enclosing item) is `#[cfg(test)]`-gated.
     pub is_test: bool,
-    /// Struct fields (brace-style structs only).
-    pub fields: Vec<Field>,
     /// Enum variants (enums only).
     pub variants: Vec<Variant>,
 }
@@ -256,7 +240,6 @@ impl Parser<'_> {
             line: self.toks[kw].line,
             body: body.clone(),
             is_test,
-            fields: Vec::new(),
             variants: Vec::new(),
         });
         // Nested fns / statics inside the body.
@@ -271,51 +254,6 @@ impl Parser<'_> {
         }
         let name = self.text(name_idx).to_string();
         let (body, next) = self.find_body(name_idx, end);
-        let mut fields = Vec::new();
-        // Brace-style struct: fields are `name : type-tokens ,` at depth 0
-        // within the body.
-        let mut i = body.start;
-        while i < body.end {
-            // Skip field attributes and visibility.
-            while self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
-                i = self.skip_balanced(i + 1, body.end);
-            }
-            if self.is_ident(i, "pub") {
-                i += 1;
-                if self.is_punct(i, "(") {
-                    i = self.skip_balanced(i, body.end);
-                }
-            }
-            if i + 1 < body.end && self.toks[i].kind == TokKind::Ident && self.is_punct(i + 1, ":")
-            {
-                let fname = self.text(i).to_string();
-                let (fline, fcol) = (self.toks[i].line, self.toks[i].col);
-                let mut j = i + 2;
-                let ty_start = j;
-                let mut depth = 0usize;
-                while j < body.end {
-                    if self.toks[j].kind == TokKind::Punct {
-                        match self.text(j) {
-                            "<" | "(" | "[" => depth += 1,
-                            ">" | ")" | "]" => depth = depth.saturating_sub(1),
-                            "," if depth == 0 => break,
-                            _ => {}
-                        }
-                    }
-                    j += 1;
-                }
-                let ty = join_type((ty_start..j).map(|k| self.text(k)));
-                fields.push(Field {
-                    name: fname,
-                    ty,
-                    line: fline,
-                    col: fcol,
-                });
-                i = j + 1;
-            } else {
-                i += 1;
-            }
-        }
         if is_test {
             self.mark_test(kw..next);
         }
@@ -326,7 +264,6 @@ impl Parser<'_> {
             line: self.toks[kw].line,
             body,
             is_test,
-            fields,
             variants: Vec::new(),
         });
         next
@@ -375,7 +312,6 @@ impl Parser<'_> {
             line: self.toks[kw].line,
             body,
             is_test,
-            fields: Vec::new(),
             variants,
         });
         next
@@ -467,7 +403,6 @@ impl Parser<'_> {
             line: self.toks[kw].line,
             body: kw..kw,
             is_test,
-            fields: Vec::new(),
             variants: Vec::new(),
         });
         next
@@ -483,28 +418,6 @@ impl Parser<'_> {
         self.scan(body.start, body.end, is_test, None);
         next
     }
-}
-
-/// Joins type tokens back into readable text: spaces only between two
-/// word-like tokens (`dyn Trait`), never around punctuation
-/// (`Cell<u64>`, `Arc<Mutex<T>>`).
-fn join_type<'a>(toks: impl Iterator<Item = &'a str>) -> String {
-    let mut out = String::new();
-    for t in toks {
-        let word = t
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let prev_word = out
-            .chars()
-            .last()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if word && prev_word {
-            out.push(' ');
-        }
-        out.push_str(t);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -536,20 +449,6 @@ mod tests {
                 ("fmt", Some("Foo"))
             ]
         );
-    }
-
-    #[test]
-    fn struct_fields_with_types() {
-        let p = parse(
-            "pub struct ConnTable {\n    map: DetMap<FourTuple, Route>,\n    \
-             lookups: Cell<u64>,\n    pub purged: u64,\n}",
-        );
-        let s = &p.items[0];
-        assert_eq!(s.name, "ConnTable");
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["map", "lookups", "purged"]);
-        assert!(s.fields[1].ty.contains("Cell"));
-        assert_eq!(s.fields[1].line, 3);
     }
 
     #[test]

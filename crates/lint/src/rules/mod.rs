@@ -11,7 +11,6 @@ use crate::Finding;
 
 pub mod allows;
 pub mod fault;
-pub mod lane;
 pub mod manifest;
 pub mod panics;
 pub mod rng;
@@ -81,10 +80,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "dep-version",
         summary: "wildcard/local/duplicated dependency versions",
-    },
-    RuleInfo {
-        id: "lane-shared-state",
-        summary: "interior mutability or statics reachable from per-lane scheduler/sim state",
     },
     RuleInfo {
         id: "rng-stream-discipline",

@@ -1,12 +1,12 @@
 //! The front-end request distribution server (RDN role).
 //!
-//! Accepts client connections, reads the request head, classifies by Host,
-//! queues the connection in its subscriber's queue, and lets the
-//! `gage-core` scheduler decide — every scheduling cycle — which queued
-//! connections to dispatch to which back end. Dispatched connections are
-//! spliced (application-level relay) to the chosen back end. Accounting
-//! reports arrive over a control listener and reconcile the scheduler's
-//! balances.
+//! Accepts client connections, reads the request head, classifies it by
+//! host with the §3.3 classifier's rule ([`request_host`]), queues the
+//! connection in its subscriber's queue, and lets the `gage-core`
+//! scheduler decide — every scheduling cycle — which queued connections to
+//! dispatch to which back end. Dispatched connections are spliced
+//! (application-level relay) to the chosen back end. Accounting reports
+//! arrive over a control listener and reconcile the scheduler's balances.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gage_core::classify::request_host;
 use gage_core::config::SchedulerConfig;
 use gage_core::node::{NodeScheduler, RpnId};
 use gage_core::resource::{Grps, ResourceVector};
@@ -339,7 +340,7 @@ fn classify_and_enqueue(
     };
     // The head is in; splice relies on blocking reads from here on.
     let _ = stream.set_read_timeout(None);
-    let Some(host) = head.host() else {
+    let Some(host) = request_host(&head.path, head.headers.get("host").map(String::as_str)) else {
         let _ = write_error_response(&mut stream, "400 Bad Request");
         return Ok(());
     };

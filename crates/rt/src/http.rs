@@ -20,16 +20,6 @@ pub struct RequestHead {
 }
 
 impl RequestHead {
-    /// The Host header without any `:port` suffix, lower-cased.
-    pub fn host(&self) -> Option<String> {
-        let raw = self.headers.get("host")?;
-        let host = match raw.rsplit_once(':') {
-            Some((h, p)) if p.chars().all(|c| c.is_ascii_digit()) => h,
-            _ => raw.as_str(),
-        };
-        Some(host.to_ascii_lowercase())
-    }
-
     /// The `X-Size` response-size hint, if present.
     pub fn size_hint(&self) -> Option<u64> {
         self.headers.get("x-size")?.trim().parse().ok()
@@ -246,7 +236,7 @@ mod tests {
                 .expect("parses");
         assert_eq!(head.method, "GET");
         assert_eq!(head.path, "/x");
-        assert_eq!(head.host().as_deref(), Some("gold.local"));
+        assert_eq!(head.headers["host"], "Gold.Local:8080");
         assert_eq!(head.size_hint(), Some(4096));
     }
 
@@ -255,7 +245,7 @@ mod tests {
         let h = RequestHead::get("/abc", "site.local", Some(100));
         let parsed = parse_request_head(&h.to_bytes()).expect("parses");
         assert_eq!(parsed.path, "/abc");
-        assert_eq!(parsed.host().as_deref(), Some("site.local"));
+        assert_eq!(parsed.headers["host"], "site.local");
         assert_eq!(parsed.size_hint(), Some(100));
     }
 
@@ -278,7 +268,7 @@ mod tests {
         let (head, rest) = read_request_head(&mut b).expect("reads");
         writer.join().expect("writer");
         assert_eq!(head.path, "/y");
-        assert_eq!(head.host().as_deref(), Some("s.local"));
+        assert_eq!(head.headers["host"], "s.local");
         assert_eq!(rest, b"BODY");
     }
 

@@ -1,6 +1,8 @@
 //! End-to-end test of the real-network variant: an in-process deployment
 //! with a front end, two back ends and open-loop clients over loopback TCP.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use gage_core::subscriber::SubscriberId;
@@ -8,6 +10,7 @@ use gage_obs::audit::{audit_dump, AuditConfig};
 use gage_rt::backend::BackendCost;
 use gage_rt::client::{run_load, ClientConfig};
 use gage_rt::harness::{deploy, DeployOptions};
+use gage_rt::http::read_response;
 
 #[test]
 fn reserved_site_survives_an_overload_next_door() {
@@ -99,6 +102,28 @@ fn unknown_host_is_rejected() {
     });
     assert_eq!(stats.ok, 0);
     assert!(stats.errors > 0, "404s count as errors");
+}
+
+#[test]
+fn absolute_form_request_is_served() {
+    // RFC 7230 §5.3.2: a server must accept an absolute-form target, whose
+    // authority names the host even without a Host header.
+    let deployment = deploy(DeployOptions {
+        backends: 1,
+        sites: vec![("solo.local".to_string(), 100.0)],
+        ..DeployOptions::default()
+    })
+    .expect("deploys");
+    std::thread::sleep(Duration::from_millis(200));
+    let mut stream = TcpStream::connect(deployment.frontend.http_addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("sets a read timeout");
+    stream
+        .write_all(b"GET http://solo.local/x HTTP/1.0\r\n\r\n")
+        .expect("sends the head");
+    let (status, _) = read_response(&mut stream).expect("reads the response");
+    assert_eq!(status, 200);
 }
 
 #[test]
