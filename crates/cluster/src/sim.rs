@@ -216,6 +216,8 @@ pub struct World {
     params: ClusterParams,
     registry: SubscriberRegistry,
     traces: Vec<Trace>,
+    /// The clients' next issue per site, merged in at pop time.
+    arrivals: client::Arrivals,
     cluster_ep: Endpoint,
     /// The front-end RDNs, `params.rdn_count` of them.
     fronts: Vec<RdnFront>,
@@ -295,6 +297,14 @@ impl Model for World {
             Ev::GossipArrive { to, from, rows } => self.on_gossip_arrive(to, from, &rows),
         }
     }
+
+    fn next_arrival(&self) -> Option<SimTime> {
+        self.arrivals.next_at()
+    }
+
+    fn pop_arrival(&mut self) -> Option<Ev> {
+        self.arrivals.pop(&self.traces)
+    }
 }
 
 /// Builder + runner for a simulated cluster experiment.
@@ -304,14 +314,17 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Builds a cluster hosting `sites` under `params`, with all client
-    /// traffic pre-scheduled from the site traces.
+    /// Builds a cluster hosting `sites` under `params`. Each site's clients
+    /// replay its trace open loop: the world keeps one cursor per site and
+    /// the engine merges the next issue in at pop time, so the event queue
+    /// starts with only the periodic ticks. A trace out of `at_us` order is
+    /// stable-sorted first.
     ///
     /// # Panics
     ///
     /// Panics if `params.rpn_count` or `params.rdn_count` is zero or a
     /// site host is duplicated.
-    pub fn new(mut params: ClusterParams, sites: Vec<SiteSpec>, seed: u64) -> Self {
+    pub fn new(mut params: ClusterParams, mut sites: Vec<SiteSpec>, seed: u64) -> Self {
         assert!(params.rpn_count > 0, "need at least one RPN");
         assert!(params.rdn_count > 0, "need at least one RDN");
         // The in-flight window must cover the feedback delay (a
@@ -328,7 +341,13 @@ impl ClusterSim {
                 .register(s.host.clone(), s.reservation)
                 .expect("duplicate site host");
         }
+        for s in &mut sites {
+            if !s.trace.entries.is_sorted_by_key(|e| e.at_us) {
+                s.trace.entries.sort_by_key(|e| e.at_us);
+            }
+        }
         let n_sites = sites.len();
+        let traces: Vec<Trace> = sites.into_iter().map(|s| s.trace).collect();
         let mut world = World {
             cluster_ep: Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP),
             fronts: (0..params.rdn_count)
@@ -355,7 +374,8 @@ impl ClusterSim {
             dispatch_buf: Vec::new(),
             sched_ticks: 0,
             tracer: Tracer::disabled(),
-            traces: Vec::new(),
+            arrivals: client::Arrivals::new(&traces),
+            traces,
             registry,
             params,
         };
@@ -363,20 +383,6 @@ impl ClusterSim {
             world.unmask_owned(f as u16);
         }
         let mut sim = Simulation::new(world, seed);
-        // Pre-schedule all trace issues, then hand the traces to the world
-        // (moved, not copied), then the periodic ticks.
-        for (s, site) in sites.iter().enumerate() {
-            for (i, e) in site.trace.entries.iter().enumerate() {
-                sim.schedule_at(
-                    SimTime::from_nanos(e.at_us * 1_000),
-                    Ev::Issue {
-                        sub: s as u32,
-                        idx: i as u32,
-                    },
-                );
-            }
-        }
-        sim.model_mut().traces = sites.into_iter().map(|s| s.trace).collect();
         if sim.model().params.mode == GageMode::Enabled {
             let cycle = sim.model().params.scheduler.scheduling_cycle_secs;
             sim.schedule_at(

@@ -2,14 +2,66 @@
 //! per-attempt timeout with bounded retries, and the terminal outcome of
 //! every logical request — served, dropped or failed.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 use gage_collections::DetMap;
 use gage_des::{Context, EventId, SimTime};
 use gage_net::addr::{Endpoint, FourTuple, Port};
 use gage_obs::TraceEvent;
+use gage_workload::Trace;
 
 use super::{Ev, World};
+
+/// The clients' open-loop arrivals, merged into the event loop at pop time
+/// (see [`gage_des::Model::next_arrival`]) instead of queued up front.
+///
+/// One heap entry per site with entries left — `(issue ns, site, entry
+/// index)` — is that site's cursor into the trace [`World`] owns, so the
+/// source costs O(sites) however long the traces run. Issues come out in
+/// `(time, site, entry)` order: at one instant the lower site goes first,
+/// and within a site the earlier entry. Each trace must be sorted by
+/// `at_us`.
+#[derive(Debug, Default)]
+pub(super) struct Arrivals {
+    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+}
+
+impl Arrivals {
+    /// Points every site's cursor at its first entry.
+    pub(super) fn new(traces: &[Trace]) -> Self {
+        let mut arrivals = Arrivals::default();
+        for sub in 0..traces.len() {
+            arrivals.enter(traces, sub as u32, 0);
+        }
+        arrivals
+    }
+
+    /// Queues entry `idx` of `sub`'s trace, if the trace has one.
+    /// Saturating keeps a sorted trace's issue times in order even for an
+    /// `at_us` past the nanosecond clock's range.
+    fn enter(&mut self, traces: &[Trace], sub: u32, idx: u32) {
+        if let Some(e) = traces[sub as usize].entries.get(idx as usize) {
+            self.heap
+                .push(Reverse((e.at_us.saturating_mul(1_000), sub, idx)));
+        }
+    }
+
+    /// When the next issue fires.
+    pub(super) fn next_at(&self) -> Option<SimTime> {
+        self.heap
+            .peek()
+            .map(|&Reverse((at, _, _))| SimTime::from_nanos(at))
+    }
+
+    /// Takes the next issue and advances its site's cursor.
+    pub(super) fn pop(&mut self, traces: &[Trace]) -> Option<Ev> {
+        let Reverse((_, sub, idx)) = self.heap.pop()?;
+        self.enter(traces, sub, idx + 1);
+        Some(Ev::Issue { sub, idx })
+    }
+}
 
 /// What an outstanding client connection is requesting. The URL itself is
 /// not copied here: `idx` points back into the subscriber's immutable

@@ -49,8 +49,14 @@ fn site(host: &str, seed: u64) -> SiteSpec {
 /// trace contract pinned exactly, so a refactor cannot drift within it. A
 /// change that alters the trace on purpose updates both constants in its
 /// own diff.
-const CHAOS_DUMP_LEN: usize = 4_646_246;
-const CHAOS_DUMP_FNV1A64: u64 = 0xe687_3f6f_87f9_117e;
+const CHAOS_DUMP_LEN: usize = 4_646_192;
+const CHAOS_DUMP_FNV1A64: u64 = 0x4c03_c757_02f2_3696;
+
+/// The same pin for that dump without its `queue_stats` records, the only
+/// ones that describe the event queue rather than the simulated cluster.
+/// A change to the queue alone updates the pair above and leaves this one.
+const CHAOS_QUEUE_FREE_DUMP_LEN: usize = 4_642_883;
+const CHAOS_QUEUE_FREE_DUMP_FNV1A64: u64 = 0x4520_c24a_8f48_5f3b;
 
 /// The same pin for the chaos dump's audit report, as `to_json()` and as
 /// `to_table()`.
@@ -63,6 +69,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// `dump` with every `queue_stats` line removed.
+fn without_queue_stats(dump: &str) -> String {
+    dump.split_inclusive('\n')
+        .filter(|line| !line.contains("\"kind\":\"queue_stats\""))
+        .collect()
 }
 
 /// The shared chaos scenario, run once per test.
@@ -188,6 +201,15 @@ fn chaos_dump_replays_byte_identically() {
         (CHAOS_DUMP_LEN, CHAOS_DUMP_FNV1A64),
         "the chaos dump changed (length, FNV-1a-64); if the change is \
          intended, update CHAOS_DUMP_LEN and CHAOS_DUMP_FNV1A64 in the same diff"
+    );
+    let queue_free = without_queue_stats(&first);
+    assert_eq!(
+        (queue_free.len(), fnv1a64(queue_free.as_bytes())),
+        (CHAOS_QUEUE_FREE_DUMP_LEN, CHAOS_QUEUE_FREE_DUMP_FNV1A64),
+        "the chaos dump changed outside its queue_stats records (length, \
+         FNV-1a-64); if the change is intended, update \
+         CHAOS_QUEUE_FREE_DUMP_LEN and CHAOS_QUEUE_FREE_DUMP_FNV1A64 in the \
+         same diff"
     );
     let report = audit_dump(&first, &AuditConfig::default()).expect("chaos dump audits");
     let (json, table) = (report.to_json().to_string(), report.to_table());

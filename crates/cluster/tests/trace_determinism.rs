@@ -44,8 +44,14 @@ fn sites(horizon: f64, seed: u64) -> Vec<SiteSpec> {
 /// Byte length and FNV-1a-64 digest of the seed-42, 6 s dump: the trace
 /// contract pinned exactly, so a refactor cannot drift within it. A change
 /// that alters the trace on purpose updates both constants in its own diff.
-const DUMP_LEN: usize = 1_587_330;
-const DUMP_FNV1A64: u64 = 0xe8d2_3524_7667_cf76;
+const DUMP_LEN: usize = 1_587_308;
+const DUMP_FNV1A64: u64 = 0x983f_41f6_4354_8b42;
+
+/// The same pin for that dump without its `queue_stats` records, the only
+/// ones that describe the event queue rather than the simulated cluster.
+/// A change to the queue alone updates the pair above and leaves this one.
+const QUEUE_FREE_DUMP_LEN: usize = 1_586_188;
+const QUEUE_FREE_DUMP_FNV1A64: u64 = 0xf9a0_1e63_6e88_52e7;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -53,13 +59,24 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// `dump` with every `queue_stats` line removed.
+fn without_queue_stats(dump: &str) -> String {
+    dump.split_inclusive('\n')
+        .filter(|line| !line.contains("\"kind\":\"queue_stats\""))
+        .collect()
+}
+
 fn traced_run(seed: u64, horizon: u64) -> String {
+    traced_run_of(sites(horizon as f64, seed), seed, horizon)
+}
+
+fn traced_run_of(sites: Vec<SiteSpec>, seed: u64, horizon: u64) -> String {
     let params = ClusterParams {
         rpn_count: 3,
         service: ServiceCostModel::generic_requests(),
         ..Default::default()
     };
-    let mut sim = ClusterSim::new(params, sites(horizon as f64, seed), seed);
+    let mut sim = ClusterSim::new(params, sites, seed);
     sim.enable_tracing(1 << 17);
     sim.run_until(SimTime::from_secs(horizon));
     sim.trace_dump().expect("tracing enabled")
@@ -79,6 +96,50 @@ fn same_seed_trace_dumps_are_byte_identical() {
         (DUMP_LEN, DUMP_FNV1A64),
         "the seed-42 dump changed (length, FNV-1a-64); if the change is \
          intended, update DUMP_LEN and DUMP_FNV1A64 in the same diff"
+    );
+    let queue_free = without_queue_stats(&first);
+    assert_eq!(
+        (queue_free.len(), fnv1a64(queue_free.as_bytes())),
+        (QUEUE_FREE_DUMP_LEN, QUEUE_FREE_DUMP_FNV1A64),
+        "the seed-42 dump changed outside its queue_stats records (length, \
+         FNV-1a-64); if the change is intended, update QUEUE_FREE_DUMP_LEN \
+         and QUEUE_FREE_DUMP_FNV1A64 in the same diff"
+    );
+}
+
+/// Clients replay a site trace in `at_us` order whatever order it comes
+/// in: handed over reversed, it gives the dump of its own stable sort by
+/// `at_us`. Instants are rounded down to 10 ms so that many entries share
+/// one and the sort's stability decides their order.
+#[test]
+fn out_of_order_trace_replays_as_its_stable_sort() {
+    let mut reversed = sites(2.0, 7);
+    for site in &mut reversed {
+        for e in &mut site.trace.entries {
+            e.at_us -= e.at_us % 10_000;
+        }
+        site.trace.entries.reverse();
+    }
+    let mut sorted = reversed.clone();
+    for site in &mut sorted {
+        site.trace.entries.sort_by_key(|e| e.at_us);
+    }
+    let order = |sites: &[SiteSpec]| -> Vec<(u64, String)> {
+        sites[0]
+            .trace
+            .entries
+            .iter()
+            .map(|e| (e.at_us, e.path.clone()))
+            .collect()
+    };
+    assert_ne!(
+        order(&reversed),
+        order(&sorted),
+        "the input is out of order"
+    );
+    assert!(
+        traced_run_of(reversed, 7, 2) == traced_run_of(sorted, 7, 2),
+        "a reversed trace replayed differently from its stable sort"
     );
 }
 

@@ -30,8 +30,8 @@ pub struct ScheduledEvent<E> {
 /// FIFO tie-breaking and O(1) cancellation.
 ///
 /// Backed by a hierarchical timing wheel (see [`crate::wheel`]): the fine
-/// level buckets ~1 µs of virtual time, coarse levels cover 64× each, and
-/// far-future events cascade down as the clock approaches them. Pop order
+/// level buckets ~65.5 µs of virtual time, coarse levels cover 64× each,
+/// and far-future events cascade down as the clock approaches them. Pop order
 /// is exactly `(at, schedule order)` — byte-identical to the previous
 /// `BinaryHeap` implementation, including the handles it returns — but
 /// the common periodic-workload operations (schedule near-future, pop,
@@ -106,6 +106,12 @@ impl<E> EventQueue<E> {
     /// cascades and compactions.
     pub fn stats(&self) -> QueueStats {
         self.wheel.stats()
+    }
+
+    /// Counts a model arrival the engine fired without queueing it in
+    /// `scheduled`, as if it had been scheduled and popped at once.
+    pub(crate) fn count_arrival(&mut self) {
+        self.wheel.count_arrival();
     }
 
     #[cfg(test)]

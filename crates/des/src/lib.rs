@@ -11,7 +11,8 @@
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
 //!   deterministic FIFO tie-breaking,
 //! * [`Simulation`] — the engine driving a user [`Model`] until a deadline or
-//!   until the event queue drains,
+//!   until nothing is pending, merging the model's pre-sorted arrivals
+//!   ([`Model::next_arrival`]) into the event queue's order at pop time,
 //! * [`SimRng`] — seeded, splittable random streams so that independent
 //!   components draw from independent deterministic sequences,
 //! * [`stats`] — binned time series, deviation from a target and busy-time

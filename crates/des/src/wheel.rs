@@ -1,11 +1,17 @@
 //! Hierarchical timing wheel backing the [`EventQueue`](crate::EventQueue).
 //!
 //! Six levels of 64 slots each cover the nanosecond clock: level 0 buckets
-//! 2^10 ns (~1 µs, fine enough that the 10 ms scheduling cycle spans ~9.8 k
-//! fine slots), and each coarser level covers 64× the span of the one below
-//! (shifts 10/16/22/28/34/40, top span ≈ 19.5 h). Events beyond the top
-//! level park in an overflow list and redistribute when the clock nears
-//! them.
+//! 2^16 ns (~65.5 µs), and each coarser level covers 64× the span of the
+//! one below (shifts 16/22/28/34/40/46, top span ≈ 52 days). Events beyond
+//! the top level park in an overflow list and redistribute when the clock
+//! nears them.
+//!
+//! The geometry fits what the simulator keeps queued: in-flight work only,
+//! since client arrivals merge in at pop time (see
+//! [`Model::next_arrival`](crate::Model::next_arrival)). Level 0 spans
+//! ~4.2 ms, so a 100 µs network hop files there, and a 10 ms scheduling
+//! cycle files at level 1, one cascade away from its drain. A drained fine
+//! slot holds at most ~65.5 µs of events, so sorting it stays cheap.
 //!
 //! Determinism contract (the reason this exists instead of `BinaryHeap`):
 //!
@@ -43,7 +49,7 @@ const SLOT_MASK: u64 = 63;
 /// Bit shift from nanoseconds to slot index, per level. Adjacent levels
 /// differ by exactly 6 bits (= log2 SLOTS), which is what guarantees a
 /// cascading event always lands at a strictly finer level.
-const SHIFTS: [u32; LEVELS] = [10, 16, 22, 28, 34, 40];
+const SHIFTS: [u32; LEVELS] = [16, 22, 28, 34, 40, 46];
 /// Span of one level-0 slot in nanoseconds.
 const GRANULARITY: u64 = 1 << SHIFTS[0];
 
@@ -54,7 +60,8 @@ const GRANULARITY: u64 = 1 << SHIFTS[0];
 pub struct QueueStats {
     /// Pending (scheduled, not yet fired or cancelled) events.
     pub depth: u64,
-    /// Total events ever scheduled.
+    /// Total events ever scheduled, counting each model arrival (which
+    /// never enters the queue) when it fires.
     pub scheduled: u64,
     /// Total events cancelled before firing.
     pub cancelled: u64,
@@ -172,6 +179,11 @@ impl<E> TimingWheel<E> {
                 .iter()
                 .map(|l| l.slots.iter().map(Vec::len).sum::<usize>())
                 .sum::<usize>()
+    }
+
+    /// Counts an event that fired without passing through the wheel.
+    pub(crate) fn count_arrival(&mut self) {
+        self.scheduled_total += 1;
     }
 
     pub(crate) fn schedule(&mut self, at: u64, event: E) -> SlabKey {
@@ -399,19 +411,24 @@ mod tests {
     #[test]
     fn multi_level_placement_and_cascade() {
         let mut w = TimingWheel::new();
-        // One event per level span, plus one in overflow (beyond 2^46 ns).
+        // At least one event per level, plus one in overflow (at or beyond
+        // 2^52 ns). From cursor 0, level l takes the times below
+        // 2^(22 + 6l) that no finer level takes.
         let times = [
-            1u64 << 9, // level 0
-            1 << 15,   // level 1
-            1 << 21,   // level 2
-            1 << 27,   // level 3
-            1 << 33,   // level 4
-            1 << 39,   // level 5
-            1 << 45,   // level 5 (top span)
-            1 << 50,   // overflow
+            1u64 << 15, // level 0
+            1 << 21,    // level 0
+            1 << 27,    // level 1
+            1 << 33,    // level 2
+            1 << 39,    // level 3
+            1 << 45,    // level 4
+            1 << 51,    // level 5 (top span)
+            1 << 55,    // overflow
         ];
         for (i, &t) in times.iter().enumerate() {
             w.schedule(t, i as u64);
+        }
+        for (l, level) in w.levels.iter().enumerate() {
+            assert_ne!(level.occ, 0, "level {l} must hold an event");
         }
         assert!(!w.overflow.is_empty(), "far event must park in overflow");
         let popped = drain(&mut w);
@@ -452,13 +469,16 @@ mod tests {
     #[test]
     fn coarser_level_wins_a_slot_start_tie() {
         let mut w = TimingWheel::new();
-        w.schedule(65_636, 1); // A: level 1, slot [65_536, 131_072)
+        let (a, b) = ((1u64 << 22) + 100, (1u64 << 22) + 500);
+        w.schedule(a, 1); // A: level 1, slot [2^22, 2^23)
         w.schedule(2_000, 0); // F: level 0
+        assert_eq!(w.levels[1].occ.count_ones(), 1, "A files at level 1");
         assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((2_000, 0)));
         // With the cursor past F, B fits level 0, in the fine slot that
         // starts where A's level-1 slot does.
-        w.schedule(66_036, 2);
-        assert_eq!(drain(&mut w), vec![(65_636, 1), (66_036, 2)]);
+        w.schedule(b, 2);
+        assert_eq!(w.levels[0].occ.count_ones(), 1, "B files at level 0");
+        assert_eq!(drain(&mut w), vec![(a, 1), (b, 2)]);
     }
 
     /// The same tie between the top level and the overflow list: the
@@ -466,22 +486,25 @@ mod tests {
     #[test]
     fn overflow_wins_a_slot_start_tie() {
         let mut w = TimingWheel::new();
-        let (x, y) = ((1u64 << 46) + 100, (1u64 << 46) + 200);
+        let (x, y) = ((1u64 << 52) + 100, (1u64 << 52) + 200);
         w.schedule(x, 1); // X: beyond the top level, parks in overflow
-        w.schedule(1 << 45, 0); // W: level 5
-        assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((1 << 45, 0)));
-        // Y fits level 5 now, in the slot starting at 2^46, as X's does.
+        w.schedule(1 << 51, 0); // W: level 5
+        assert_eq!(w.overflow.len(), 1, "X parks in overflow");
+        assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((1 << 51, 0)));
+        // Y fits level 5 now, in the slot starting at 2^52, as X's does.
         w.schedule(y, 2);
+        assert_eq!(w.levels[5].occ.count_ones(), 1, "Y files at level 5");
         assert_eq!(drain(&mut w), vec![(x, 1), (y, 2)]);
     }
 
     #[test]
     fn overflow_redistributes_when_clock_catches_up() {
         let mut w = TimingWheel::new();
-        let far = 1u64 << 50;
+        let far = 1u64 << 54;
         w.schedule(far, 1);
         w.schedule(far + 5, 2);
         w.schedule(3, 0);
+        assert_eq!(w.overflow.len(), 2, "far events park in overflow");
         let popped = drain(&mut w);
         assert_eq!(popped, vec![(3, 0), (far, 1), (far + 5, 2)]);
         assert!(w.overflow.is_empty());
@@ -492,9 +515,13 @@ mod tests {
         let mut w = TimingWheel::new();
         let mut keys = Vec::new();
         for i in 0..5_000u64 {
-            // Spread across levels and overflow.
-            keys.push(w.schedule(i * 1_000_003 % (1 << 48), i));
+            // Spread across every level and overflow: 2^0 to 2^54 ns.
+            keys.push(w.schedule((1 << (i % 55)) + i, i));
         }
+        for (l, level) in w.levels.iter().enumerate() {
+            assert_ne!(level.occ, 0, "level {l} must hold events");
+        }
+        assert!(!w.overflow.is_empty(), "overflow must hold events");
         for k in keys {
             assert!(w.cancel(k));
         }

@@ -215,7 +215,7 @@ fn cross_check(
             // they file at the coarse level or one finer depends on the
             // clock, so coarse and fine slots come to start together.
             let at = if boundary_pct > 0 && rng.gen_range(0..100u32) < boundary_pct {
-                let shift = if rng.gen_bool(0.5) { 16 } else { 22 };
+                let shift = if rng.gen_bool(0.5) { 22 } else { 28 };
                 (((now >> shift) + rng.gen_range(1..4u64)) << shift) + rng.gen_range(0..1_024u64)
             } else if rng.gen_range(0..4u32) == 0 {
                 now + rng.gen_range(0..horizon_ns)
@@ -255,7 +255,7 @@ fn wheel_matches_heap_model_on_interleavings() {
 }
 
 /// Far-future events that must cascade through multiple wheel levels
-/// (horizon up to ~4.5 hours spans all six levels plus overflow).
+/// (a horizon of 2^54 ns, ~208 days, spans all six levels plus overflow).
 #[test]
 fn wheel_matches_heap_model_across_level_cascades() {
     for seed in [0x71, 0x72] {
