@@ -3,6 +3,8 @@
 use gage_des::stats::{deviation_pct, BinnedSeries, BusyTracker};
 use gage_des::{SimDuration, SimTime};
 
+use crate::params::INTERRUPTS;
+
 /// Fine-grained bin used by all time series; averaging intervals and
 /// accounting cycles must be multiples of this (50 ms covers the paper's
 /// whole sweep).
@@ -62,6 +64,9 @@ pub struct RdnMetrics {
     pub packets: BinnedSeries,
     /// Lifetime packet count.
     pub packet_count: u64,
+    /// The bin of the last [`RdnMetrics::interrupt_cost_us`] call and the
+    /// cost it priced.
+    interrupt_memo: Option<(u64, f64)>,
 }
 
 impl Default for RdnMetrics {
@@ -70,11 +75,28 @@ impl Default for RdnMetrics {
             busy: BusyTracker::new(METRIC_BIN),
             packets: BinnedSeries::new(METRIC_BIN),
             packet_count: 0,
+            interrupt_memo: None,
         }
     }
 }
 
 impl RdnMetrics {
+    /// Per-packet interrupt cost at `now`, µs: the interrupt model priced
+    /// at [`RdnMetrics::recent_packet_rate`]. That rate reads the previous
+    /// bin, which is closed once `now` is past it (charges come in time
+    /// order), so the cost is computed once per bin and memoized.
+    pub(crate) fn interrupt_cost_us(&mut self, now: SimTime) -> f64 {
+        let bin = now.as_nanos() / METRIC_BIN.as_nanos();
+        match self.interrupt_memo {
+            Some((memo_bin, cost)) if memo_bin == bin => cost,
+            _ => {
+                let cost = INTERRUPTS.cost_us(self.recent_packet_rate(now));
+                self.interrupt_memo = Some((bin, cost));
+                cost
+            }
+        }
+    }
+
     /// Sustained packet rate estimate: packets in the previous full bin
     /// divided by the bin width (0 during the first bin).
     pub fn recent_packet_rate(&self, now: SimTime) -> f64 {
@@ -285,6 +307,40 @@ mod tests {
         // During bin 1, the previous bin had 500 packets / 50 ms = 10k pps.
         let r = m.recent_packet_rate(SimTime::from_millis(60));
         assert!((r - 10_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn interrupt_memo_matches_the_model_at_every_charge() {
+        // Charges the way `charge_rdn` does and checks the memo against
+        // the unmemoized price before each record.
+        fn charge(m: &mut RdnMetrics, ms: u64, packets: u64) {
+            let now = SimTime::from_millis(ms);
+            let fresh = INTERRUPTS.cost_us(m.recent_packet_rate(now));
+            assert_eq!(
+                m.interrupt_cost_us(now).to_bits(),
+                fresh.to_bits(),
+                "at {ms} ms"
+            );
+            m.packets.record(now, packets as f64);
+            m.packet_count += packets;
+        }
+        let mut m = RdnMetrics::default();
+        // Bin 0 has no history; bin 1 prices bin 0's 3,000 packets (60 kpps,
+        // past the knee).
+        for (ms, packets) in [(0, 1_000), (10, 1_000), (49, 1_000), (50, 2), (99, 400)] {
+            charge(&mut m, ms, packets);
+        }
+        // Bin 2 is empty, so bin 3 prices a zero rate.
+        for (ms, packets) in [(150, 2_600), (151, 2)] {
+            charge(&mut m, ms, packets);
+        }
+        // A front crash moves the meters, memo included, to the rebooted
+        // front (still in bin 3) and leaves fresh ones behind.
+        let mut rebooted = std::mem::take(&mut m);
+        charge(&mut m, 160, 1);
+        for (ms, packets) in [(160, 1), (180, 5), (200, 1), (260, 7), (300, 3)] {
+            charge(&mut rebooted, ms, packets);
+        }
     }
 
     #[test]

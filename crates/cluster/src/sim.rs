@@ -29,6 +29,12 @@
 //! trees) is still carried through the real data structures; only the
 //! per-packet event traffic is aggregated, with each collapsed packet
 //! credited to the engine's event count via [`Context::count_logical`].
+//! The connection table is the one place a 4-tuple is hashed, as in the
+//! paper's RDN. The simulator's own bookkeeping of in-flight work (each
+//! client's outstanding attempts, each RPN's in-service requests) lives
+//! in [`Slab`](gage_collections::Slab)s addressed by the handles the
+//! events carry, and a request names its URL by trace entry rather than
+//! copying it.
 //!
 //! # Deterministic per-RPN lanes
 //!
@@ -118,6 +124,7 @@ mod shard;
 
 use std::net::Ipv4Addr;
 
+use gage_collections::SlabKey;
 use gage_core::accounting::UsageReport;
 use gage_core::merge::AcctRow;
 use gage_core::node::RpnId;
@@ -125,7 +132,7 @@ use gage_core::resource::Grps;
 use gage_core::scheduler::{Dispatch, SubscriberCounters};
 use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
 use gage_des::{Context, Model, SimDuration, SimTime, Simulation};
-use gage_net::addr::{Endpoint, FourTuple, Port};
+use gage_net::addr::{Endpoint, Port};
 use gage_obs::{Registry, TraceEvent, TraceRing, Tracer};
 use gage_workload::Trace;
 
@@ -156,29 +163,26 @@ pub enum Ev {
     /// A client issues trace entry `idx` of subscriber `sub`.
     Issue { sub: u32, idx: u32 },
     /// The client's URL packet reaches the RDN, handshake complete (the
-    /// whole 3-hop first-leg exchange collapsed into one event).
-    UrlArrive { sub: u32, conn: FourTuple },
+    /// whole 3-hop first-leg exchange collapsed into one event). The client
+    /// events name the attempt by its handle in site `sub`'s client table.
+    UrlArrive { sub: u32, pending: SlabKey },
     /// An RDN refusal (RST) reaches the client.
-    ClientRst { sub: u32, conn: FourTuple },
+    ClientRst { sub: u32, pending: SlabKey },
     /// A dispatched request reaches an RPN. The metadata is boxed to keep
     /// `Ev` small: every wheel slot move copies a full `Ev`, and dispatches
     /// are a small fraction of total events.
     RpnArrive { rpn: u16, meta: Box<DispatchMeta> },
-    /// An RPN finished serving a request (NIC drained); valid only in the
-    /// node's boot `epoch`.
+    /// An RPN finished serving a request (NIC drained); `active` is its
+    /// handle in the node's in-service slab, valid only in boot `epoch`.
     Complete {
         rpn: u16,
         epoch: u32,
-        conn: FourTuple,
+        active: SlabKey,
     },
     /// A complete response reaches a client.
-    ResponseArrive { sub: u32, conn: FourTuple },
+    ResponseArrive { sub: u32, pending: SlabKey },
     /// A client's per-attempt request timer expired.
-    ClientTimeout {
-        sub: u32,
-        conn: FourTuple,
-        attempt: u32,
-    },
+    ClientTimeout { sub: u32, pending: SlabKey },
     /// The RDN scheduler's 10 ms tick — also the lane barrier.
     SchedTick,
     /// An RPN's accounting-cycle tick (valid only in its boot `epoch`).
@@ -273,14 +277,12 @@ impl Model for World {
         self.tracer.set_now(ctx.now());
         match event {
             Ev::Issue { sub, idx } => self.on_issue(ctx, sub, idx),
-            Ev::UrlArrive { sub, conn } => self.on_url_arrive(ctx, sub, conn),
-            Ev::ClientRst { sub, conn } => self.on_client_rst(ctx, sub, conn),
+            Ev::UrlArrive { sub, pending } => self.on_url_arrive(ctx, sub, pending),
+            Ev::ClientRst { sub, pending } => self.on_client_rst(ctx, sub, pending),
             Ev::RpnArrive { rpn, meta } => self.on_rpn_arrive(ctx, rpn, *meta),
-            Ev::Complete { rpn, epoch, conn } => self.on_complete(ctx, rpn, epoch, conn),
-            Ev::ResponseArrive { sub, conn } => self.on_response_arrive(ctx, sub, conn),
-            Ev::ClientTimeout { sub, conn, attempt } => {
-                self.on_client_timeout(ctx, sub, conn, attempt)
-            }
+            Ev::Complete { rpn, epoch, active } => self.on_complete(ctx, rpn, epoch, active),
+            Ev::ResponseArrive { sub, pending } => self.on_response_arrive(ctx, sub, pending),
+            Ev::ClientTimeout { sub, pending } => self.on_client_timeout(ctx, sub, pending),
             Ev::SchedTick => self.on_sched_tick(ctx),
             Ev::AcctTick { rpn, epoch } => self.on_acct_tick(ctx, rpn, epoch),
             Ev::Report { to_rdn, report } => self.on_report(ctx, to_rdn, *report),
@@ -636,5 +638,18 @@ impl ClusterSim {
             rdn_utilization,
             window: (from, to),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Ev;
+
+    #[test]
+    fn ev_stays_small() {
+        // Every wheel slot move copies a whole `Ev`; rare large payloads
+        // are boxed so the common events stay this small.
+        let size = std::mem::size_of::<Ev>();
+        assert!(size <= 16, "Ev grew to {size} bytes");
     }
 }

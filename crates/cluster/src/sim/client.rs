@@ -6,7 +6,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
-use gage_collections::DetMap;
+use gage_collections::{Slab, SlabKey};
 use gage_des::{Context, EventId, SimTime};
 use gage_net::addr::{Endpoint, FourTuple, Port};
 use gage_obs::TraceEvent;
@@ -64,8 +64,10 @@ impl Arrivals {
 }
 
 /// What an outstanding client connection is requesting. The URL itself is
-/// not copied here: `idx` points back into the subscriber's immutable
-/// trace, so issuing (and re-issuing on retry) allocates nothing.
+/// never copied: `idx` points back into the subscriber's immutable trace,
+/// and the front, its queue and the RPN lane all carry the index, so the
+/// path is read from the trace where it is needed and issuing (and
+/// re-issuing on retry) allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct UrlInfo {
     /// Trace entry index within the owning subscriber's trace.
@@ -84,15 +86,20 @@ struct PendingClientReq {
     first_issued: SimTime,
     /// 0 for the initial send, incremented per retry.
     attempt: u32,
-    /// The armed [`Ev::ClientTimeout`], cancelled when the request resolves.
-    timeout: EventId,
+    /// The attempt's client→cluster connection.
+    conn: FourTuple,
+    /// The armed [`Ev::ClientTimeout`], cancelled when the request resolves;
+    /// `None` only while the attempt is being issued.
+    timeout: Option<EventId>,
 }
 
 /// One subscriber's clients.
 #[derive(Debug, Default)]
 pub(super) struct ClientSide {
-    /// Outstanding requests keyed by their client→cluster tuple.
-    pending: DetMap<FourTuple, PendingClientReq>,
+    /// Outstanding request attempts. Every event about an attempt carries
+    /// its handle, and a retry takes a fresh one, so a resolved attempt's
+    /// late events no longer resolve.
+    pending: Slab<PendingClientReq>,
     issued: u64,
 }
 
@@ -136,43 +143,40 @@ impl World {
         let n = client.issued;
         client.issued += 1;
         let conn = FourTuple::new(client_endpoint(sub, n), self.cluster_ep);
+        let key = client.pending.insert(PendingClientReq {
+            url,
+            first_issued,
+            attempt,
+            conn,
+            timeout: None,
+        });
+        // The timer is scheduled before the URL exchange: sequence numbers
+        // break same-instant ties.
         let retry = self.params.client_retry;
         let timeout_in = retry.timeout.mul_f64(retry.backoff.powi(attempt as i32));
-        let timeout = ctx.schedule_in(timeout_in, Ev::ClientTimeout { sub, conn, attempt });
-        client.pending.insert(
-            conn,
-            PendingClientReq {
-                url,
-                first_issued,
-                attempt,
-                timeout,
-            },
-        );
+        let timeout = ctx.schedule_in(timeout_in, Ev::ClientTimeout { sub, pending: key });
+        if let Some(p) = client.pending.get_mut(key) {
+            p.timeout = Some(timeout);
+        }
         self.isn_counter = self.isn_counter.wrapping_add(64_223);
-        ctx.schedule_in(self.hop() * 3, Ev::UrlArrive { sub, conn });
+        ctx.schedule_in(self.hop() * 3, Ev::UrlArrive { sub, pending: key });
     }
 
-    /// What attempt `conn` of `sub`'s clients requests, if it is still
-    /// outstanding — read by the front when the first leg completes.
-    pub(super) fn pending_url(&self, sub: u32, conn: FourTuple) -> Option<UrlInfo> {
-        self.clients[sub as usize].pending.get(&conn).map(|p| p.url)
+    /// What attempt `key` of `sub`'s clients requests, and on which
+    /// connection, if it is still outstanding — read by the front when the
+    /// first leg completes.
+    pub(super) fn pending_url(&self, sub: u32, key: SlabKey) -> Option<(UrlInfo, FourTuple)> {
+        self.clients[sub as usize]
+            .pending
+            .get(key)
+            .map(|p| (p.url, p.conn))
     }
 
-    pub(super) fn on_client_timeout(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        sub: u32,
-        conn: FourTuple,
-        attempt: u32,
-    ) {
-        let Some(entry) = self.clients[sub as usize].pending.get(&conn).copied() else {
+    pub(super) fn on_client_timeout(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, key: SlabKey) {
+        let Some(entry) = self.clients[sub as usize].pending.remove(key) else {
             return; // resolved (served or reset) before the timer fired
         };
-        if entry.attempt != attempt {
-            return; // stale timer from an earlier attempt on a reused tuple
-        }
-        self.clients[sub as usize].pending.remove(&conn);
-        let url = entry.url;
+        let (url, attempt) = (entry.url, entry.attempt);
         if attempt < self.params.client_retry.max_retries {
             self.tracer.emit(TraceEvent::RequestRetry {
                 sub,
@@ -194,9 +198,11 @@ impl World {
     /// An RST from the RDN (queue overflow, unknown host, unrecoverable
     /// dispatch): the request resolves as dropped and its retry timer is
     /// disarmed.
-    pub(super) fn on_client_rst(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
-            ctx.cancel(entry.timeout);
+    pub(super) fn on_client_rst(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, key: SlabKey) {
+        if let Some(entry) = self.clients[sub as usize].pending.remove(key) {
+            if let Some(timeout) = entry.timeout {
+                ctx.cancel(timeout);
+            }
             self.metrics[sub as usize].dropped.record(ctx.now(), 1.0);
             self.tracer.emit(TraceEvent::ReqDropped {
                 sub,
@@ -205,14 +211,11 @@ impl World {
         }
     }
 
-    pub(super) fn on_response_arrive(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        sub: u32,
-        conn: FourTuple,
-    ) {
-        if let Some(entry) = self.clients[sub as usize].pending.remove(&conn) {
-            ctx.cancel(entry.timeout);
+    pub(super) fn on_response_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, key: SlabKey) {
+        if let Some(entry) = self.clients[sub as usize].pending.remove(key) {
+            if let Some(timeout) = entry.timeout {
+                ctx.cancel(timeout);
+            }
             let latency = ctx.now().saturating_since(entry.first_issued);
             self.metrics[sub as usize].served.record(ctx.now(), 1.0);
             self.metrics[sub as usize]

@@ -3,6 +3,7 @@
 //! accounting gossip between peers and the ACK bridge of spliced
 //! connections.
 
+use gage_collections::SlabKey;
 use gage_core::accounting::UsageReport;
 use gage_core::conn_table::{ConnTable, Route};
 use gage_core::merge::{AcctDelta, AcctRow, AcctTable};
@@ -18,16 +19,24 @@ use gage_obs::TraceEvent;
 use super::rpn::response_packet_counts;
 use super::{Ev, World};
 use crate::metrics::RdnMetrics;
-use crate::params::{ClusterParams, GageMode, INTERRUPTS, NETWORK, RDN_COSTS};
+use crate::params::{ClusterParams, GageMode, NETWORK, RDN_COSTS};
 
-/// A request sitting in an RDN subscriber queue.
+/// A request sitting in an RDN subscriber queue. Its URL stays in the
+/// trace: `(site, idx)` names the entry, and `(site, pending)` the issuing
+/// client's attempt, which its RST or response must reach.
 #[derive(Debug, Clone)]
 pub(super) struct PendingRequest {
     pub(super) conn: FourTuple,
+    /// The issuing client's site. The Host may classify the request to
+    /// another subscriber, whose queue it waits in.
+    pub(super) site: u32,
+    /// The attempt's handle in the issuing site's client table.
+    pub(super) pending: SlabKey,
+    /// Trace entry index within the issuing site's trace.
+    pub(super) idx: u32,
     /// Run-wide logical request id (stable across retries).
     pub(super) req: u64,
     pub(super) rdn_isn: SeqNum,
-    pub(super) path: String,
     pub(super) size: u64,
     /// When this request (re-)entered the scheduler queue, for the
     /// queue-wait histogram.
@@ -135,8 +144,7 @@ impl World {
     /// record regardless of the packet count.
     fn charge_rdn(&mut self, rdn: usize, now: SimTime, packets: u64, op_us: f64) {
         let m = &mut self.fronts[rdn].metrics;
-        let rate = m.recent_packet_rate(now);
-        let int_us = INTERRUPTS.cost_us(rate) * packets as f64;
+        let int_us = m.interrupt_cost_us(now) * packets as f64;
         m.packets.record(now, packets as f64);
         m.packet_count += packets;
         m.busy
@@ -144,17 +152,17 @@ impl World {
     }
 
     /// Refuses a client request: charges front end `rdn` for the reset
-    /// packet and RSTs the connection so the client resolves it as
-    /// dropped.
+    /// packet and RSTs the connection so the issuing client, attempt
+    /// `pending` of site `site`, resolves it as dropped.
     pub(super) fn refuse(
         &mut self,
         ctx: &mut Context<'_, Ev>,
         rdn: usize,
-        sub: u32,
-        conn: FourTuple,
+        site: u32,
+        pending: SlabKey,
     ) {
         self.charge_rdn(rdn, ctx.now(), 1, 0.0);
-        ctx.schedule_in(self.hop(), Ev::ClientRst { sub, conn });
+        ctx.schedule_in(self.hop(), Ev::ClientRst { sub: site, pending });
     }
 
     /// Forwards a dispatched request onto the RDN→RPN link, subject to any
@@ -172,8 +180,8 @@ impl World {
     /// and ACK + URL (classification) packet batches, resolves the Host,
     /// and queues or dispatches the request. Credits the three collapsed
     /// packet events (SYN, SYN-ACK, ACK) to the engine's logical count.
-    pub(super) fn on_url_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, conn: FourTuple) {
-        let Some(url) = self.pending_url(sub, conn) else {
+    pub(super) fn on_url_arrive(&mut self, ctx: &mut Context<'_, Ev>, sub: u32, pending: SlabKey) {
+        let Some((url, conn)) = self.pending_url(sub, pending) else {
             return; // resolved before the exchange finished
         };
         // The subscriber's home-shard owner answers its cluster address.
@@ -184,13 +192,11 @@ impl World {
         if self.fronts[rdn].dead() {
             return;
         }
-        // Resolve the URL from the immutable trace before any `&mut self`
-        // work below; only `path` is ever cloned, and only on the
-        // successfully-classified path.
+        // Classify from the immutable trace before any `&mut self` work
+        // below; the queued request names the entry, not a copy of it.
         let entry = &self.traces[sub as usize].entries[url.idx as usize];
         let size = entry.size_bytes;
         let classified = self.registry.classify_host(&entry.host);
-        let path = classified.map(|_| entry.path.clone());
         ctx.count_logical(3);
         // Handshake emulation: SYN in, SYN-ACK out. With an asymmetric
         // front-end cluster the setup CPU work moves to a secondary RDN;
@@ -210,18 +216,20 @@ impl World {
         let rdn_isn = SeqNum::new(self.isn_counter);
         // The handshake ACK and the URL packet itself, classified at 3 µs.
         self.charge_rdn(rdn, ctx.now(), 2, RDN_COSTS.classification_us);
-        let (Some(sub_id), Some(path)) = (classified, path) else {
+        let Some(sub_id) = classified else {
             self.unknown_host_drops += 1;
             // Still terminate the connection: the issuing client resolves
             // the request as dropped.
-            self.refuse(ctx, rdn, sub, conn);
+            self.refuse(ctx, rdn, sub, pending);
             return;
         };
         let req = PendingRequest {
             conn,
+            site: sub,
+            pending,
+            idx: url.idx,
             req: url.req,
             rdn_isn,
-            path,
             size,
             enqueued_at: ctx.now(),
         };
@@ -229,7 +237,7 @@ impl World {
             GageMode::Enabled => {
                 let front = &mut self.fronts[rdn];
                 if let Err(req) = front.scheduler.enqueue(sub_id, req, &mut self.tracer) {
-                    self.refuse(ctx, rdn, sub_id.0, req.conn);
+                    self.refuse(ctx, rdn, req.site, req.pending);
                 }
             }
             GageMode::Bypass => {
@@ -490,12 +498,12 @@ impl World {
                 request.enqueued_at = ctx.now();
                 let front = &mut self.fronts[f];
                 if let Err(req) = front.scheduler.requeue(meta.sub, request, &mut self.tracer) {
-                    self.refuse(ctx, f, meta.sub.0, req.conn);
+                    self.refuse(ctx, f, req.site, req.pending);
                 }
             }
             GageMode::Bypass => {
                 // No scheduler queues to return to: refuse outright.
-                self.refuse(ctx, f, meta.sub.0, request.conn);
+                self.refuse(ctx, f, request.site, request.pending);
             }
         }
     }

@@ -6,7 +6,7 @@
 
 use std::net::Ipv4Addr;
 
-use gage_collections::DetMap;
+use gage_collections::{Slab, SlabKey};
 use gage_core::accounting::{SubscriberUsage, UsageReport};
 use gage_core::node::RpnId;
 use gage_core::resource::ResourceVector;
@@ -27,7 +27,15 @@ use crate::server::BusyLine;
 /// An in-service request on an RPN.
 #[derive(Debug)]
 struct ActiveReq {
+    /// The subscriber the request is served and accounted for.
     sub: SubscriberId,
+    /// The issuing client's site and its attempt's handle there: the
+    /// response goes to that client, whichever subscriber `sub` is.
+    site: u32,
+    pending: SlabKey,
+    /// The client→cluster connection, whose bridge route the completion
+    /// drops.
+    conn: FourTuple,
     /// Run-wide logical request id (stable across retries).
     req: u64,
     predicted: ResourceVector,
@@ -52,11 +60,14 @@ struct ActiveReq {
 /// [`ActiveReq`]).
 #[derive(Debug)]
 struct LaneJob {
-    conn: FourTuple,
+    /// The request's handle in the RPN's `active` slab.
+    active: SlabKey,
     /// Arrival instant: service chains from here, not from the barrier,
     /// so batching never costs capacity.
     ready: SimTime,
-    path: String,
+    /// The requested trace entry: entry `idx` of site `site`'s trace.
+    site: u32,
+    idx: u32,
     size: u64,
     /// CGI cost multiplier (1.0 for static requests).
     cpu_mult: f64,
@@ -81,7 +92,9 @@ pub(super) struct Rpn {
     cache: Option<LruCache>,
     pub(super) processes: ProcessTable,
     workers: Vec<Pid>,
-    active: DetMap<FourTuple, ActiveReq>,
+    /// In-service requests. A reboot starts a fresh slab whose generations
+    /// restart, so a handle resolves only in the life that issued it.
+    active: Slab<ActiveReq>,
     /// Requests arrived since the last barrier, in arrival order.
     inbox: Vec<LaneJob>,
     /// Running sums of predicted vectors of in-service requests, one per
@@ -125,7 +138,7 @@ impl Rpn {
             cache,
             processes,
             workers,
-            active: DetMap::new(),
+            active: Slab::new(),
             inbox: Vec::new(),
             outstanding_by_rdn: vec![ResourceVector::ZERO; params.rdn_count],
             isn_counter: 7,
@@ -166,6 +179,7 @@ impl World {
     /// engine), crediting the collapsed per-stage events as logical events.
     fn flush_lane(&mut self, ctx: &mut Context<'_, Ev>, r: usize) {
         let params = &self.params;
+        let traces = &self.traces;
         let speed = params.rpn_speed;
         let rpn = &mut self.rpns[r];
         let mut inbox = std::mem::take(&mut rpn.inbox);
@@ -183,10 +197,11 @@ impl World {
                     transfer_bytes_per_sec,
                     ..
                 } => {
+                    let path = &traces[job.site as usize].entries[job.idx as usize].path;
                     let miss = rpn
                         .cache
                         .as_mut()
-                        .is_some_and(|c| !c.access(&job.path, job.size));
+                        .is_some_and(|c| !c.access(path, job.size));
                     if miss {
                         seek_us + job.size as f64 / transfer_bytes_per_sec * 1e6
                     } else {
@@ -205,7 +220,7 @@ impl World {
                 disk_fin,
                 SimDuration::from_secs_f64(wire / NETWORK.rpn_egress_bytes_per_sec),
             );
-            if let Some(req) = rpn.active.get_mut(&job.conn) {
+            if let Some(req) = rpn.active.get_mut(job.active) {
                 // CPU is accounted in reference-machine µs.
                 req.usage = ResourceVector::new(cpu_us * speed, disk_us, wire);
             }
@@ -217,7 +232,7 @@ impl World {
                 Ev::Complete {
                     rpn: r as u16,
                     epoch: rpn.epoch,
-                    conn: job.conn,
+                    active: job.active,
                 },
             );
         }
@@ -255,11 +270,12 @@ impl World {
         // CGI-style dynamic requests fork a child of the subscriber's
         // worker and burn a multiple of the static CPU cost; the child's
         // usage rolls up to the charging entity through the process tree.
+        let path = &self.traces[request.site as usize].entries[request.idx as usize].path;
         let dynamic = self
             .params
             .dynamic
             .as_ref()
-            .filter(|d| request.path.starts_with(&d.path_prefix))
+            .filter(|d| path.starts_with(&d.path_prefix))
             .map(|d| d.cpu_multiplier);
         let rpn = &mut self.rpns[rpn_idx as usize];
         rpn.isn_counter = rpn.isn_counter.wrapping_add(104_729);
@@ -282,25 +298,26 @@ impl World {
             (worker, false)
         };
         rpn.outstanding_by_rdn[meta.rdn as usize] += meta.predicted;
-        rpn.active.insert(
-            request.conn,
-            ActiveReq {
-                sub: meta.sub,
-                req: request.req,
-                predicted: meta.predicted,
-                splice,
-                size: request.size,
-                usage: ResourceVector::ZERO,
-                pid,
-                reap_pid,
-                rdn: meta.rdn,
-                rdn_epoch: meta.rdn_epoch,
-            },
-        );
-        rpn.inbox.push(LaneJob {
+        let active = rpn.active.insert(ActiveReq {
+            sub: meta.sub,
+            site: request.site,
+            pending: request.pending,
             conn: request.conn,
+            req: request.req,
+            predicted: meta.predicted,
+            splice,
+            size: request.size,
+            usage: ResourceVector::ZERO,
+            pid,
+            reap_pid,
+            rdn: meta.rdn,
+            rdn_epoch: meta.rdn_epoch,
+        });
+        rpn.inbox.push(LaneJob {
+            active,
             ready: ctx.now(),
-            path: request.path,
+            site: request.site,
+            idx: request.idx,
             size: request.size,
             cpu_mult: dynamic.unwrap_or(1.0),
             overhead_us,
@@ -321,18 +338,20 @@ impl World {
 
     /// A request's NIC stage drained: settle its accounting, charge the
     /// bridged ACK/FIN stream, tear the splice down and send the response
-    /// on its final hop to the client.
+    /// on its final hop to the issuing client.
     pub(super) fn on_complete(
         &mut self,
         ctx: &mut Context<'_, Ev>,
         rpn_idx: u16,
         epoch: u32,
-        conn: FourTuple,
+        active: SlabKey,
     ) {
+        // The epoch check comes first: a rebooted node's fresh slab reuses
+        // handles, so an old-life handle could alias a new request.
         if self.stale_epoch(rpn_idx, epoch) {
             return;
         }
-        let Some(req) = self.rpns[rpn_idx as usize].active.remove(&conn) else {
+        let Some(req) = self.rpns[rpn_idx as usize].active.remove(active) else {
             return;
         };
         let sub = req.sub;
@@ -358,8 +377,9 @@ impl World {
         rpn.completed_requests += 1;
         rpn.outstanding_by_rdn[req.rdn as usize] -= req.predicted;
 
-        self.bridge_acks(ctx.now(), req.rdn, req.rdn_epoch, conn, req.size);
-        ctx.schedule_in(self.hop(), Ev::ResponseArrive { sub: sub.0, conn });
+        self.bridge_acks(ctx.now(), req.rdn, req.rdn_epoch, req.conn, req.size);
+        let (sub, pending) = (req.site, req.pending);
+        ctx.schedule_in(self.hop(), Ev::ResponseArrive { sub, pending });
     }
 
     pub(super) fn on_acct_tick(&mut self, ctx: &mut Context<'_, Ev>, rpn_idx: u16, epoch: u32) {

@@ -89,7 +89,7 @@ impl World {
                 for req in f.scheduler.drain_queue(sub) {
                     let peer = &mut self.fronts[to as usize];
                     if let Err(req) = peer.scheduler.enqueue(sub, req, &mut self.tracer) {
-                        self.refuse(ctx, to as usize, sub.0, req.conn);
+                        self.refuse(ctx, to as usize, req.site, req.pending);
                     }
                 }
             }

@@ -10,11 +10,14 @@
 //! 3. **Replayability** — two runs with the same seed and the same
 //!    [`FaultPlan`] produce byte-identical trace dumps.
 
+use std::collections::BTreeMap;
+
 use gage_cluster::params::{ClientRetryParams, ClusterParams, ServiceCostModel};
 use gage_cluster::sim::{ClusterSim, SiteSpec};
 use gage_cluster::FaultPlan;
 use gage_core::resource::Grps;
 use gage_des::{SimDuration, SimTime};
+use gage_obs::TraceEvent;
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,6 +136,48 @@ fn client_retry_rescues_crash_victims() {
         failed_with <= failed_without / 2.0,
         "one retry should rescue most crash victims: {failed_without} -> {failed_with}"
     );
+}
+
+/// A rebooted RPN starts a fresh in-service table whose handles repeat
+/// the old life's, and the old life's completions are still queued when
+/// it comes back. They must die on the boot-epoch check: every request
+/// the new life sets up completes there, once per setup.
+#[test]
+fn a_rebooted_rpn_is_not_completed_by_its_old_lifes_events() {
+    let sites = vec![site("s.example.com", 100.0, 300.0, 3.0, 3)];
+    let params = ClusterParams {
+        rpn_count: 1,
+        service: ServiceCostModel::generic_requests(),
+        ..Default::default()
+    };
+    let mut sim = ClusterSim::new(params, sites, 7);
+    sim.enable_tracing(1 << 18);
+    let mut plan = FaultPlan::new(1);
+    plan.crash_for(SimTime::from_millis(155), 0, SimDuration::from_millis(5));
+    sim.apply_fault_plan(&plan);
+    sim.run_until(SimTime::from_secs(60));
+    // (setups, completions) per request in the new life.
+    let mut new_life: BTreeMap<u64, (u32, u32)> = BTreeMap::new();
+    let mut rebooted = false;
+    for r in sim.trace_ring().expect("tracing enabled").iter() {
+        match r.event {
+            TraceEvent::RpnRecover { .. } => rebooted = true,
+            TraceEvent::SpliceSetup { req, .. } if rebooted => {
+                new_life.entry(req).or_default().0 += 1
+            }
+            TraceEvent::ReqComplete { req, .. } if rebooted => {
+                new_life.entry(req).or_default().1 += 1
+            }
+            _ => {}
+        }
+    }
+    assert!(rebooted && !new_life.is_empty());
+    let orphans: Vec<_> = new_life.iter().filter(|(_, (s, c))| s > c).collect();
+    assert!(
+        orphans.is_empty(),
+        "set up but never completed: {orphans:?}"
+    );
+    assert_conservation(&sim);
 }
 
 /// Two runs with the same seed and the same plan — crash, recovery, a

@@ -114,6 +114,68 @@ fn unknown_host_requests_are_counted_not_crashed() {
     assert_eq!(w.metrics[0].served.total() as u64, offered - offered / 2);
 }
 
+/// Two hosted sites on 2 RPNs, where every request of site a names site
+/// b's Host, so the RDN classifies it into b's queue.
+fn cross_host_sites(a_rate: f64, a_horizon: f64) -> Vec<SiteSpec> {
+    let mut a = synthetic_site("a.example.com", 100.0, a_rate, a_horizon, 1);
+    for e in &mut a.trace.entries {
+        e.host = "b.example.com".to_string();
+    }
+    let b = synthetic_site("b.example.com", 100.0, 20.0, 3.0, 2);
+    vec![a, b]
+}
+
+#[test]
+fn a_request_naming_another_sites_host_resolves_at_its_own_client() {
+    // b serves a's requests, but the responses must reach a's clients:
+    // sent to b's client table they are lost, and a's requests time out
+    // and retry until they fail, each attempt dispatched again.
+    let sites = cross_host_sites(20.0, 3.0);
+    assert_eq!(sites[0].trace.len(), 60);
+    assert_eq!(sites[1].trace.len(), 60);
+    let params = ClusterParams {
+        rpn_count: 2,
+        service: ServiceCostModel::generic_requests(),
+        ..Default::default()
+    };
+    let mut sim = ClusterSim::new(params, sites, 7);
+    sim.run_until(SimTime::from_secs(80));
+    let w = sim.world();
+    for (i, m) in w.metrics.iter().enumerate() {
+        assert_eq!(m.served.total() as u64, 60, "site {i} served");
+        assert_eq!(m.failed.total() as u64, 0, "site {i} failed");
+    }
+    // b's own 60 plus a's 60, each dispatched once.
+    assert_eq!(sim.registry().counter("sub1.dispatched"), Some(120));
+}
+
+#[test]
+fn a_refused_request_naming_another_sites_host_drops_at_its_own_client() {
+    // A burst from a overflows b's 4-deep queue; the RSTs must reach a's
+    // clients as drops, not leave them to time out into failures.
+    let sites = cross_host_sites(2_000.0, 0.1);
+    let offered: Vec<u64> = sites.iter().map(|s| s.trace.len() as u64).collect();
+    let mut params = ClusterParams {
+        rpn_count: 2,
+        service: ServiceCostModel::generic_requests(),
+        ..Default::default()
+    };
+    params.scheduler.queue_capacity = 4;
+    let mut sim = ClusterSim::new(params, sites, 7);
+    sim.run_until(SimTime::from_secs(80));
+    let w = sim.world();
+    let a = &w.metrics[0];
+    assert!(a.dropped.total() > 0.0, "the burst must overflow b's queue");
+    for (i, m) in w.metrics.iter().enumerate() {
+        assert_eq!(m.failed.total() as u64, 0, "site {i} failed");
+        assert_eq!(
+            (m.served.total() + m.dropped.total()) as u64,
+            offered[i],
+            "site {i} conservation"
+        );
+    }
+}
+
 #[test]
 fn sub_second_accounting_cycles_do_not_change_total_throughput() {
     // The control loop's staleness changes observation lumpiness and
