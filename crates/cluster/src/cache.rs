@@ -4,17 +4,24 @@
 //! I/O time — the main source of per-request resource variability under the
 //! SPECWeb99-shaped workload.
 
+use std::sync::Arc;
+
 use gage_collections::DetMap;
 
 /// LRU cache keyed by file path with a total byte budget.
 ///
+/// It keys by the trace's own path handle (`TraceEntry::path`), so a miss
+/// stores a clone of the handle rather than a copy of the text.
+///
 /// ```rust
+/// use std::sync::Arc;
 /// use gage_cluster::cache::LruCache;
+/// let (a, b): (Arc<str>, Arc<str>) = ("/a".into(), "/b".into());
 /// let mut c = LruCache::new(10_000);
-/// assert!(!c.access("/a", 6_000), "first access misses");
-/// assert!(c.access("/a", 6_000), "now cached");
-/// assert!(!c.access("/b", 6_000), "evicts /a to fit");
-/// assert!(!c.access("/a", 6_000), "/a was evicted");
+/// assert!(!c.access(&a, 6_000), "first access misses");
+/// assert!(c.access(&a, 6_000), "now cached");
+/// assert!(!c.access(&b, 6_000), "evicts /a to fit");
+/// assert!(!c.access(&a, 6_000), "/a was evicted");
 /// ```
 #[derive(Debug, Clone)]
 pub struct LruCache {
@@ -22,7 +29,7 @@ pub struct LruCache {
     used_bytes: u64,
     /// path -> size, least recently used first: a hit moves its entry to
     /// the back, so eviction pops the front in O(1).
-    entries: DetMap<String, u64>,
+    entries: DetMap<Arc<str>, u64>,
     hits: u64,
     misses: u64,
 }
@@ -42,8 +49,10 @@ impl LruCache {
     /// Records an access to `path` of `size_bytes`. Returns `true` on hit.
     /// On miss the file is brought in, evicting least-recently-used entries
     /// as needed; files larger than the whole cache are never cached.
-    pub fn access(&mut self, path: &str, size_bytes: u64) -> bool {
-        if self.entries.move_to_back(path) {
+    /// Files are told apart by path text, so two handles to equal strings
+    /// name one file.
+    pub fn access(&mut self, path: &Arc<str>, size_bytes: u64) -> bool {
+        if self.entries.move_to_back::<str>(path) {
             self.hits += 1;
             return true;
         }
@@ -57,7 +66,7 @@ impl LruCache {
             };
             self.used_bytes -= size;
         }
-        self.entries.insert(path.to_string(), size_bytes);
+        self.entries.insert(Arc::clone(path), size_bytes);
         self.used_bytes += size_bytes;
         false
     }
@@ -190,7 +199,7 @@ mod tests {
                 } else {
                     sizes[f]
                 };
-                let path = format!("/f{f}");
+                let path: Arc<str> = format!("/f{f}").into();
                 let ctx = format!("seed {seed} step {step} {path} ({size} B)");
                 assert_eq!(
                     lru.access(&path, size),
@@ -208,9 +217,9 @@ mod tests {
     #[test]
     fn hot_set_stays_resident() {
         let mut c = LruCache::new(100);
-        c.access("/hot", 50);
+        c.access(&"/hot".into(), 50);
         for _ in 0..10 {
-            assert!(c.access("/hot", 50));
+            assert!(c.access(&"/hot".into(), 50));
         }
         assert_eq!(c.stats(), (10, 1));
     }
@@ -218,19 +227,19 @@ mod tests {
     #[test]
     fn eviction_is_lru() {
         let mut c = LruCache::new(100);
-        c.access("/a", 40);
-        c.access("/b", 40);
-        c.access("/a", 40); // refresh a
-        c.access("/c", 40); // evicts b (LRU)
-        assert!(c.access("/a", 40), "a survived");
-        assert!(!c.access("/b", 40), "b was evicted");
+        c.access(&"/a".into(), 40);
+        c.access(&"/b".into(), 40);
+        c.access(&"/a".into(), 40); // refresh a
+        c.access(&"/c".into(), 40); // evicts b (LRU)
+        assert!(c.access(&"/a".into(), 40), "a survived");
+        assert!(!c.access(&"/b".into(), 40), "b was evicted");
     }
 
     #[test]
     fn oversized_files_bypass_cache() {
         let mut c = LruCache::new(100);
-        assert!(!c.access("/huge", 1_000));
-        assert!(!c.access("/huge", 1_000), "still not cached");
+        assert!(!c.access(&"/huge".into(), 1_000));
+        assert!(!c.access(&"/huge".into(), 1_000), "still not cached");
         assert_eq!(c.used_bytes(), 0);
         assert!(c.is_empty());
     }
@@ -239,19 +248,30 @@ mod tests {
     fn capacity_respected() {
         let mut c = LruCache::new(100);
         for i in 0..20 {
-            c.access(&format!("/f{i}"), 30);
+            c.access(&format!("/f{i}").into(), 30);
             assert!(c.used_bytes() <= 100);
             assert!(c.len() <= 3);
         }
     }
 
     #[test]
+    fn a_miss_keeps_the_callers_handle() {
+        let mut c = LruCache::new(100);
+        let path: Arc<str> = "/a".into();
+        assert!(!c.access(&path, 10));
+        assert_eq!(Arc::strong_count(&path), 2, "cached by handle, not copied");
+        let twin: Arc<str> = "/a".into();
+        assert!(c.access(&twin, 10), "equal text names the same file");
+        assert_eq!(Arc::strong_count(&twin), 1);
+    }
+
+    #[test]
     fn hit_rate_math() {
         let mut c = LruCache::new(1000);
         assert_eq!(c.hit_rate(), 0.0);
-        c.access("/x", 10);
-        c.access("/x", 10);
-        c.access("/x", 10);
+        c.access(&"/x".into(), 10);
+        c.access(&"/x".into(), 10);
+        c.access(&"/x".into(), 10);
         assert!((c.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -146,7 +146,7 @@ fn cgi_requests_fork_burn_and_reap() {
     let mut s = site("s.example.com", 300.0, 100.0, horizon, 9);
     for (i, e) in s.trace.entries.iter_mut().enumerate() {
         if i % 2 == 0 {
-            e.path = format!("/cgi/render?id={i}");
+            e.path = format!("/cgi/render?id={i}").into();
         }
     }
     let params = ClusterParams {

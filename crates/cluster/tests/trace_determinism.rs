@@ -129,7 +129,7 @@ fn out_of_order_trace_replays_as_its_stable_sort() {
             .trace
             .entries
             .iter()
-            .map(|e| (e.at_us, e.path.clone()))
+            .map(|e| (e.at_us, e.path.to_string()))
             .collect()
     };
     assert_ne!(

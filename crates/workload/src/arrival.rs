@@ -49,10 +49,20 @@ impl ArrivalProcess {
     /// Generates all arrival instants in `[0, horizon_secs)`, in seconds.
     ///
     /// Deterministic for `Constant` and `OnOff`; randomized for `Poisson`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon_secs` or any rate, burst length or gap length is
+    /// NaN or infinite; the message names the field. Such an input would
+    /// otherwise never stop producing arrivals.
     pub fn arrivals<R: Rng + ?Sized>(&self, horizon_secs: f64, rng: &mut R) -> Vec<f64> {
+        let finite =
+            |field: &str, v: f64| assert!(v.is_finite(), "{field} must be finite, got {v}");
+        finite("horizon_secs", horizon_secs);
         let mut out = Vec::new();
         match *self {
             ArrivalProcess::Constant { rate } => {
+                finite("rate", rate);
                 if rate <= 0.0 {
                     return out;
                 }
@@ -66,6 +76,7 @@ impl ArrivalProcess {
                 }
             }
             ArrivalProcess::Poisson { rate } => {
+                finite("rate", rate);
                 if rate <= 0.0 {
                     return out;
                 }
@@ -84,6 +95,9 @@ impl ArrivalProcess {
                 on_secs,
                 off_secs,
             } => {
+                finite("on_rate", on_rate);
+                finite("on_secs", on_secs);
+                finite("off_secs", off_secs);
                 if on_rate <= 0.0 || on_secs <= 0.0 {
                     return out;
                 }
@@ -159,6 +173,59 @@ mod tests {
         assert!(ArrivalProcess::Poisson { rate: 0.0 }
             .arrivals(10.0, &mut rng)
             .is_empty());
+    }
+
+    fn arrivals(process: ArrivalProcess, horizon_secs: f64) -> Vec<f64> {
+        process.arrivals(horizon_secs, &mut StdRng::seed_from_u64(0))
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be finite, got NaN")]
+    fn nan_poisson_rate_rejected() {
+        let rate = f64::NAN;
+        arrivals(ArrivalProcess::Poisson { rate }, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be finite, got inf")]
+    fn infinite_poisson_rate_rejected() {
+        let rate = f64::INFINITY;
+        arrivals(ArrivalProcess::Poisson { rate }, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be finite, got inf")]
+    fn infinite_constant_rate_rejected() {
+        let rate = f64::INFINITY;
+        arrivals(ArrivalProcess::Constant { rate }, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon_secs must be finite, got NaN")]
+    fn nan_poisson_horizon_rejected() {
+        arrivals(ArrivalProcess::Poisson { rate: 10.0 }, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon_secs must be finite, got NaN")]
+    fn nan_onoff_horizon_rejected() {
+        let p = ArrivalProcess::OnOff {
+            on_rate: 10.0,
+            on_secs: 1.0,
+            off_secs: 1.0,
+        };
+        arrivals(p, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "on_secs must be finite, got inf")]
+    fn infinite_burst_length_rejected() {
+        let p = ArrivalProcess::OnOff {
+            on_rate: 10.0,
+            on_secs: f64::INFINITY,
+            off_secs: 1.0,
+        };
+        arrivals(p, 5.0);
     }
 
     #[test]

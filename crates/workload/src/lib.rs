@@ -12,8 +12,8 @@
 //! is what exercises Gage's usage *prediction* error — exactly the effect
 //! Figure 3's SPECWeb99 line measures.
 //!
-//! * [`zipf`] — a from-scratch Zipf sampler (inverse-CDF over a precomputed
-//!   table),
+//! * [`zipf`] — a from-scratch Zipf sampler (inverse CDF over a precomputed
+//!   table, searched from a guide table),
 //! * [`fileset`] — per-site SPECWeb99-shaped file populations,
 //! * [`arrival`] — open-loop arrival processes (constant, Poisson, on-off),
 //! * [`synthetic`] — the fixed-size synthetic workload,
@@ -35,11 +35,15 @@ pub use specweb::SpecWebGenerator;
 pub use synthetic::SyntheticGenerator;
 pub use trace::{Trace, TraceEntry};
 
+use std::sync::Arc;
+
 /// A generated request: what is fetched and how large the response will be.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneratedRequest {
-    /// Request path (e.g. `/dir0004/class1_3`).
-    pub path: String,
+    /// Request path (e.g. `/dir00004/class1_3`). A generator formats each
+    /// distinct path once and hands out clones of that one string, so
+    /// every request for a file shares its path.
+    pub path: Arc<str>,
     /// Response body size in bytes.
     pub size_bytes: u64,
 }

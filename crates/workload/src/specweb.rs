@@ -4,10 +4,16 @@
 //! and a file within the class by Zipf popularity — reproducing the
 //! heavy-tailed response-size distribution of the benchmark's static GET
 //! workload (the part the paper's trace exercises).
+//!
+//! Each file's path is formatted on its first draw and shared by every
+//! later request for it, and sizes come from a per-directory table, so a
+//! draw after the first for a file allocates nothing.
+
+use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::fileset::{FileId, FileSet, CLASS_MIX, FILES_PER_CLASS};
+use crate::fileset::{FileId, FileSet, CLASS_COUNT, CLASS_MIX, FILES_PER_CLASS};
 use crate::zipf::Zipf;
 use crate::{GeneratedRequest, RequestGenerator};
 
@@ -28,7 +34,14 @@ pub struct SpecWebGenerator {
     fileset: FileSet,
     dir_zipf: Zipf,
     file_zipf: Zipf,
+    /// Size of file `class × 9 + file`, the same in every directory.
+    sizes: [u64; FILES_PER_DIR],
+    /// Path of file `dir × 36 + class × 9 + file`, filled on its first draw.
+    paths: Vec<Option<Arc<str>>>,
 }
+
+/// Files in one directory.
+const FILES_PER_DIR: usize = (CLASS_COUNT * FILES_PER_CLASS) as usize;
 
 impl SpecWebGenerator {
     /// Builds a generator over an explicit file population.
@@ -37,6 +50,15 @@ impl SpecWebGenerator {
             fileset,
             dir_zipf: Zipf::new(fileset.dir_count as usize, 1.0),
             file_zipf: Zipf::new(FILES_PER_CLASS as usize, 1.0),
+            sizes: std::array::from_fn(|i| {
+                FileId {
+                    dir: 0,
+                    class: i as u32 / FILES_PER_CLASS,
+                    file: i as u32 % FILES_PER_CLASS,
+                }
+                .size_bytes()
+            }),
+            paths: vec![None; fileset.dir_count as usize * FILES_PER_DIR],
         }
     }
 
@@ -76,9 +98,12 @@ impl SpecWebGenerator {
 impl RequestGenerator for SpecWebGenerator {
     fn next_request(&mut self, rng: &mut dyn rand::RngCore) -> GeneratedRequest {
         let id = self.sample_file(rng);
+        let in_dir = (id.class * FILES_PER_CLASS + id.file) as usize;
+        let path = self.paths[id.dir as usize * FILES_PER_DIR + in_dir]
+            .get_or_insert_with(|| Arc::from(id.path()));
         GeneratedRequest {
-            path: id.path(),
-            size_bytes: id.size_bytes(),
+            path: Arc::clone(path),
+            size_bytes: self.sizes[in_dir],
         }
     }
 }
@@ -88,6 +113,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn class_mix_is_respected() {
@@ -115,6 +141,21 @@ mod tests {
         for _ in 0..10_000 {
             assert!(g.fileset().contains(g.sample_file(&mut rng)));
         }
+    }
+
+    #[test]
+    fn draws_of_one_file_share_its_path() {
+        let mut g = SpecWebGenerator::for_target_rate(100.0);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut first: BTreeMap<String, Arc<str>> = BTreeMap::new();
+        for _ in 0..5_000 {
+            let r = g.next_request(&mut rng);
+            let id = FileId::parse_path(&r.path).expect("a SPECWeb path");
+            assert_eq!(r.size_bytes, id.size_bytes(), "{}", r.path);
+            let shared = first.entry(r.path.to_string()).or_insert(r.path.clone());
+            assert!(Arc::ptr_eq(shared, &r.path), "{} is a copy", r.path);
+        }
+        assert!(first.len() < 5_000 / 2, "popular files are drawn again");
     }
 
     #[test]

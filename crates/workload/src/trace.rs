@@ -5,8 +5,14 @@
 //! with a request generator to produce such a trace; [`Trace::save_json`] /
 //! [`Trace::load_json`] persist it. Timestamps are integer microseconds so
 //! traces round-trip bit-exactly through JSON.
+//!
+//! A trace holds one copy of each distinct string: every entry's `host`
+//! and `path` is a clone of a shared [`Arc<str>`], so an entry is 48
+//! bytes and owns no heap memory of its own.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -14,14 +20,18 @@ use crate::arrival::ArrivalProcess;
 use crate::{GeneratedRequest, RequestGenerator};
 
 /// One timestamped request against one host.
+///
+/// `host` and `path` are handles to strings the whole trace shares (one
+/// per distinct host and per distinct path), so cloning an entry copies
+/// no text. They read as `&str` through `Deref`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Issue time, microseconds from trace start.
     pub at_us: u64,
     /// Target host (classification key).
-    pub host: String,
+    pub host: Arc<str>,
     /// Request path.
-    pub path: String,
+    pub path: Arc<str>,
     /// Response size the server will produce, bytes.
     pub size_bytes: u64,
 }
@@ -42,7 +52,13 @@ pub struct Trace {
 
 impl Trace {
     /// Generates a trace for `host`: arrivals from `process` over
-    /// `horizon_secs`, requests from `generator`.
+    /// `horizon_secs`, requests from `generator`. Every entry shares one
+    /// copy of `host`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `process` or `horizon_secs` is not finite (see
+    /// [`ArrivalProcess::arrivals`]).
     pub fn generate<G, R>(
         host: &str,
         process: ArrivalProcess,
@@ -54,6 +70,7 @@ impl Trace {
         G: RequestGenerator + ?Sized,
         R: Rng,
     {
+        let host: Arc<str> = Arc::from(host);
         let entries = process
             .arrivals(horizon_secs, rng)
             .into_iter()
@@ -61,7 +78,7 @@ impl Trace {
                 let GeneratedRequest { path, size_bytes } = generator.next_request(rng);
                 TraceEntry {
                     at_us: (at * 1e6).round() as u64,
-                    host: host.to_string(),
+                    host: Arc::clone(&host),
                     path,
                     size_bytes,
                 }
@@ -115,8 +132,8 @@ impl Trace {
             .map(|e| {
                 gage_json::Json::obj([
                     ("at_us", gage_json::Json::from(e.at_us)),
-                    ("host", gage_json::Json::str(&e.host)),
-                    ("path", gage_json::Json::str(&e.path)),
+                    ("host", gage_json::Json::str(&*e.host)),
+                    ("path", gage_json::Json::str(&*e.path)),
                     ("size_bytes", gage_json::Json::from(e.size_bytes)),
                 ])
             })
@@ -125,7 +142,8 @@ impl Trace {
         writer.write_all(doc.to_string().as_bytes())
     }
 
-    /// Reads a trace written by [`Trace::save_json`].
+    /// Reads a trace written by [`Trace::save_json`]. Entries with equal
+    /// hosts or equal paths share one copy of the string.
     ///
     /// # Errors
     ///
@@ -142,6 +160,15 @@ impl Trace {
         };
         let doc = gage_json::parse(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let mut strings: BTreeSet<Arc<str>> = BTreeSet::new();
+        let mut share = |s: &str| -> Arc<str> {
+            if let Some(shared) = strings.get(s) {
+                return Arc::clone(shared);
+            }
+            let shared: Arc<str> = Arc::from(s);
+            strings.insert(Arc::clone(&shared));
+            shared
+        };
         let entries = doc
             .get("entries")
             .and_then(gage_json::Json::as_array)
@@ -150,8 +177,8 @@ impl Trace {
             .map(|v| {
                 Some(TraceEntry {
                     at_us: v.get("at_us")?.as_u64()?,
-                    host: v.get("host")?.as_str()?.to_string(),
-                    path: v.get("path")?.as_str()?.to_string(),
+                    host: share(v.get("host")?.as_str()?),
+                    path: share(v.get("path")?.as_str()?),
                     size_bytes: v.get("size_bytes")?.as_u64()?,
                 })
             })
@@ -167,6 +194,16 @@ mod tests {
     use crate::synthetic::SyntheticGenerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
+
+    /// Asserts that equal strings among `strings` are one shared copy.
+    fn assert_shared<'a>(strings: impl IntoIterator<Item = &'a Arc<str>>) {
+        let mut first: BTreeMap<&str, &Arc<str>> = BTreeMap::new();
+        for (i, s) in strings.into_iter().enumerate() {
+            let shared = first.entry(s).or_insert(s);
+            assert!(Arc::ptr_eq(shared, s), "string {i} ({s}) is a copy");
+        }
+    }
 
     fn sample_trace() -> Trace {
         let mut g = SyntheticGenerator::new(6144, 2);
@@ -185,9 +222,21 @@ mod tests {
         let t = sample_trace();
         assert_eq!(t.len(), 100);
         assert!((t.mean_rate() - 50.0).abs() < 1.0);
-        assert!(t.entries.iter().all(|e| e.host == "site1.example.com"));
+        assert!(t.entries.iter().all(|e| &*e.host == "site1.example.com"));
         assert!(t.entries.windows(2).all(|w| w[0].at_us <= w[1].at_us));
         assert_eq!(t.entries[1].at_us, 20_000, "50/s spacing is 20ms");
+    }
+
+    #[test]
+    fn entries_own_no_strings() {
+        assert!(std::mem::size_of::<TraceEntry>() <= 48);
+        let t = sample_trace();
+        let host = &t.entries[0].host;
+        assert!(t.entries.iter().all(|e| Arc::ptr_eq(&e.host, host)));
+        // Two files in rotation: entry i and entry i + 2 fetch the same one.
+        for (i, pair) in t.entries.windows(3).enumerate() {
+            assert!(Arc::ptr_eq(&pair[0].path, &pair[2].path), "entry {i}");
+        }
     }
 
     #[test]
@@ -220,6 +269,27 @@ mod tests {
         t.save_json(&mut buf).unwrap();
         let back = Trace::load_json(buf.as_slice()).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn loaded_entries_share_equal_strings() {
+        let mut g = SyntheticGenerator::new(100, 3);
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut site = |host| {
+            let process = ArrivalProcess::Poisson { rate: 40.0 };
+            Trace::generate(host, process, 2.0, &mut g, &mut rng)
+        };
+        let t = Trace::merge([site("a.com"), site("b.com")]);
+        let mut buf = Vec::new();
+        t.save_json(&mut buf).unwrap();
+        let back = Trace::load_json(buf.as_slice()).unwrap();
+        assert_eq!(back, t);
+        assert_shared(back.entries.iter().map(|e| &e.host));
+        assert_shared(back.entries.iter().map(|e| &e.path));
+        let distinct =
+            |f: fn(&TraceEntry) -> &str| back.entries.iter().map(f).collect::<BTreeSet<_>>().len();
+        assert_eq!(distinct(|e| &e.host), 2);
+        assert_eq!(distinct(|e| &e.path), 3);
     }
 
     #[test]

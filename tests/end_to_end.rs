@@ -98,7 +98,7 @@ fn unknown_host_requests_are_counted_not_crashed() {
     // Corrupt half the trace entries to an unregistered host.
     for (i, e) in site.trace.entries.iter_mut().enumerate() {
         if i % 2 == 0 {
-            e.host = "ghost.example.com".to_string();
+            e.host = "ghost.example.com".into();
         }
     }
     let offered = site.trace.len() as u64;
@@ -119,7 +119,7 @@ fn unknown_host_requests_are_counted_not_crashed() {
 fn cross_host_sites(a_rate: f64, a_horizon: f64) -> Vec<SiteSpec> {
     let mut a = synthetic_site("a.example.com", 100.0, a_rate, a_horizon, 1);
     for e in &mut a.trace.entries {
-        e.host = "b.example.com".to_string();
+        e.host = "b.example.com".into();
     }
     let b = synthetic_site("b.example.com", 100.0, 20.0, 3.0, 2);
     vec![a, b]
