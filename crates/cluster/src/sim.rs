@@ -486,7 +486,6 @@ impl ClusterSim {
         reg.set_counter("des.events_scheduled", qs.scheduled);
         reg.set_counter("des.events_cancelled", qs.cancelled);
         reg.set_counter("des.wheel_cascades", qs.cascades);
-        reg.set_counter("des.wheel_compactions", qs.compactions);
         reg.set_counter(
             "rdn.packets",
             w.fronts.iter().map(|f| f.metrics.packet_count).sum(),
@@ -594,7 +593,7 @@ impl ClusterSim {
     }
 
     /// Operational counters of the DES event queue (depth, schedule and
-    /// cancel totals, wheel cascades/compactions).
+    /// cancel totals, wheel cascades).
     pub fn queue_stats(&self) -> gage_des::QueueStats {
         self.sim.queue_stats()
     }
@@ -647,8 +646,8 @@ mod tests {
 
     #[test]
     fn ev_stays_small() {
-        // Every wheel slot move copies a whole `Ev`; rare large payloads
-        // are boxed so the common events stay this small.
+        // Every pending event's wheel node holds a whole `Ev`; rare large
+        // payloads are boxed so the common events stay this small.
         let size = std::mem::size_of::<Ev>();
         assert!(size <= 16, "Ev grew to {size} bytes");
     }

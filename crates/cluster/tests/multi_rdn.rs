@@ -50,7 +50,7 @@ fn site(host: &str, seed: u64) -> SiteSpec {
 /// change that alters the trace on purpose updates both constants in its
 /// own diff.
 const CHAOS_DUMP_LEN: usize = 4_646_192;
-const CHAOS_DUMP_FNV1A64: u64 = 0x4c03_c757_02f2_3696;
+const CHAOS_DUMP_FNV1A64: u64 = 0xbc0e_6088_74c9_ebf1;
 
 /// The same pin for that dump without its `queue_stats` records, the only
 /// ones that describe the event queue rather than the simulated cluster.

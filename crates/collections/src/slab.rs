@@ -14,6 +14,10 @@ pub struct SlabKey {
 }
 
 impl SlabKey {
+    /// A key that never resolves, in any slab: generation 0 is never
+    /// issued. It marks the end of a list threaded through a slab.
+    pub const NIL: SlabKey = SlabKey { index: 0, gen: 0 };
+
     /// Packs the key as `(gen << 32) | index`.
     #[inline]
     pub fn to_raw(self) -> u64 {
@@ -210,6 +214,9 @@ mod tests {
         // Generations start at 1, so a small forged value (gen 0) is dead.
         assert_eq!(s.get(SlabKey::from_raw(99)), None);
         assert!(!s.contains(SlabKey::from_raw(0)));
+        assert_eq!(SlabKey::NIL.to_raw(), 0);
+        assert!(!s.contains(SlabKey::NIL));
+        assert_eq!(s.remove(SlabKey::NIL), None);
     }
 
     #[test]

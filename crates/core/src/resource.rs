@@ -134,12 +134,21 @@ impl ResourceVector {
     }
 
     /// Reads a vector written by [`ResourceVector::to_json`]; `None` if any
-    /// field is missing or non-numeric.
+    /// field is missing, non-numeric, negative or not finite.
+    ///
+    /// The wire form carries measured or predicted usage, which is never
+    /// negative. A negative component would credit a subscriber's balance
+    /// (`balance += retire − actual`), and `1e999`, which parses as
+    /// infinity, would poison the usage estimator.
     pub fn from_json(v: &gage_json::Json) -> Option<Self> {
+        let component = |name: &str| {
+            let x = v.get(name)?.as_f64()?;
+            (x.is_finite() && x >= 0.0).then_some(x)
+        };
         Some(ResourceVector {
-            cpu_us: v.get("cpu_us")?.as_f64()?,
-            disk_us: v.get("disk_us")?.as_f64()?,
-            net_bytes: v.get("net_bytes")?.as_f64()?,
+            cpu_us: component("cpu_us")?,
+            disk_us: component("disk_us")?,
+            net_bytes: component("net_bytes")?,
         })
     }
 
@@ -282,6 +291,23 @@ mod tests {
         assert_eq!(-a, ResourceVector::new(-1.0, -2.0, -3.0));
         let sum: ResourceVector = [a, b].into_iter().sum();
         assert_eq!(sum, a + b);
+    }
+
+    #[test]
+    fn from_json_rejects_negative_and_non_finite_components() {
+        let v = ResourceVector::new(1.5, 0.0, 2_000.0);
+        assert_eq!(ResourceVector::from_json(&v.to_json()), Some(v));
+        // `1e999` parses as infinity.
+        for bad in ["-1", "-0.001", "1e999", "-1e999"] {
+            for text in [
+                format!(r#"{{"cpu_us":{bad},"disk_us":0,"net_bytes":2000}}"#),
+                format!(r#"{{"cpu_us":1.5,"disk_us":{bad},"net_bytes":2000}}"#),
+                format!(r#"{{"cpu_us":1.5,"disk_us":0,"net_bytes":{bad}}}"#),
+            ] {
+                let doc = gage_json::parse(&text).expect("parses");
+                assert_eq!(ResourceVector::from_json(&doc), None, "{text}");
+            }
+        }
     }
 
     #[test]

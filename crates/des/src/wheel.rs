@@ -13,6 +13,17 @@
 //! cycle files at level 1, one cascade away from its drain. A drained fine
 //! slot holds at most ~65.5 µs of events, so sorting it stays cheap.
 //!
+//! Each pending event is stored once, in the node of the [`Slab`] that
+//! issues its handle. The node holds `at`, `seq`, the event and the links
+//! of an intrusive doubly-linked list: each of the 384 slots and the
+//! overflow list is such a list, threaded through the slab, as in Varghese
+//! and Lauck's hierarchical wheel (SOSP '87). Scheduling links a node into
+//! its slot, a cancel unlinks the node and frees it at once, a cascade
+//! relinks nodes without moving their events, and a drained fine slot
+//! sorts only `(at, seq, key)` triples into the `front` run. A key
+//! cancelled while it waits in the front run stays there, dead, until the
+//! run reaches it; the run never holds more than one fine slot.
+//!
 //! Determinism contract (the reason this exists instead of `BinaryHeap`):
 //!
 //! * **Pop order** is exactly `(at, seq)` — the same total order the heap
@@ -27,15 +38,10 @@
 //!   differ by 6 bits of shift, so every event in the slot then lands at
 //!   level ≤ *l* − 1. Each event re-places through strictly finer levels
 //!   until it reaches level 0.
-//! * **Liveness** is the same generational [`Slab`] discipline the heap
-//!   used, with identical insert/remove ordering — so the handles
-//!   ([`SlabKey`]s, packed into `EventId`s) a run hands out are identical
-//!   to what the heap implementation would have produced.
-//!
-//! Cancellation stays O(1): remove the slab entry and leave the stored
-//! record behind as a tombstone; tombstones are dropped when their slot
-//! drains or cascades, and a compaction sweep prunes them early if they
-//! come to dominate storage.
+//! * **Handles** are the nodes' [`SlabKey`]s, packed into `EventId`s. A
+//!   node is inserted at schedule and removed at pop or cancel, the order
+//!   in which the heap implementation inserted and removed its liveness
+//!   markers, so a run hands out exactly the handles the heap did.
 
 use std::collections::VecDeque;
 
@@ -52,6 +58,11 @@ const SLOT_MASK: u64 = 63;
 const SHIFTS: [u32; LEVELS] = [16, 22, 28, 34, 40, 46];
 /// Span of one level-0 slot in nanoseconds.
 const GRANULARITY: u64 = 1 << SHIFTS[0];
+/// The overflow list's index in [`TimingWheel::heads`]. Slot *i* of level
+/// *l* is list `l * SLOTS + i`, so the overflow list comes after them all.
+const OVERFLOW: usize = LEVELS * SLOTS;
+/// The home of a node whose key waits in the front run, on no list.
+const FRONT: u16 = OVERFLOW as u16 + 1;
 
 /// Operational counters for the event queue, exposed through the gage-obs
 /// registry and `tracedump --stats` so wheel behavior is visible in the
@@ -67,118 +78,96 @@ pub struct QueueStats {
     pub cancelled: u64,
     /// Coarse-slot redistributions (including overflow redistributions).
     pub cascades: u64,
-    /// Tombstone compaction sweeps.
+    /// Always 0: a cancel frees its event at once, so nothing is left to
+    /// compact. Kept because the benchmark still reports it.
     pub compactions: u64,
 }
 
+/// One pending event.
 #[derive(Debug)]
-struct Entry<E> {
+struct Node<E> {
     /// Firing time in nanoseconds.
     at: u64,
     /// Monotonic schedule order, the deterministic FIFO tie-break.
     seq: u64,
-    /// Liveness handle; a key that no longer resolves marks a tombstone.
-    key: SlabKey,
+    /// The list the node sits on (an index into [`TimingWheel::heads`]),
+    /// or [`FRONT`] while its key waits in the front run.
+    home: u16,
+    prev: SlabKey,
+    next: SlabKey,
     event: E,
-}
-
-#[derive(Debug)]
-struct Level<E> {
-    slots: Vec<Vec<Entry<E>>>,
-    /// Bit *i* set ⇔ `slots[i]` is non-empty.
-    occ: u64,
-}
-
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occ: 0,
-        }
-    }
 }
 
 /// The wheel proper. [`EventQueue`](crate::EventQueue) wraps this with the
 /// `SimTime`/`EventId` surface.
 #[derive(Debug)]
 pub(crate) struct TimingWheel<E> {
-    levels: Vec<Level<E>>,
-    /// Sorted `(at, seq)` run of events that fire before `cursor`; pops
-    /// come from here. Refilled by draining the next occupied slot.
-    front: VecDeque<Entry<E>>,
-    /// Events beyond the top level's horizon.
-    overflow: Vec<Entry<E>>,
+    /// One node per pending event; its key is the event's handle. The
+    /// insert/remove order matches the old heap implementation's, so
+    /// handles are bit-identical.
+    nodes: Slab<Node<E>>,
+    /// The first node of each slot list, then of the overflow list;
+    /// [`SlabKey::NIL`] while the list is empty.
+    heads: [SlabKey; OVERFLOW + 1],
+    /// Per level, bit *i* set ⇔ slot *i*'s list is non-empty.
+    occ: [u64; LEVELS],
+    /// Sorted `(at, seq, key)` run of events that fire before `cursor`;
+    /// pops come from here. Refilled by draining the next occupied slot.
+    front: VecDeque<(u64, u64, SlabKey)>,
+    /// No event on the overflow list fires earlier (`u64::MAX` while the
+    /// list is empty).
     overflow_min: u64,
-    /// Wheel time floor: every stored (non-front) event fires at or after
-    /// this instant. Always a multiple of [`GRANULARITY`].
+    /// Wheel time floor: every listed event fires at or after this
+    /// instant. Always a multiple of [`GRANULARITY`].
     cursor: u64,
-    /// One live marker per pending event; same insert/remove ordering as
-    /// the old heap implementation, so handles are bit-identical.
-    live: Slab<()>,
-    /// Tombstones currently buried in storage.
-    tombs: usize,
-    /// Entry records currently held across front/slots/overflow. Kept
-    /// exactly equal to [`stored_entries`](Self::stored_entries) so the
-    /// compaction trigger is O(1) per cancel instead of a 384-slot walk.
-    stored: usize,
-    /// Recycled slot buffer: drains swap a slot's `Vec` against this so
-    /// neither side ever gives its capacity back to the allocator.
-    scratch: Vec<Entry<E>>,
     next_seq: u64,
     scheduled_total: u64,
     cancelled_total: u64,
     cascades: u64,
-    compactions: u64,
 }
 
 impl<E> TimingWheel<E> {
     pub(crate) fn new() -> Self {
         TimingWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            nodes: Slab::new(),
+            heads: [SlabKey::NIL; OVERFLOW + 1],
+            occ: [0; LEVELS],
             front: VecDeque::new(),
-            overflow: Vec::new(),
             overflow_min: u64::MAX,
             cursor: 0,
-            live: Slab::new(),
-            tombs: 0,
-            stored: 0,
-            scratch: Vec::new(),
             next_seq: 0,
             scheduled_total: 0,
             cancelled_total: 0,
             cascades: 0,
-            compactions: 0,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.live.len()
+        self.nodes.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.nodes.is_empty()
     }
 
     pub(crate) fn stats(&self) -> QueueStats {
-        debug_assert_eq!(self.stored, self.stored_entries());
+        // The link recount: listed nodes plus live front keys.
+        let live_front = self
+            .front
+            .iter()
+            .filter(|f| self.nodes.get(f.2).is_some_and(|n| n.home == FRONT));
+        debug_assert_eq!(
+            self.listed() + live_front.count(),
+            self.len(),
+            "the lists and the front run must hold each pending event once"
+        );
         QueueStats {
-            depth: self.live.len() as u64,
+            depth: self.nodes.len() as u64,
             scheduled: self.scheduled_total,
             cancelled: self.cancelled_total,
             cascades: self.cascades,
-            compactions: self.compactions,
+            compactions: 0,
         }
-    }
-
-    /// Stored records including tombstones — what compaction bounds.
-    pub(crate) fn stored_entries(&self) -> usize {
-        self.front.len()
-            + self.overflow.len()
-            + self
-                .levels
-                .iter()
-                .map(|l| l.slots.iter().map(Vec::len).sum::<usize>())
-                .sum::<usize>()
     }
 
     /// Counts an event that fired without passing through the wheel.
@@ -190,34 +179,46 @@ impl<E> TimingWheel<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let key = self.live.insert(());
-        self.place(Entry {
+        let key = self.nodes.insert(Node {
             at,
             seq,
-            key,
+            home: FRONT,
+            prev: SlabKey::NIL,
+            next: SlabKey::NIL,
             event,
         });
+        self.place(key, at, seq);
         key
     }
 
     pub(crate) fn cancel(&mut self, key: SlabKey) -> bool {
-        if self.live.remove(key).is_none() {
+        let Some(node) = self.nodes.remove(key) else {
             return false;
+        };
+        if node.home != FRONT {
+            let list = usize::from(node.home);
+            match self.nodes.get_mut(node.prev) {
+                Some(prev) => prev.next = node.next,
+                None => self.heads[list] = node.next,
+            }
+            if let Some(next) = self.nodes.get_mut(node.next) {
+                next.prev = node.prev;
+            }
+            if self.heads[list] == SlabKey::NIL {
+                self.mark_empty(list);
+            }
         }
-        self.tombs += 1;
         self.cancelled_total += 1;
-        self.maybe_compact();
         true
     }
 
     pub(crate) fn pop(&mut self) -> Option<(u64, SlabKey, E)> {
         loop {
-            if let Some(e) = self.front.pop_front() {
-                self.stored -= 1;
-                if self.live.remove(e.key).is_some() {
-                    return Some((e.at, e.key, e.event));
+            if let Some((at, _, key)) = self.front.pop_front() {
+                // A key cancelled in the front run no longer resolves.
+                if let Some(node) = self.nodes.remove(key) {
+                    return Some((at, key, node.event));
                 }
-                self.tombs = self.tombs.saturating_sub(1);
                 continue;
             }
             if !self.advance() {
@@ -228,13 +229,11 @@ impl<E> TimingWheel<E> {
 
     pub(crate) fn peek(&mut self) -> Option<u64> {
         loop {
-            if let Some(e) = self.front.front() {
-                if self.live.contains(e.key) {
-                    return Some(e.at);
+            if let Some(&(at, _, key)) = self.front.front() {
+                if self.nodes.contains(key) {
+                    return Some(at);
                 }
                 self.front.pop_front();
-                self.stored -= 1;
-                self.tombs = self.tombs.saturating_sub(1);
                 continue;
             }
             if !self.advance() {
@@ -243,33 +242,52 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Routes an entry to the front run, a wheel slot, or overflow.
-    fn place(&mut self, e: Entry<E>) {
-        self.stored += 1;
-        if e.at < self.cursor {
+    /// Files node `key` in the front run, a slot list, or the overflow list.
+    fn place(&mut self, key: SlabKey, at: u64, seq: u64) {
+        if at < self.cursor {
             // Late insert (schedule into the already-drained window, e.g.
             // after `peek` advanced the cursor): keep the front run sorted.
-            // The new entry carries the largest seq, so partitioning on
-            // `at` alone lands it after every equal-time sibling.
-            let pos = self.front.partition_point(|f| f.at <= e.at);
-            self.front.insert(pos, e);
+            // Only `schedule` gets here, with a node born homed at `FRONT`:
+            // a cascade relinks events that fire at or after the cursor.
+            let pos = self.front.partition_point(|&(a, s, _)| (a, s) < (at, seq));
+            self.front.insert(pos, (at, seq, key));
             return;
         }
-        for (l, &shift) in SHIFTS.iter().enumerate() {
-            if (e.at >> shift) - (self.cursor >> shift) < SLOTS as u64 {
-                let idx = ((e.at >> shift) & SLOT_MASK) as usize;
-                let level = &mut self.levels[l];
-                level.slots[idx].push(e);
-                level.occ |= 1 << idx;
-                return;
-            }
+        let list = SHIFTS
+            .iter()
+            .enumerate()
+            .find(|&(_, &shift)| (at >> shift) - (self.cursor >> shift) < SLOTS as u64)
+            .map_or(OVERFLOW, |(l, &shift)| {
+                l * SLOTS + ((at >> shift) & SLOT_MASK) as usize
+            });
+        match self.occ.get_mut(list / SLOTS) {
+            Some(occ) => *occ |= 1 << (list % SLOTS),
+            None => self.overflow_min = self.overflow_min.min(at),
         }
-        self.overflow_min = self.overflow_min.min(e.at);
-        self.overflow.push(e);
+        // Link at the head: order within a list never matters, because a
+        // fine slot is sorted when it drains.
+        let next = std::mem::replace(&mut self.heads[list], key);
+        if let Some(head) = self.nodes.get_mut(next) {
+            head.prev = key;
+        }
+        if let Some(node) = self.nodes.get_mut(key) {
+            node.home = list as u16;
+            node.prev = SlabKey::NIL;
+            node.next = next;
+        }
+    }
+
+    /// Clears the occupancy bit of `list`, now empty, or resets the
+    /// overflow horizon.
+    fn mark_empty(&mut self, list: usize) {
+        match self.occ.get_mut(list / SLOTS) {
+            Some(occ) => *occ &= !(1 << (list % SLOTS)),
+            None => self.overflow_min = u64::MAX,
+        }
     }
 
     /// Drains or cascades the occupied slot with the smallest start time.
-    /// Returns `false` when nothing is stored anywhere (queue exhausted).
+    /// Returns `false` when nothing is listed anywhere (queue exhausted).
     fn advance(&mut self) -> bool {
         // Find the minimum slot start across all levels. On a tie, the
         // COARSER level must go first: its slot spans the finer one, so
@@ -278,20 +296,19 @@ impl<E> TimingWheel<E> {
         // are scanned fine to coarse, overflow last, and only a strictly
         // later start keeps the current best, so the coarser store wins.
         let mut best: Option<(u64, usize)> = None;
-        for (l, level) in self.levels.iter().enumerate() {
-            if level.occ == 0 {
+        for (l, (&occ, &shift)) in self.occ.iter().zip(&SHIFTS).enumerate() {
+            if occ == 0 {
                 continue;
             }
-            let shift = SHIFTS[l];
             let base = (self.cursor >> shift) & SLOT_MASK;
-            let dist = level.occ.rotate_right(base as u32).trailing_zeros() as u64;
+            let dist = occ.rotate_right(base as u32).trailing_zeros() as u64;
             let start = ((self.cursor >> shift) + dist) << shift;
             match best {
                 Some((bs, _)) if bs < start => {}
                 _ => best = Some((start, l)),
             }
         }
-        if !self.overflow.is_empty() {
+        if self.heads[OVERFLOW] != SlabKey::NIL {
             let start = self.overflow_min & !(GRANULARITY - 1);
             match best {
                 Some((bs, _)) if bs < start => {}
@@ -301,111 +318,108 @@ impl<E> TimingWheel<E> {
         let Some((start, l)) = best else {
             return false;
         };
+        let list = SHIFTS.get(l).map_or(OVERFLOW, |&shift| {
+            l * SLOTS + ((start >> shift) & SLOT_MASK) as usize
+        });
+        self.mark_empty(list);
+        let mut key = std::mem::replace(&mut self.heads[list], SlabKey::NIL);
 
-        // Every branch swaps the drained store against `scratch` instead of
-        // `std::mem::take`-ing it, so slot buffers keep their capacity and a
-        // steady-state run stops touching the allocator entirely.
-        let mut batch = std::mem::take(&mut self.scratch);
-        if l == LEVELS {
-            // Overflow redistribution: the clock has caught up with the
-            // parked horizon. The earliest parked event now fits the top
-            // level (the cursor's high bits match its own), so this makes
-            // progress even if most of the list parks again.
-            self.cascades += 1;
-            self.cursor = self.cursor.max(start);
-            std::mem::swap(&mut batch, &mut self.overflow);
-            self.overflow_min = u64::MAX;
-            self.stored -= batch.len();
-            self.replace_live(&mut batch);
-        } else if l > 0 {
-            // Coarse slot: advance the cursor to the slot start, then
-            // redistribute. With the cursor at the slot start every event
-            // in it is within 64 slots of the cursor at level l−1, so each
-            // lands at a strictly finer level — the cascade terminates.
-            self.cascades += 1;
-            self.cursor = self.cursor.max(start);
-            let idx = ((start >> SHIFTS[l]) & SLOT_MASK) as usize;
-            if let Some(level) = self.levels.get_mut(l) {
-                std::mem::swap(&mut batch, &mut level.slots[idx]);
-                level.occ &= !(1 << idx);
-            }
-            self.stored -= batch.len();
-            self.replace_live(&mut batch);
-        } else {
+        if l == 0 {
             // Fine slot: everything in [start, start + GRANULARITY) fires
-            // before anything still stored (no coarser slot can start
+            // before anything still listed (no coarser slot can start
             // inside this window — all slot starts are multiples of the
             // fine granularity). Sort by (at, seq) and seal the window.
-            let idx = ((start / GRANULARITY) & SLOT_MASK) as usize;
+            // `advance` only runs once the front run is empty.
             self.cursor = self.cursor.max(start + GRANULARITY);
-            if let Some(fine) = self.levels.first_mut() {
-                std::mem::swap(&mut batch, &mut fine.slots[idx]);
-                fine.occ &= !(1 << idx);
+            while let Some(node) = self.nodes.get_mut(key) {
+                node.home = FRONT;
+                self.front.push_back((node.at, node.seq, key));
+                key = node.next;
             }
-            batch.retain(|e| {
-                let alive = self.live.contains(e.key);
-                if !alive {
-                    self.tombs = self.tombs.saturating_sub(1);
-                    self.stored -= 1;
-                }
-                alive
-            });
-            batch.sort_unstable_by_key(|e| (e.at, e.seq));
-            self.front.extend(batch.drain(..));
+            self.front
+                .make_contiguous()
+                .sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+            return true;
         }
-        self.scratch = batch;
+        // A coarse slot, or the overflow list once the clock has caught up
+        // with its horizon: advance the cursor to the start, then relink
+        // every node. With the cursor at a coarse slot's start, each of its
+        // events is within 64 slots of the cursor at level l−1, so it
+        // lands at a strictly finer level — the cascade terminates. The
+        // earliest overflow event now fits the top level (the cursor's
+        // high bits match its own), so an overflow redistribution makes
+        // progress even if most of the list parks again.
+        self.cascades += 1;
+        self.cursor = self.cursor.max(start);
+        while let Some(node) = self.nodes.get(key) {
+            let (at, seq, next) = (node.at, node.seq, node.next);
+            self.place(key, at, seq);
+            key = next;
+        }
         true
     }
 
-    /// Re-places a drained batch, dropping tombstones on the way. Drains in
-    /// place so the caller keeps the buffer's capacity for reuse.
-    fn replace_live(&mut self, entries: &mut Vec<Entry<E>>) {
-        for e in entries.drain(..) {
-            if self.live.contains(e.key) {
-                self.place(e);
-            } else {
-                self.tombs = self.tombs.saturating_sub(1);
+    /// Counts the nodes on every list, checking as it walks that each
+    /// node's `prev` link names the node before it, that its home is the
+    /// list it sits on, that each list ends in [`SlabKey::NIL`], and that
+    /// a slot's occupancy bit is set exactly when its list is non-empty.
+    pub(crate) fn listed(&self) -> usize {
+        let mut count = 0;
+        for (list, &head) in self.heads.iter().enumerate() {
+            let (mut prev, mut key) = (SlabKey::NIL, head);
+            while let Some(node) = self.nodes.get(key) {
+                assert_eq!(
+                    (node.prev, usize::from(node.home)),
+                    (prev, list),
+                    "node {key:?}'s prev link or home disagrees with list {list}"
+                );
+                (prev, key) = (key, node.next);
+                count += 1;
+            }
+            assert_eq!(key, SlabKey::NIL, "list {list} links to a freed node");
+            if let Some(occ) = self.occ.get(list / SLOTS) {
+                let occupied = (occ >> (list % SLOTS)) & 1 == 1;
+                assert_eq!(
+                    occupied,
+                    head != SlabKey::NIL,
+                    "list {list}'s occupancy bit"
+                );
             }
         }
-    }
-
-    /// Prunes tombstones from every store once they dominate it, so a
-    /// cancel-heavy workload (timers disarmed by ACKs) cannot grow storage
-    /// past a small multiple of the live event count. Relative order within
-    /// each store is preserved, so pop order is unaffected.
-    fn maybe_compact(&mut self) {
-        if self.tombs <= 64 || self.tombs * 2 <= self.stored {
-            return;
-        }
-        let live = &self.live;
-        self.front.retain(|e| live.contains(e.key));
-        self.overflow.retain(|e| live.contains(e.key));
-        self.overflow_min = self.overflow.iter().map(|e| e.at).min().unwrap_or(u64::MAX);
-        for level in &mut self.levels {
-            if level.occ == 0 {
-                continue;
-            }
-            let mut occ = 0u64;
-            for (i, slot) in level.slots.iter_mut().enumerate() {
-                slot.retain(|e| live.contains(e.key));
-                if !slot.is_empty() {
-                    occ |= 1 << i;
-                }
-            }
-            level.occ = occ;
-        }
-        self.tombs = 0;
-        self.stored = self.stored_entries();
-        self.compactions += 1;
+        count
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
 
     fn drain(w: &mut TimingWheel<u64>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| w.pop().map(|(at, _, ev)| (at, ev))).collect()
+    }
+
+    fn list_len(w: &TimingWheel<u64>, list: usize) -> usize {
+        let mut key = w.heads[list];
+        std::iter::from_fn(|| {
+            let node = w.nodes.get(key)?;
+            key = node.next;
+            Some(())
+        })
+        .count()
+    }
+
+    /// Nothing is listed, no slot is marked occupied, and the front run
+    /// and the slab are empty.
+    fn assert_stores_nothing(w: &TimingWheel<u64>) {
+        assert!(
+            w.heads.iter().all(|&h| h == SlabKey::NIL),
+            "a list is non-empty"
+        );
+        assert_eq!(w.occ, [0; LEVELS], "an occupancy bit is set");
+        assert_eq!(w.listed(), 0);
+        assert!(w.front.is_empty());
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -427,10 +441,10 @@ mod tests {
         for (i, &t) in times.iter().enumerate() {
             w.schedule(t, i as u64);
         }
-        for (l, level) in w.levels.iter().enumerate() {
-            assert_ne!(level.occ, 0, "level {l} must hold an event");
+        for (l, occ) in w.occ.iter().enumerate() {
+            assert_ne!(*occ, 0, "level {l} must hold an event");
         }
-        assert!(!w.overflow.is_empty(), "far event must park in overflow");
+        assert_eq!(list_len(&w, OVERFLOW), 1, "far event must park in overflow");
         let popped = drain(&mut w);
         let ats: Vec<u64> = popped.iter().map(|&(at, _)| at).collect();
         assert_eq!(ats, times.to_vec(), "cascades must preserve time order");
@@ -472,12 +486,12 @@ mod tests {
         let (a, b) = ((1u64 << 22) + 100, (1u64 << 22) + 500);
         w.schedule(a, 1); // A: level 1, slot [2^22, 2^23)
         w.schedule(2_000, 0); // F: level 0
-        assert_eq!(w.levels[1].occ.count_ones(), 1, "A files at level 1");
+        assert_eq!(w.occ[1].count_ones(), 1, "A files at level 1");
         assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((2_000, 0)));
         // With the cursor past F, B fits level 0, in the fine slot that
         // starts where A's level-1 slot does.
         w.schedule(b, 2);
-        assert_eq!(w.levels[0].occ.count_ones(), 1, "B files at level 0");
+        assert_eq!(w.occ[0].count_ones(), 1, "B files at level 0");
         assert_eq!(drain(&mut w), vec![(a, 1), (b, 2)]);
     }
 
@@ -489,11 +503,11 @@ mod tests {
         let (x, y) = ((1u64 << 52) + 100, (1u64 << 52) + 200);
         w.schedule(x, 1); // X: beyond the top level, parks in overflow
         w.schedule(1 << 51, 0); // W: level 5
-        assert_eq!(w.overflow.len(), 1, "X parks in overflow");
+        assert_eq!(list_len(&w, OVERFLOW), 1, "X parks in overflow");
         assert_eq!(w.pop().map(|(at, _, e)| (at, e)), Some((1 << 51, 0)));
         // Y fits level 5 now, in the slot starting at 2^52, as X's does.
         w.schedule(y, 2);
-        assert_eq!(w.levels[5].occ.count_ones(), 1, "Y files at level 5");
+        assert_eq!(w.occ[5].count_ones(), 1, "Y files at level 5");
         assert_eq!(drain(&mut w), vec![(x, 1), (y, 2)]);
     }
 
@@ -504,35 +518,100 @@ mod tests {
         w.schedule(far, 1);
         w.schedule(far + 5, 2);
         w.schedule(3, 0);
-        assert_eq!(w.overflow.len(), 2, "far events park in overflow");
+        assert_eq!(list_len(&w, OVERFLOW), 2, "far events park in overflow");
         let popped = drain(&mut w);
         assert_eq!(popped, vec![(3, 0), (far, 1), (far + 5, 2)]);
-        assert!(w.overflow.is_empty());
+        assert_eq!(w.heads[OVERFLOW], SlabKey::NIL);
+    }
+
+    /// Schedules `n` events spread over every level and the overflow list,
+    /// then cancels them all, checking after every `check_every`-th cancel
+    /// that no cancelled event stays listed.
+    fn cancel_across_every_store(n: u64, check_every: usize) -> TimingWheel<u64> {
+        let mut w = TimingWheel::new();
+        // 2^0 to 2^54 ns.
+        let keys: Vec<SlabKey> = (0..n)
+            .map(|i| w.schedule((1 << (i * 55 / n)) + i, i))
+            .collect();
+        for (l, occ) in w.occ.iter().enumerate() {
+            assert_ne!(*occ, 0, "level {l} must hold events");
+        }
+        assert_ne!(list_len(&w, OVERFLOW), 0, "overflow must hold events");
+        for (i, k) in keys.into_iter().enumerate() {
+            assert!(w.cancel(k));
+            if i % check_every == 0 {
+                assert_eq!(w.listed(), w.len(), "a cancel left its node listed");
+            }
+        }
+        assert_stores_nothing(&w);
+        w
+    }
+
+    /// A handful of cancels leave nothing behind: no listed node, no
+    /// occupancy bit, no front key.
+    #[test]
+    fn cancelling_every_event_empties_every_list() {
+        let mut w = cancel_across_every_store(50, 1);
+        assert_eq!(w.pop(), None);
     }
 
     #[test]
-    fn compaction_prunes_all_stores() {
-        let mut w = TimingWheel::new();
-        let mut keys = Vec::new();
-        for i in 0..5_000u64 {
-            // Spread across every level and overflow: 2^0 to 2^54 ns.
-            keys.push(w.schedule((1 << (i % 55)) + i, i));
-        }
-        for (l, level) in w.levels.iter().enumerate() {
-            assert_ne!(level.occ, 0, "level {l} must hold events");
-        }
-        assert!(!w.overflow.is_empty(), "overflow must hold events");
-        for k in keys {
-            assert!(w.cancel(k));
-        }
-        assert!(w.is_empty());
-        assert!(
-            w.stored_entries() < 200,
-            "compaction left {} tombstones",
-            w.stored_entries()
-        );
-        assert!(w.stats().compactions > 0);
+    fn cancels_free_every_store_at_once() {
+        let mut w = cancel_across_every_store(5_000, 25);
+        assert_eq!(w.stats().compactions, 0);
         w.schedule(7, 42);
-        assert_eq!(w.pop().map(|(_, _, e)| e), Some((7, 42)).map(|x| x.1));
+        assert_eq!(w.pop().map(|(_, _, e)| e), Some(42));
+    }
+
+    /// Churn shaped like `overload`'s client timers: every request arms a
+    /// 10 s timeout and disarms it ~0.5 s later, ~2k are armed at once, and
+    /// one in 64 times out. A clock event on the last nanosecond of every
+    /// 16th fine slot (~1 ms) moves time on; no timer shares its instant,
+    /// so popping it leaves the front run empty. After every step the
+    /// lists hold exactly the pending events.
+    #[test]
+    fn client_timer_churn_keeps_only_pending_events_listed() {
+        const CLOCK: u64 = u64::MAX;
+        const TIMEOUT_NS: u64 = 10_000_000_000;
+        const STEP_NS: u64 = 16 * GRANULARITY;
+        const STEPS: u64 = 10_500;
+        let mut rng = SimRng::seed_from(0x25);
+        let mut w = TimingWheel::new();
+        let mut disarm: Vec<Vec<SlabKey>> = vec![Vec::new(); STEPS as usize + 600];
+        let (mut timeouts, mut fired, mut timers) = (Vec::new(), 0, 0u64);
+        let mut peak = 0;
+        w.schedule(STEP_NS - 1, CLOCK);
+        for step in 0..STEPS {
+            let now = (step + 1) * STEP_NS - 1;
+            loop {
+                let (at, _, ev) = w.pop().expect("the clock event is pending");
+                if ev == CLOCK {
+                    assert_eq!(at, now);
+                    break;
+                }
+                assert!(at <= now && at % GRANULARITY != GRANULARITY - 1);
+                fired += 1;
+            }
+            for _ in 0..4 {
+                let key = w.schedule(now + TIMEOUT_NS, timers);
+                timers += 1;
+                if rng.index(64) == 0 {
+                    timeouts.push(now + TIMEOUT_NS);
+                } else {
+                    disarm[(step + rng.range_u64(450, 550)) as usize].push(key);
+                }
+            }
+            for key in std::mem::take(&mut disarm[step as usize]) {
+                assert!(w.cancel(key));
+            }
+            w.schedule(now + STEP_NS, CLOCK);
+            assert!(w.front.is_empty());
+            assert_eq!(w.listed(), w.len());
+            peak = peak.max(w.len());
+        }
+        let end = STEPS * STEP_NS - 1;
+        assert_eq!(fired, timeouts.iter().filter(|&&at| at <= end).count());
+        assert!(fired > 0 && w.stats().cascades > 0);
+        assert!((2_000..3_500).contains(&peak), "peak {peak} pending");
     }
 }

@@ -229,6 +229,9 @@ fn cross_check(
             ids.push((id, raw));
         }
         assert_eq!(wheel.len(), model.len());
+        // In a debug build `stats()` also recounts every wheel list and
+        // the front run against `len()`.
+        assert_eq!(wheel.stats().depth, model.len() as u64);
     }
     // Drain both completely: full remaining order must match.
     loop {
@@ -263,8 +266,10 @@ fn wheel_matches_heap_model_across_level_cascades() {
     }
 }
 
-/// 10k-cancel churn: cancellation dominates, compaction kicks in, and the
-/// survivors still pop in exactly the model's order with the model's ids.
+/// 10k-cancel churn: cancellation dominates, each cancel frees its event
+/// at once (the per-operation `stats()` recount sees exactly the model's
+/// pending events), and the survivors still pop in exactly the model's
+/// order with the model's ids.
 #[test]
 fn wheel_matches_heap_model_under_cancel_churn() {
     cross_check(0x81, 12_000, 10_000_000_000, 60, 10, 0);
