@@ -288,9 +288,9 @@ pub struct ClusterParams {
     pub watchdog_grace_cycles: f64,
     /// Client-side timeout/retry policy (the `failed` conservation bucket).
     pub client_retry: ClientRetryParams,
-    /// Has no effect: every per-RPN lane flushes on the simulation
-    /// thread, whatever the value. The field remains only because the
-    /// `simbench` benchmark still sets it.
+    /// Has no effect: every RPN serves each request as it arrives,
+    /// whatever the value. The field remains only because the `simbench`
+    /// benchmark still sets it.
     pub lanes: usize,
 }
 

@@ -9,10 +9,9 @@ use gage_des::{SimDuration, SimTime};
 
 /// A work-conserving FIFO service line.
 ///
-/// The batched per-RPN lanes offer a whole scheduling cycle's arrivals in
-/// arrival order and get each request's finish time straight back, so no
-/// per-item queue entry — and no per-item completion event — is needed
-/// for the intermediate stages.
+/// An RPN offers each request to its lines as the request arrives and
+/// gets the finish time straight back, so no per-item queue entry — and
+/// no per-item completion event — is needed for the intermediate stages.
 ///
 /// ```rust
 /// use gage_cluster::server::BusyLine;

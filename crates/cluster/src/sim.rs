@@ -13,11 +13,13 @@
 //!    dispatch installs a connection-table route and forwards the request
 //!    to the chosen RPN (7 µs),
 //! 4. the RPN's local service manager sets up the second-leg connection
-//!    (27.2 µs), builds the [`SpliceMap`](gage_net::SpliceMap), and hands
-//!    the request to its *lane*: a per-RPN batch of CPU → disk → NIC
-//!    service stages evaluated in struct-of-arrays fashion at the next
-//!    scheduling-cycle barrier (see
-//!    [module docs on lanes](#deterministic-per-rpn-lanes)),
+//!    (27.2 µs), builds the [`SpliceMap`](gage_net::SpliceMap), and serves
+//!    the request as it arrives: it chains the request through the node's
+//!    CPU → disk → NIC [`BusyLine`](crate::server::BusyLine)s, which
+//!    return each stage's finish time as the work is offered, and
+//!    schedules its completion at the NIC finish. The scheduling cycle
+//!    paces only the RDN's dispatch (paper §3.3), and both
+//!    [`GageMode`]s serve through this one path,
 //! 5. the response flows *directly* to the client (sequence/address
 //!    remapped, 4.6 µs per data packet); client ACKs flow back through the
 //!    RDN bridge (7 µs each) to the RPN (1.3 µs remap each) — all charged
@@ -36,25 +38,6 @@
 //! events carry, and a request names its URL by trace entry rather than
 //! copying it.
 //!
-//! # Deterministic per-RPN lanes
-//!
-//! Each RPN owns an *inbox* of newly arrived requests. Between two
-//! scheduling-cycle barriers nothing reads another RPN's inbox, so
-//! flushing an inbox — chaining each request through the node's CPU, disk
-//! and NIC [`BusyLine`](crate::server::BusyLine)s — depends only on that
-//! RPN's state. At the barrier ([`Ev::SchedTick`]) every lane is flushed
-//! on the simulation thread **in fixed RPN order**, and each flush
-//! schedules its requests' completions at their exact finish times, so
-//! same-seed runs schedule them in the same order and stay byte-identical.
-//! Finish times earlier than the barrier clamp to the barrier instant
-//! (the engine never schedules into the past), so a sub-cycle response
-//! completes at the next tick — bounded by one 10 ms cycle, well inside
-//! every latency band the paper's tables quote.
-//!
-//! In [`GageMode::Bypass`] there is no scheduling tick, so a lane flushes
-//! as each request arrives, which degenerates to the exact unbatched
-//! timing.
-//!
 //! # Failure and recovery
 //!
 //! Faults are injected by a scripted, seeded [`crate::FaultPlan`]
@@ -62,15 +45,14 @@
 //! Every issued request terminally resolves as *served*, *dropped*
 //! (refused by the RDN with an RST) or *failed* (client timeout after
 //! bounded retries) — the chaos suite asserts this conservation exactly.
-//! A crashed node loses its in-flight work (inbox included); the RDN's
-//! report watchdog writes it off ([`TraceEvent::NodeDown`]), purges its
-//! splice routes and re-queues dispatches that bounced off it. A
-//! recovered node reboots cold (fresh process table, cold cache),
-//! restarts its accounting chain, and its first report re-registers it
-//! with the RDN ([`TraceEvent::NodeUp`]) — the watchdog's symmetric
-//! up-path. While live capacity is short of the reservation sum, the
-//! scheduler scales effective reservations proportionally (graceful
-//! degradation).
+//! A crashed node loses its in-flight work; the RDN's report watchdog
+//! writes it off ([`TraceEvent::NodeDown`]), purges its splice routes and
+//! re-queues dispatches that bounced off it. A recovered node reboots
+//! cold (fresh process table, cold cache), restarts its accounting chain,
+//! and its first report re-registers it with the RDN
+//! ([`TraceEvent::NodeUp`]) — the watchdog's symmetric up-path. While
+//! live capacity is short of the reservation sum, the scheduler scales
+//! effective reservations proportionally (graceful degradation).
 //!
 //! # Multi-RDN sharded front end
 //!
@@ -108,14 +90,14 @@
 //! This file holds the [`World`], the [`Ev`] event set, the event dispatch
 //! and the [`ClusterSim`] builder. Each role's state and handlers live in a
 //! child module: `client` (issue, timeouts, retries), `front` (the RDN
-//! peers), `rpn` (the back ends and their lanes) and `shard` (which front
-//! answers for which subscribers). Each role has one constructor, used at
-//! start-up and again when a crash reboots it cold. Roles call each other
-//! synchronously at five points — the front reads a client's pending URL,
-//! a completion charges the dispatching front's ACK bridge, a dispatch to a
-//! dead RPN bounces back to its front, the scheduling tick runs the lane
-//! barrier and the accounting tick reads shard owners — because turning
-//! any of them into an event would reorder same-instant events.
+//! peers), `rpn` (the back ends) and `shard` (which front answers for
+//! which subscribers). Each role has one constructor, used at start-up and
+//! again when a crash reboots it cold. Roles call each other synchronously
+//! at four points — the front reads a client's pending URL, a completion
+//! charges the dispatching front's ACK bridge, a dispatch to a dead RPN
+//! bounces back to its front and the accounting tick reads shard owners —
+//! because turning any of them into an event would reorder same-instant
+//! events.
 
 mod client;
 mod front;
@@ -183,7 +165,7 @@ pub enum Ev {
     ResponseArrive { sub: u32, pending: SlabKey },
     /// A client's per-attempt request timer expired.
     ClientTimeout { sub: u32, pending: SlabKey },
-    /// The RDN scheduler's 10 ms tick — also the lane barrier.
+    /// The RDN scheduler's 10 ms tick.
     SchedTick,
     /// An RPN's accounting-cycle tick (valid only in its boot `epoch`).
     AcctTick { rpn: u16, epoch: u32 },

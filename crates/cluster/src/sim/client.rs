@@ -65,9 +65,9 @@ impl Arrivals {
 
 /// What an outstanding client connection is requesting. The URL itself is
 /// never copied: `idx` points back into the subscriber's immutable trace,
-/// and the front, its queue and the RPN lane all carry the index, so the
-/// path is read from the trace where it is needed and issuing (and
-/// re-issuing on retry) allocates nothing.
+/// and the front, its queue and the dispatch to the RPN all carry the
+/// index, so the path is read from the trace where it is needed and
+/// issuing (and re-issuing on retry) allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct UrlInfo {
     /// Trace entry index within the owning subscriber's trace.

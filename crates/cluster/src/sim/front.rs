@@ -281,11 +281,9 @@ impl World {
         self.send_to_rpn(ctx, rpn.0, meta);
     }
 
-    /// The RDN scheduler's 10 ms tick: the lane barrier, shard failover,
-    /// each live front's report watchdog and its dispatch cycle.
+    /// The RDN scheduler's 10 ms tick: shard failover, each live front's
+    /// report watchdog and its dispatch cycle.
     pub(super) fn on_sched_tick(&mut self, ctx: &mut Context<'_, Ev>) {
-        // Barrier first, so completions merge before anything dispatches.
-        self.lane_barrier(ctx);
         // Shard failover/failback precedes dispatch, so every cycle
         // dispatches against settled ownership.
         if self.params.rdn_count > 1 {

@@ -1,8 +1,7 @@
 //! The RPN role: each back-end node's local service manager (paper §3.4–
 //! 3.5). It sets up the second-leg connection and the [`SpliceMap`],
-//! serves requests through per-RPN lanes (see the parent module's notes
-//! on lanes), charges usage to processes and reports it to every front
-//! once per accounting cycle.
+//! serves each request as it arrives, charges usage to processes and
+//! reports it to every front once per accounting cycle.
 
 use std::net::Ipv4Addr;
 
@@ -11,7 +10,7 @@ use gage_core::accounting::{SubscriberUsage, UsageReport};
 use gage_core::node::RpnId;
 use gage_core::resource::ResourceVector;
 use gage_core::subscriber::SubscriberId;
-use gage_des::{Context, SimDuration, SimTime};
+use gage_des::{Context, SimDuration};
 use gage_net::addr::{FourTuple, MacAddr};
 use gage_net::splice::SpliceMap;
 use gage_net::SeqNum;
@@ -41,7 +40,8 @@ struct ActiveReq {
     predicted: ResourceVector,
     splice: SpliceMap,
     size: u64,
-    /// Usage in reference-machine units, measured when the lane flushes.
+    /// Usage in reference-machine units, measured when the request is
+    /// served on arrival.
     usage: ResourceVector,
     /// Process the usage is charged to: the subscriber's worker, or a
     /// forked CGI child for dynamic requests.
@@ -52,27 +52,6 @@ struct ActiveReq {
     /// the completion only bridges ACKs through that same life of it.
     rdn: u16,
     rdn_epoch: u32,
-}
-
-/// One entry of an RPN lane's inbox: a request waiting for the next
-/// barrier flush, in arrival order (struct-of-arrays style — service
-/// parameters travel here, identity/accounting state lives in
-/// [`ActiveReq`]).
-#[derive(Debug)]
-struct LaneJob {
-    /// The request's handle in the RPN's `active` slab.
-    active: SlabKey,
-    /// Arrival instant: service chains from here, not from the barrier,
-    /// so batching never costs capacity.
-    ready: SimTime,
-    /// The requested trace entry: entry `idx` of site `site`'s trace.
-    site: u32,
-    idx: u32,
-    size: u64,
-    /// CGI cost multiplier (1.0 for static requests).
-    cpu_mult: f64,
-    /// Per-request Gage overhead in reference-machine µs (0 in bypass).
-    overhead_us: f64,
 }
 
 /// Per-subscriber completion accumulator between accounting reports.
@@ -95,8 +74,6 @@ pub(super) struct Rpn {
     /// In-service requests. A reboot starts a fresh slab whose generations
     /// restart, so a handle resolves only in the life that issued it.
     active: Slab<ActiveReq>,
-    /// Requests arrived since the last barrier, in arrival order.
-    inbox: Vec<LaneJob>,
     /// Running sums of predicted vectors of in-service requests, one per
     /// dispatching front end — each accounting tick reports the slice a
     /// front booked itself, without walking `active`.
@@ -139,7 +116,6 @@ impl Rpn {
             processes,
             workers,
             active: Slab::new(),
-            inbox: Vec::new(),
             outstanding_by_rdn: vec![ResourceVector::ZERO; params.rdn_count],
             isn_counter: 7,
             cycle: vec![CycleAccum::default(); n_sites],
@@ -172,82 +148,12 @@ fn response_wire_bytes(size: u64) -> f64 {
 }
 
 impl World {
-    /// Flushes RPN `r`'s lane: chains every inbox request through the
-    /// node's CPU → disk → NIC service lines in arrival order, records its
-    /// usage on the matching [`ActiveReq`] and schedules its
-    /// [`Ev::Complete`] at the NIC finish time (clamped to now by the
-    /// engine), crediting the collapsed per-stage events as logical events.
-    fn flush_lane(&mut self, ctx: &mut Context<'_, Ev>, r: usize) {
-        let params = &self.params;
-        let traces = &self.traces;
-        let speed = params.rpn_speed;
-        let rpn = &mut self.rpns[r];
-        let mut inbox = std::mem::take(&mut rpn.inbox);
-        for job in inbox.drain(..) {
-            let service_cpu_us = params.service.cpu_us(job.size) * job.cpu_mult;
-            let cpu_us = (service_cpu_us + job.overhead_us) / speed;
-            let cpu_fin = rpn
-                .cpu
-                .offer(job.ready, SimDuration::from_secs_f64(cpu_us / 1e6));
-            let disk_us = match params.service.disk {
-                DiskPolicy::None => 0.0,
-                DiskPolicy::PerRequest { us } => us,
-                DiskPolicy::Cache {
-                    seek_us,
-                    transfer_bytes_per_sec,
-                    ..
-                } => {
-                    let path = &traces[job.site as usize].entries[job.idx as usize].path;
-                    let miss = rpn
-                        .cache
-                        .as_mut()
-                        .is_some_and(|c| !c.access(path, job.size));
-                    if miss {
-                        seek_us + job.size as f64 / transfer_bytes_per_sec * 1e6
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            let disk_fin = if disk_us > 0.0 {
-                rpn.disk
-                    .offer(cpu_fin, SimDuration::from_secs_f64(disk_us / 1e6))
-            } else {
-                cpu_fin
-            };
-            let wire = response_wire_bytes(job.size);
-            let nic_fin = rpn.nic.offer(
-                disk_fin,
-                SimDuration::from_secs_f64(wire / NETWORK.rpn_egress_bytes_per_sec),
-            );
-            if let Some(req) = rpn.active.get_mut(job.active) {
-                // CPU is accounted in reference-machine µs.
-                req.usage = ResourceVector::new(cpu_us * speed, disk_us, wire);
-            }
-            // One legacy CpuDone + NicDone pair collapses into Complete
-            // (+1 logical), plus DiskDone when the disk stage ran.
-            ctx.count_logical(1 + u64::from(disk_us > 0.0));
-            ctx.schedule_at(
-                nic_fin,
-                Ev::Complete {
-                    rpn: r as u16,
-                    epoch: rpn.epoch,
-                    active: job.active,
-                },
-            );
-        }
-        rpn.inbox = inbox;
-    }
-
-    /// The lane barrier the scheduling tick runs first: flush every lane
-    /// in fixed RPN order, so completions are scheduled in the same order
-    /// on every run.
-    pub(super) fn lane_barrier(&mut self, ctx: &mut Context<'_, Ev>) {
-        for r in 0..self.rpns.len() {
-            self.flush_lane(ctx, r);
-        }
-    }
-
+    /// A dispatched request reaches RPN `rpn_idx`, whose local service
+    /// manager sets up the splice and serves the request at once: it
+    /// chains the request through the node's CPU → disk → NIC service
+    /// lines from now, records its usage on the [`ActiveReq`] it inserts
+    /// and schedules its [`Ev::Complete`] at the NIC finish time,
+    /// crediting the collapsed per-stage events as logical events.
     pub(super) fn on_rpn_arrive(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -262,8 +168,9 @@ impl World {
             return;
         }
         let request = meta.request;
+        let params = &self.params;
         let (data_pkts, ack_pkts) = response_packet_counts(request.size);
-        let overhead_us = match self.params.mode {
+        let overhead_us = match params.mode {
             GageMode::Enabled => RPN_COSTS.per_request_us(data_pkts, ack_pkts),
             GageMode::Bypass => 0.0,
         };
@@ -271,12 +178,12 @@ impl World {
         // worker and burn a multiple of the static CPU cost; the child's
         // usage rolls up to the charging entity through the process tree.
         let path = &self.traces[request.site as usize].entries[request.idx as usize].path;
-        let dynamic = self
-            .params
+        let dynamic = params
             .dynamic
             .as_ref()
             .filter(|d| path.starts_with(&d.path_prefix))
             .map(|d| d.cpu_multiplier);
+        let speed = params.rpn_speed;
         let rpn = &mut self.rpns[rpn_idx as usize];
         rpn.isn_counter = rpn.isn_counter.wrapping_add(104_729);
         let splice = SpliceMap::new_traced(
@@ -297,6 +204,43 @@ impl World {
         } else {
             (worker, false)
         };
+
+        let service_cpu_us = params.service.cpu_us(request.size) * dynamic.unwrap_or(1.0);
+        let cpu_us = (service_cpu_us + overhead_us) / speed;
+        let cpu_fin = rpn
+            .cpu
+            .offer(ctx.now(), SimDuration::from_secs_f64(cpu_us / 1e6));
+        let disk_us = match params.service.disk {
+            DiskPolicy::None => 0.0,
+            DiskPolicy::PerRequest { us } => us,
+            DiskPolicy::Cache {
+                seek_us,
+                transfer_bytes_per_sec,
+                ..
+            } => {
+                let miss = rpn
+                    .cache
+                    .as_mut()
+                    .is_some_and(|c| !c.access(path, request.size));
+                if miss {
+                    seek_us + request.size as f64 / transfer_bytes_per_sec * 1e6
+                } else {
+                    0.0
+                }
+            }
+        };
+        let disk_fin = if disk_us > 0.0 {
+            rpn.disk
+                .offer(cpu_fin, SimDuration::from_secs_f64(disk_us / 1e6))
+        } else {
+            cpu_fin
+        };
+        let wire = response_wire_bytes(request.size);
+        let nic_fin = rpn.nic.offer(
+            disk_fin,
+            SimDuration::from_secs_f64(wire / NETWORK.rpn_egress_bytes_per_sec),
+        );
+
         rpn.outstanding_by_rdn[meta.rdn as usize] += meta.predicted;
         let active = rpn.active.insert(ActiveReq {
             sub: meta.sub,
@@ -307,26 +251,24 @@ impl World {
             predicted: meta.predicted,
             splice,
             size: request.size,
-            usage: ResourceVector::ZERO,
+            // CPU is accounted in reference-machine µs.
+            usage: ResourceVector::new(cpu_us * speed, disk_us, wire),
             pid,
             reap_pid,
             rdn: meta.rdn,
             rdn_epoch: meta.rdn_epoch,
         });
-        rpn.inbox.push(LaneJob {
-            active,
-            ready: ctx.now(),
-            site: request.site,
-            idx: request.idx,
-            size: request.size,
-            cpu_mult: dynamic.unwrap_or(1.0),
-            overhead_us,
-        });
-        if self.params.mode == GageMode::Bypass {
-            // No scheduling tick exists to act as the barrier: flush this
-            // lane at once, which reproduces exact unbatched timing.
-            self.flush_lane(ctx, rpn_idx as usize);
-        }
+        // One legacy CpuDone + NicDone pair collapses into Complete
+        // (+1 logical), plus DiskDone when the disk stage ran.
+        ctx.count_logical(1 + u64::from(disk_us > 0.0));
+        ctx.schedule_at(
+            nic_fin,
+            Ev::Complete {
+                rpn: rpn_idx,
+                epoch: rpn.epoch,
+                active,
+            },
+        );
     }
 
     /// True if an event stamped with `epoch` belongs to a previous life of
@@ -462,10 +404,10 @@ impl World {
     }
 
     /// Fail-stop crash: the node reboots cold through [`Rpn::boot`], so
-    /// its in-flight work (inbox included), process table, cache and
-    /// service lines are lost. Only its identity, ISN clock and lifetime
-    /// completion count carry over, and its boot epoch advances so every
-    /// event scheduled against the old life is stale. Idempotent.
+    /// its in-flight work, process table, cache and service lines are
+    /// lost. Only its identity, ISN clock and lifetime completion count
+    /// carry over, and its boot epoch advances so every event scheduled
+    /// against the old life is stale. Idempotent.
     pub(super) fn on_rpn_crash(&mut self, rpn_idx: u16) {
         let idx = rpn_idx as usize;
         let old = &self.rpns[idx];

@@ -50,13 +50,13 @@ fn site(host: &str, seed: u64) -> SiteSpec {
 /// change that alters the trace on purpose updates both constants in its
 /// own diff.
 const CHAOS_DUMP_LEN: usize = 4_646_192;
-const CHAOS_DUMP_FNV1A64: u64 = 0xbc0e_6088_74c9_ebf1;
+const CHAOS_DUMP_FNV1A64: u64 = 0x32cd_1b55_9b53_4e1d;
 
 /// The same pin for that dump without its `queue_stats` records, the only
 /// ones that describe the event queue rather than the simulated cluster.
 /// A change to the queue alone updates the pair above and leaves this one.
 const CHAOS_QUEUE_FREE_DUMP_LEN: usize = 4_642_883;
-const CHAOS_QUEUE_FREE_DUMP_FNV1A64: u64 = 0x4520_c24a_8f48_5f3b;
+const CHAOS_QUEUE_FREE_DUMP_FNV1A64: u64 = 0xbfc3_2a01_9330_2617;
 
 /// The same pin for the chaos dump's audit report, as `to_json()` and as
 /// `to_table()`.

@@ -1,6 +1,8 @@
 //! End-to-end behavioural tests of the simulated Gage cluster.
 
-use gage_cluster::params::{ClusterParams, GageMode, ServiceCostModel};
+use gage_cluster::params::{
+    ClusterParams, DiskPolicy, GageMode, ServiceCostModel, NETWORK, RPN_COSTS,
+};
 use gage_cluster::sim::{ClusterSim, SiteSpec};
 use gage_core::config::SchedulerConfig;
 use gage_core::resource::Grps;
@@ -173,6 +175,59 @@ fn gage_beats_bypass_under_overload() {
     assert!(
         meek_gage > meek_bare,
         "isolation must beat bypass ({meek_gage} vs {meek_bare})"
+    );
+}
+
+#[test]
+fn a_response_leaves_when_its_service_ends() {
+    // A light static load never queues at an RPN, so a request waits at
+    // most one scheduling cycle in the RDN queue, then only for its own
+    // CPU and NIC service and the network hops. A response held for a
+    // later tick takes up to a whole cycle longer.
+    const SIZE: u64 = 6 << 10;
+    let horizon = 10.0;
+    let host = "light.example.com";
+    let trace = Trace::generate(
+        host,
+        ArrivalProcess::Constant { rate: 20.0 },
+        horizon,
+        &mut SyntheticGenerator::new(SIZE, 1),
+        &mut StdRng::seed_from_u64(1),
+    );
+    let offered = trace.entries.len() as u64;
+    let params = ClusterParams {
+        rpn_count: 2,
+        service: ServiceCostModel {
+            disk: DiskPolicy::None,
+            ..ServiceCostModel::static_files()
+        },
+        ..Default::default()
+    };
+    // The response with its 200-byte header in MSS-sized data packets,
+    // one ACK each, and 54 bytes of framing per data packet on the wire.
+    let packets = (SIZE + 200).div_ceil(NETWORK.mss as u64);
+    let cpu_us = (params.service.cpu_us(SIZE) + RPN_COSTS.per_request_us(packets, packets))
+        / params.rpn_speed;
+    let nic_us = (SIZE + 200 + 54 * packets) as f64 / NETWORK.rpn_egress_bytes_per_sec * 1e6;
+    // The three-hop first leg, the dispatch and the response.
+    let hops_ms = 5.0 * NETWORK.hop_latency.as_secs_f64() * 1e3;
+    let cycle_ms = params.scheduler.scheduling_cycle_secs * 1e3;
+    let bound_ms = cycle_ms + (cpu_us + nic_us) / 1e3 + hops_ms;
+    let sites = vec![SiteSpec {
+        host: host.to_string(),
+        reservation: Grps(100.0),
+        trace,
+    }];
+    let mut sim = ClusterSim::new(params, sites, 7);
+    sim.run_until(SimTime::from_secs(horizon as u64 + 1));
+    let latency = &sim.world().metrics[0].latency_ms;
+    assert_eq!(latency.count(), offered, "every request is served");
+    assert!(
+        latency.max() <= bound_ms,
+        "the slowest response took {:.2} ms, more than {cycle_ms} ms of queue \
+         wait plus {:.2} ms of service and hops",
+        latency.max(),
+        bound_ms - cycle_ms
     );
 }
 

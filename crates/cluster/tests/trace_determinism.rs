@@ -45,13 +45,13 @@ fn sites(horizon: f64, seed: u64) -> Vec<SiteSpec> {
 /// contract pinned exactly, so a refactor cannot drift within it. A change
 /// that alters the trace on purpose updates both constants in its own diff.
 const DUMP_LEN: usize = 1_587_308;
-const DUMP_FNV1A64: u64 = 0x983f_41f6_4354_8b42;
+const DUMP_FNV1A64: u64 = 0xf693_92fb_fbdc_4060;
 
 /// The same pin for that dump without its `queue_stats` records, the only
 /// ones that describe the event queue rather than the simulated cluster.
 /// A change to the queue alone updates the pair above and leaves this one.
 const QUEUE_FREE_DUMP_LEN: usize = 1_586_188;
-const QUEUE_FREE_DUMP_FNV1A64: u64 = 0xf9a0_1e63_6e88_52e7;
+const QUEUE_FREE_DUMP_FNV1A64: u64 = 0x9ed4_c9c3_52d8_d55d;
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

@@ -29,13 +29,13 @@ pub struct ScheduledEvent<E> {
 /// A priority queue of events ordered by firing time with deterministic
 /// FIFO tie-breaking and O(1) cancellation.
 ///
-/// Backed by a hierarchical timing wheel (see [`crate::wheel`]): the fine
-/// level buckets ~65.5 µs of virtual time, coarse levels cover 64× each,
-/// and far-future events cascade down as the clock approaches them. Pop order
-/// is exactly `(at, schedule order)` — byte-identical to the previous
-/// `BinaryHeap` implementation, including the handles it returns — but
-/// the common periodic-workload operations (schedule near-future, pop,
-/// cancel) are O(1) instead of O(log n).
+/// Backed by a hierarchical timing wheel (the private `wheel` module): the
+/// fine level buckets ~65.5 µs of virtual time, coarse levels cover 64×
+/// each, and far-future events cascade down as the clock approaches them.
+/// Pop order is exactly `(at, schedule order)` — byte-identical to the
+/// previous `BinaryHeap` implementation, including the handles it returns
+/// — but the common periodic-workload operations (schedule near-future,
+/// pop, cancel) are O(1) instead of O(log n).
 ///
 /// ```rust
 /// use gage_des::{EventQueue, SimTime};

@@ -5,7 +5,7 @@
 //! control protocol (`gage-rt::proto`), workload trace files
 //! (`gage-workload::trace`) and the `gage-obs` trace dumps and audit
 //! reports — use this value-based API instead:
-//! build a [`Json`] tree, [`Json::to_string`] it, [`parse`] it back,
+//! build a [`Json`] tree, print it with `to_string`, [`parse`] it back,
 //! and pick fields out with the typed accessors.
 //!
 //! Design points:
@@ -484,9 +484,13 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            // Past f64's range the literal reads as ±infinity, which JSON
+            // cannot express and no writer here prints.
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -582,6 +586,16 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_numbers_out_of_range() {
+        for bad in ["1e999", "-1e400", "[1,1e999]", "{\"grps\":1e999}"] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.to_string().contains("out of range"), "{bad}: {err}");
+        }
+        assert_eq!(parse("1e308").expect("in range"), Json::Num(1e308));
+        assert_eq!(parse("-1e308").expect("in range"), Json::Num(-1e308));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! An allow that no longer suppresses anything is worse than dead code: it
 //! silently licenses a future regression at that exact spot. After every
 //! other rule has run, this meta-rule compares each declared escape against
-//! the set the [`Sink`](crate::rules::Sink) actually consumed and flags the
-//! leftovers. Escapes naming a rule that doesn't exist (typos, renamed
-//! rules) are flagged too — they never suppressed anything to begin with.
+//! the set the [`Sink`] actually consumed and flags the leftovers. Escapes
+//! naming a rule that doesn't exist (typos, renamed rules) are flagged too
+//! — they never suppressed anything to begin with.
 
 use crate::model::{Workspace, FILE_MARKER, LINE_MARKER};
 use crate::rules::{Sink, RULES};

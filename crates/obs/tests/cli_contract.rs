@@ -69,3 +69,24 @@ fn a_request_id_past_the_dump_exits_one_with_the_record_named() {
         );
     }
 }
+
+#[test]
+fn a_number_out_of_range_exits_one_with_the_line_named() {
+    let header =
+        r#"{"schema":"gage-trace-v1","emitted":1,"retained":1,"overwritten":0,"capacity":8}"#;
+    let record = r#"{"seq":0,"t_ns":0,"kind":"reservation","sub":0,"grps":1e999,"shard":0}"#;
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("grps-1e999.jsonl");
+    std::fs::write(&path, format!("{header}\n{record}\n")).expect("write scratch dump");
+    let path = path.to_str().expect("utf-8 path");
+    for (tool, out) in [
+        ("gage-audit", gage_audit(&[path])),
+        ("tracedump", tracedump(&[path, "--check"])),
+    ] {
+        assert_eq!(out.status.code(), Some(1), "{tool}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(": line 2: ") && stderr.contains("number out of range"),
+            "{tool}: {stderr}"
+        );
+    }
+}

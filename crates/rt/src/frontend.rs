@@ -8,7 +8,7 @@
 //! (application-level relay) to the chosen back end. Accounting reports
 //! arrive over a control listener and reconcile the scheduler's balances.
 
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -60,9 +60,9 @@ pub struct FrontendConfig {
     /// Retained trace-record count for gage-obs tracing; `None` disables
     /// tracing entirely (the hot path then pays a single branch).
     pub trace_capacity: Option<usize>,
-    /// Deadline for reading a client's request head. A client that
-    /// connects and then stalls is answered 408 and disconnected instead
-    /// of pinning an accept thread forever.
+    /// Deadline for reading a client's whole request head, counted from
+    /// the accept. A client that stalls or dribbles its head is answered
+    /// 408 and disconnected instead of pinning an accept thread.
     pub client_read_timeout: Duration,
 }
 
@@ -315,16 +315,38 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
     })
 }
 
+/// A client stream whose reads share one deadline: each read waits only
+/// for the time left, so a byte that arrives does not restart the clock.
+struct HeadReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for HeadReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 fn classify_and_enqueue(
     mut stream: TcpStream,
     front: &Mutex<Front>,
     registry: &SubscriberRegistry,
     read_timeout: Duration,
 ) -> std::io::Result<()> {
-    // Bound the head read: a stalled or byte-dribbling client is turned
-    // away instead of holding this thread (and its connection slot) open.
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let head = match read_request_head(&mut stream) {
+    // Bound the whole head read: a stalled or byte-dribbling client is
+    // turned away instead of holding this thread (and its connection
+    // slot) open.
+    let mut reader = HeadReader {
+        stream: &stream,
+        deadline: Instant::now() + read_timeout,
+    };
+    let head = match read_request_head(&mut reader) {
         Ok((head, _rest)) => head,
         Err(crate::http::HttpError::Io(e))
             if e.kind() == std::io::ErrorKind::WouldBlock

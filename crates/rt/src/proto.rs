@@ -154,7 +154,7 @@ mod tests {
         let got = recv_msg(&mut wire.as_slice()).expect("valid report");
         assert_eq!(got, Some(valid));
         assert!(recv_msg(&mut report_line("0").as_bytes()).is_ok());
-        // `1e999` parses as infinity.
+        // `1e999` is out of range and fails to parse.
         for bad in ["-1", "-1e-9", "1e999", "-1e999"] {
             let line = report_line(bad);
             let err = recv_msg(&mut line.as_bytes()).expect_err(&line);

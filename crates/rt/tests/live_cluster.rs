@@ -9,6 +9,7 @@ use gage_core::subscriber::SubscriberId;
 use gage_obs::audit::{audit_dump, AuditConfig};
 use gage_rt::backend::BackendCost;
 use gage_rt::client::{run_load, ClientConfig};
+use gage_rt::frontend::{spawn_frontend, FrontendConfig};
 use gage_rt::harness::{deploy, DeployOptions};
 use gage_rt::http::read_response;
 
@@ -124,6 +125,38 @@ fn absolute_form_request_is_served() {
         .expect("sends the head");
     let (status, _) = read_response(&mut stream).expect("reads the response");
     assert_eq!(status, 200);
+}
+
+#[test]
+fn a_client_dribbling_its_head_gets_408_when_the_head_deadline_passes() {
+    // A byte every 100 ms keeps each read well inside the 300 ms timeout,
+    // but the timeout bounds the whole head, which never completes here.
+    let frontend = spawn_frontend(FrontendConfig {
+        client_read_timeout: Duration::from_millis(300),
+        ..FrontendConfig::loopback(Vec::new(), Vec::new())
+    })
+    .expect("starts");
+    let mut stream = TcpStream::connect(frontend.http_addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("sets a read timeout");
+    let mut dribble = stream.try_clone().expect("clones the stream");
+    let dribbler = std::thread::spawn(move || {
+        for byte in b"GET /x HTTP/1.0\r\nHost: solo.local\r\n" {
+            if dribble.write_all(&[*byte]).is_err() {
+                break; // the front end hung up
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    let start = Instant::now();
+    let (status, _) = read_response(&mut stream).expect("a response within 1 s");
+    let waited = start.elapsed();
+    assert_eq!(status, 408);
+    assert!(waited < Duration::from_secs(1), "408 after {waited:?}");
+    dribbler
+        .join()
+        .expect("the client stops once the front end hangs up");
 }
 
 #[test]
