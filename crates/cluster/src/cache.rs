@@ -10,7 +10,7 @@ use gage_collections::DetMap;
 
 /// LRU cache keyed by file path with a total byte budget.
 ///
-/// It keys by the trace's own path handle (`TraceEntry::path`), so a miss
+/// It keys by the trace's own path handle (`Trace::path`), so a miss
 /// stores a clone of the handle rather than a copy of the text.
 ///
 /// ```rust

@@ -25,8 +25,6 @@ use gage_des::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BusyLine {
     busy_until: SimTime,
-    total_busy: SimDuration,
-    completed: u64,
 }
 
 impl BusyLine {
@@ -40,24 +38,12 @@ impl BusyLine {
     /// (FIFO) for the finish times to be meaningful.
     pub fn offer(&mut self, ready: SimTime, service: SimDuration) -> SimTime {
         self.busy_until = self.busy_until.max(ready) + service;
-        self.total_busy += service;
-        self.completed += 1;
         self.busy_until
     }
 
     /// When the line drains, given no further arrivals.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Cumulative service time performed.
-    pub fn total_busy(&self) -> SimDuration {
-        self.total_busy
-    }
-
-    /// Items offered (and therefore eventually completed) so far.
-    pub fn completed_count(&self) -> u64 {
-        self.completed
     }
 }
 
@@ -83,7 +69,6 @@ mod tests {
         assert_eq!(line.offer(t, ms(1)).as_millis(), 2);
         assert_eq!(line.offer(t, ms(1)).as_millis(), 3);
         assert_eq!(line.busy_until().as_millis(), 3);
-        assert_eq!(line.completed_count(), 3);
     }
 
     #[test]
@@ -98,13 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn total_busy_sums_service_times() {
+    fn busy_until_follows_backlog_and_gaps() {
         let mut line = BusyLine::new();
         for (at, svc) in [(0, 5), (2, 1), (3, 4), (50, 2), (50, 2)] {
             line.offer(SimTime::from_millis(at), ms(svc));
         }
         assert_eq!(line.busy_until().as_millis(), 54);
-        assert_eq!(line.total_busy(), ms(14));
-        assert_eq!(line.completed_count(), 5);
     }
 }

@@ -194,9 +194,10 @@ impl World {
         }
         // Classify from the immutable trace before any `&mut self` work
         // below; the queued request names the entry, not a copy of it.
-        let entry = &self.traces[sub as usize].entries[url.idx as usize];
+        let trace = &self.traces[sub as usize];
+        let entry = &trace.entries[url.idx as usize];
         let size = entry.size_bytes;
-        let classified = self.registry.classify_host(&entry.host);
+        let classified = self.registry.classify_host(trace.host(entry));
         ctx.count_logical(3);
         // Handshake emulation: SYN in, SYN-ACK out. With an asymmetric
         // front-end cluster the setup CPU work moves to a secondary RDN;

@@ -177,7 +177,8 @@ impl World {
         // CGI-style dynamic requests fork a child of the subscriber's
         // worker and burn a multiple of the static CPU cost; the child's
         // usage rolls up to the charging entity through the process tree.
-        let path = &self.traces[request.site as usize].entries[request.idx as usize].path;
+        let trace = &self.traces[request.site as usize];
+        let path = trace.path(&trace.entries[request.idx as usize]);
         let dynamic = params
             .dynamic
             .as_ref()

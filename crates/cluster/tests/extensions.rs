@@ -144,10 +144,8 @@ fn cgi_requests_fork_burn_and_reap() {
     let horizon = 10.0;
     // Half the requests hit /cgi/ paths.
     let mut s = site("s.example.com", 300.0, 100.0, horizon, 9);
-    for (i, e) in s.trace.entries.iter_mut().enumerate() {
-        if i % 2 == 0 {
-            e.path = format!("/cgi/render?id={i}").into();
-        }
+    for i in (0..s.trace.len()).step_by(2) {
+        s.trace.entries[i].path = s.trace.intern(&format!("/cgi/render?id={i}"));
     }
     let params = ClusterParams {
         rpn_count: 2,

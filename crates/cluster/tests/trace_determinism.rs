@@ -125,11 +125,11 @@ fn out_of_order_trace_replays_as_its_stable_sort() {
         site.trace.entries.sort_by_key(|e| e.at_us);
     }
     let order = |sites: &[SiteSpec]| -> Vec<(u64, String)> {
-        sites[0]
-            .trace
+        let trace = &sites[0].trace;
+        trace
             .entries
             .iter()
-            .map(|e| (e.at_us, e.path.to_string()))
+            .map(|e| (e.at_us, trace.path(e).to_string()))
             .collect()
     };
     assert_ne!(

@@ -210,16 +210,6 @@ impl AcctTable {
             .map(|(_, c)| c.completed)
             .sum()
     }
-
-    /// Total settled usage for `sub` summed across all origins.
-    #[must_use]
-    pub fn total_usage(&self, sub: u32) -> ResourceVector {
-        self.cells
-            .iter()
-            .filter(|(k, _)| **k as u32 == sub)
-            .map(|(_, c)| c.usage)
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -24,11 +24,24 @@ impl fmt::Display for RpnId {
 struct RpnState {
     /// Resources the node can deliver per second (1 CPU = 1e6 µs/s, etc.).
     capacity_per_sec: ResourceVector,
+    /// The in-flight budget, `capacity_per_sec × lookahead`.
+    window: ResourceVector,
     /// Predicted usage of dispatched-but-unreported requests.
     outstanding: ResourceVector,
+    /// `outstanding` over `window` by the bottleneck dimension, kept with
+    /// every change of `outstanding` so the picks read it instead of
+    /// dividing per node per dispatch.
+    frac: f64,
     /// False once the node is declared failed (e.g. by a report watchdog);
     /// down nodes receive no dispatches from either pass.
     up: bool,
+}
+
+impl RpnState {
+    fn set_outstanding(&mut self, outstanding: ResourceVector) {
+        self.outstanding = outstanding;
+        self.frac = outstanding.max_fraction_of(self.window);
+    }
 }
 
 /// The RDN-side view of the back-end cluster.
@@ -78,9 +91,12 @@ impl NodeScheduler {
     /// Registers an RPN with the given per-second capacity; returns its id.
     pub fn add_rpn(&mut self, capacity_per_sec: ResourceVector) -> RpnId {
         let id = RpnId(self.rpns.len() as u16);
+        let window = capacity_per_sec * self.lookahead_secs;
         self.rpns.push(RpnState {
             capacity_per_sec,
+            window,
             outstanding: ResourceVector::ZERO,
+            frac: ResourceVector::ZERO.max_fraction_of(window),
             up: true,
         });
         id
@@ -93,7 +109,7 @@ impl NodeScheduler {
 
     /// The in-flight budget of one RPN (`capacity × lookahead`).
     pub fn window(&self, rpn: RpnId) -> ResourceVector {
-        self.rpns[rpn.0 as usize].capacity_per_sec * self.lookahead_secs
+        self.rpns[rpn.0 as usize].window
     }
 
     /// Current estimated outstanding load of an RPN.
@@ -104,9 +120,7 @@ impl NodeScheduler {
     /// Load fraction of an RPN: outstanding over window, by the bottleneck
     /// dimension.
     pub fn load_fraction(&self, rpn: RpnId) -> f64 {
-        let st = &self.rpns[rpn.0 as usize];
-        st.outstanding
-            .max_fraction_of(st.capacity_per_sec * self.lookahead_secs)
+        self.rpns[rpn.0 as usize].frac
     }
 
     /// Marks a node up or down. Down nodes are never picked; their
@@ -115,7 +129,7 @@ impl NodeScheduler {
         let st = &mut self.rpns[rpn.0 as usize];
         st.up = up;
         if !up {
-            st.outstanding = ResourceVector::ZERO;
+            st.set_outstanding(ResourceVector::ZERO);
         }
     }
 
@@ -130,17 +144,12 @@ impl NodeScheduler {
     pub fn pick_least_loaded(&self, predicted: ResourceVector) -> Option<RpnId> {
         let mut best: Option<(f64, RpnId)> = None;
         for (i, st) in self.rpns.iter().enumerate() {
-            if !st.up {
+            if !st.up || !(st.outstanding + predicted).fits_within(st.window) {
                 continue;
             }
-            let window = st.capacity_per_sec * self.lookahead_secs;
-            if !(st.outstanding + predicted).fits_within(window) {
-                continue;
-            }
-            let frac = st.outstanding.max_fraction_of(window);
             match best {
-                Some((b, _)) if b <= frac => {}
-                _ => best = Some((frac, RpnId(i as u16))),
+                Some((b, _)) if b <= st.frac => {}
+                _ => best = Some((st.frac, RpnId(i as u16))),
             }
         }
         best.map(|(_, id)| id)
@@ -157,11 +166,9 @@ impl NodeScheduler {
             if !st.up {
                 continue;
             }
-            let window = st.capacity_per_sec * self.lookahead_secs;
-            let frac = st.outstanding.max_fraction_of(window);
             match best {
-                Some((b, _)) if b <= frac => {}
-                _ => best = Some((frac, RpnId(i as u16))),
+                Some((b, _)) if b <= st.frac => {}
+                _ => best = Some((st.frac, RpnId(i as u16))),
             }
         }
         best.map(|(_, id)| id)
@@ -169,7 +176,8 @@ impl NodeScheduler {
 
     /// Records a dispatch: adds `predicted` to the RPN's outstanding load.
     pub fn commit_dispatch(&mut self, rpn: RpnId, predicted: ResourceVector) {
-        self.rpns[rpn.0 as usize].outstanding += predicted;
+        let st = &mut self.rpns[rpn.0 as usize];
+        st.set_outstanding(st.outstanding + predicted);
     }
 
     /// Overwrites the RPN's outstanding-load estimate with the level the
@@ -177,7 +185,7 @@ impl NodeScheduler {
     /// setting from ground truth each cycle keeps the estimate from
     /// drifting.
     pub fn set_outstanding(&mut self, rpn: RpnId, outstanding: ResourceVector) {
-        self.rpns[rpn.0 as usize].outstanding = outstanding.clamped_nonnegative();
+        self.rpns[rpn.0 as usize].set_outstanding(outstanding.clamped_nonnegative());
     }
 
     /// Applies an accounting report: removes `settled_predicted` (the
@@ -187,7 +195,7 @@ impl NodeScheduler {
         let st = &mut self.rpns[rpn.0 as usize];
         // Clamp: reports for work predicted before a reconfiguration must
         // not drive outstanding negative.
-        st.outstanding = (st.outstanding - settled_predicted).clamped_nonnegative();
+        st.set_outstanding((st.outstanding - settled_predicted).clamped_nonnegative());
     }
 
     /// Total cluster capacity per second.
@@ -411,5 +419,74 @@ mod tests {
         }
         assert!(n.any_up());
         assert!(n.pick_least_loaded(pred).is_some());
+    }
+
+    /// The cached window and load fraction track every change of the
+    /// outstanding estimate: after each step of a seeded schedule of
+    /// dispatches, settles, re-anchors and liveness flips over unequal
+    /// nodes, `load_fraction` equals `outstanding / (capacity × lookahead)`
+    /// bit for bit, and both picks equal a scan that recomputes it.
+    #[test]
+    fn cached_fractions_match_a_recomputing_scan() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let lookahead = 0.07;
+        let caps: Vec<ResourceVector> = [1.0, 3.0, 0.5, 2.0, 1.0, 1.5]
+            .iter()
+            .map(|&k| ResourceVector::new(1e6 * k, 2e6 / k, 12.5e6))
+            .collect();
+        let mut n = NodeScheduler::new(lookahead);
+        let ids: Vec<RpnId> = caps.iter().map(|&c| n.add_rpn(c)).collect();
+        let scan = |n: &NodeScheduler, predicted: Option<ResourceVector>| {
+            let mut best: Option<(f64, RpnId)> = None;
+            for (&id, &cap) in ids.iter().zip(&caps) {
+                let window = cap * lookahead;
+                let out = n.outstanding(id);
+                let fits = predicted.is_none_or(|p| (out + p).fits_within(window));
+                let frac = out.max_fraction_of(window);
+                if n.is_up(id) && fits && best.is_none_or(|(b, _)| frac < b) {
+                    best = Some((frac, id));
+                }
+            }
+            best.map(|(_, id)| id)
+        };
+        let unit = ResourceVector::new(4_000.0, 1_500.0, 20_000.0);
+        for step in 0..20_000u64 {
+            let node = ids[(next() % ids.len() as u64) as usize];
+            let pred = unit * (1 + next() % 5) as f64;
+            match next() % 12 {
+                0 => n.set_up(node, false),
+                1 | 2 => n.set_up(node, true),
+                3..=5 => {
+                    if let Some(id) = n.pick_least_loaded(pred) {
+                        n.commit_dispatch(id, pred);
+                    }
+                }
+                6 | 7 => {
+                    if let Some(id) = n.pick_least_loaded_any() {
+                        n.commit_dispatch(id, pred);
+                    }
+                }
+                8 | 9 => n.settle(node, pred),
+                _ => n.set_outstanding(node, unit * (next() % 40) as f64 - unit),
+            }
+            for (&id, &cap) in ids.iter().zip(&caps) {
+                let window = cap * lookahead;
+                assert_eq!(n.window(id), window, "step {step}");
+                let frac = n.outstanding(id).max_fraction_of(window);
+                assert_eq!(n.load_fraction(id).to_bits(), frac.to_bits(), "step {step}");
+            }
+            assert_eq!(
+                n.pick_least_loaded(pred),
+                scan(&n, Some(pred)),
+                "step {step}"
+            );
+            assert_eq!(n.pick_least_loaded_any(), scan(&n, None), "step {step}");
+        }
     }
 }

@@ -165,12 +165,6 @@ impl<M: Model> Simulation<M> {
         &mut self.model
     }
 
-    /// The engine's root random stream (e.g. for splitting per-component
-    /// streams during setup).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Schedules an event from outside the model (setup code).
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventId {
         self.queue.schedule(at.max(self.now), event)

@@ -19,7 +19,7 @@ use std::net::Ipv4Addr;
 
 use gage_obs::{TraceEvent, Tracer};
 
-use crate::addr::{Endpoint, FourTuple};
+use crate::addr::Endpoint;
 use crate::packet::Packet;
 use crate::seq::SeqNum;
 
@@ -107,12 +107,6 @@ impl SpliceMap {
     /// The RPN actually servicing the connection.
     pub fn rpn_ip(&self) -> Ipv4Addr {
         self.rpn_ip
-    }
-
-    /// The four-tuple of incoming (client → cluster) packets, i.e. the
-    /// connection-table key under which this splice is filed.
-    pub fn incoming_tuple(&self) -> FourTuple {
-        FourTuple::new(self.client, self.cluster)
     }
 
     /// Maps a server-side sequence number (RPN space) to what the client

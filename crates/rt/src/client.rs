@@ -170,8 +170,8 @@ pub fn replay_trace(
         }
         stats.lock().attempted += 1;
         let stats = Arc::clone(&stats);
-        let host = e.host.clone();
-        let path = e.path.clone();
+        let host = trace.host(e).to_owned();
+        let path = Arc::clone(trace.path(e));
         let size = e.size_bytes;
         workers.push(std::thread::spawn(move || {
             let started = Instant::now();

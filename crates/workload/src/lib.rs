@@ -35,15 +35,13 @@ pub use specweb::SpecWebGenerator;
 pub use synthetic::SyntheticGenerator;
 pub use trace::{Trace, TraceEntry};
 
-use std::sync::Arc;
-
-/// A generated request: what is fetched and how large the response will be.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A generated request: which of the generator's files is fetched and how
+/// large the response will be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeneratedRequest {
-    /// Request path (e.g. `/dir00004/class1_3`). A generator formats each
-    /// distinct path once and hands out clones of that one string, so
-    /// every request for a file shares its path.
-    pub path: Arc<str>,
+    /// The generator's index of the file, below its file count; its URL
+    /// path is [`RequestGenerator::path`] of this index.
+    pub file: u32,
     /// Response body size in bytes.
     pub size_bytes: u64,
 }
@@ -52,4 +50,8 @@ pub struct GeneratedRequest {
 pub trait RequestGenerator {
     /// Draws the next request.
     fn next_request(&mut self, rng: &mut dyn rand::RngCore) -> GeneratedRequest;
+
+    /// The URL path of file `file` (e.g. `/dir00004/class1_3`), an index a
+    /// drawn request carried. Distinct files have distinct paths.
+    fn path(&self, file: u32) -> String;
 }

@@ -5,11 +5,9 @@
 //! heavy-tailed response-size distribution of the benchmark's static GET
 //! workload (the part the paper's trace exercises).
 //!
-//! Each file's path is formatted on its first draw and shared by every
-//! later request for it, and sizes come from a per-directory table, so a
-//! draw after the first for a file allocates nothing.
-
-use std::sync::Arc;
+//! A draw names its file by index and takes the size from a per-directory
+//! table, so it allocates nothing; [`RequestGenerator::path`] formats a
+//! file's path when a trace first meets the file.
 
 use rand::Rng;
 
@@ -26,7 +24,7 @@ use crate::{GeneratedRequest, RequestGenerator};
 /// let mut g = SpecWebGenerator::for_target_rate(400.0);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let r = g.next_request(&mut rng);
-/// assert!(r.path.starts_with("/dir"));
+/// assert!(g.path(r.file).starts_with("/dir"));
 /// assert!(r.size_bytes >= 102 && r.size_bytes <= 943_718);
 /// ```
 #[derive(Debug, Clone)]
@@ -35,13 +33,12 @@ pub struct SpecWebGenerator {
     dir_zipf: Zipf,
     file_zipf: Zipf,
     /// Size of file `class × 9 + file`, the same in every directory.
-    sizes: [u64; FILES_PER_DIR],
-    /// Path of file `dir × 36 + class × 9 + file`, filled on its first draw.
-    paths: Vec<Option<Arc<str>>>,
+    sizes: [u64; FILES_PER_DIR as usize],
 }
 
-/// Files in one directory.
-const FILES_PER_DIR: usize = (CLASS_COUNT * FILES_PER_CLASS) as usize;
+/// Files in one directory. A draw's file index is `dir × 36 + class × 9 +
+/// file`.
+const FILES_PER_DIR: u32 = CLASS_COUNT * FILES_PER_CLASS;
 
 impl SpecWebGenerator {
     /// Builds a generator over an explicit file population.
@@ -58,7 +55,6 @@ impl SpecWebGenerator {
                 }
                 .size_bytes()
             }),
-            paths: vec![None; fileset.dir_count as usize * FILES_PER_DIR],
         }
     }
 
@@ -98,22 +94,34 @@ impl SpecWebGenerator {
 impl RequestGenerator for SpecWebGenerator {
     fn next_request(&mut self, rng: &mut dyn rand::RngCore) -> GeneratedRequest {
         let id = self.sample_file(rng);
-        let in_dir = (id.class * FILES_PER_CLASS + id.file) as usize;
-        let path = self.paths[id.dir as usize * FILES_PER_DIR + in_dir]
-            .get_or_insert_with(|| Arc::from(id.path()));
+        let in_dir = id.class * FILES_PER_CLASS + id.file;
         GeneratedRequest {
-            path: Arc::clone(path),
-            size_bytes: self.sizes[in_dir],
+            file: id.dir * FILES_PER_DIR + in_dir,
+            size_bytes: self.sizes[in_dir as usize],
         }
+    }
+
+    fn path(&self, file: u32) -> String {
+        let in_dir = file % FILES_PER_DIR;
+        FileId {
+            dir: file / FILES_PER_DIR,
+            class: in_dir / FILES_PER_CLASS,
+            file: in_dir % FILES_PER_CLASS,
+        }
+        .path()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ArrivalProcess, Trace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::collections::BTreeMap;
+    use std::collections::BTreeSet;
+
+    /// Digest of the first 1,000 draws at seed 2003 for 400 ops/s.
+    const SEEDED_DRAWS_FNV1A64: u64 = 0xacf5_c19d_25d4_c588;
 
     #[test]
     fn class_mix_is_respected() {
@@ -147,15 +155,36 @@ mod tests {
     fn draws_of_one_file_share_its_path() {
         let mut g = SpecWebGenerator::for_target_rate(100.0);
         let mut rng = StdRng::seed_from_u64(8);
-        let mut first: BTreeMap<String, Arc<str>> = BTreeMap::new();
-        for _ in 0..5_000 {
-            let r = g.next_request(&mut rng);
-            let id = FileId::parse_path(&r.path).expect("a SPECWeb path");
-            assert_eq!(r.size_bytes, id.size_bytes(), "{}", r.path);
-            let shared = first.entry(r.path.to_string()).or_insert(r.path.clone());
-            assert!(Arc::ptr_eq(shared, &r.path), "{} is a copy", r.path);
+        let process = ArrivalProcess::Constant { rate: 1_000.0 };
+        let t = Trace::generate("spec.example.com", process, 5.0, &mut g, &mut rng);
+        let mut table = BTreeSet::new();
+        for s in t.strings() {
+            assert!(table.insert(&**s), "{s} is in the table twice");
         }
-        assert!(first.len() < 5_000 / 2, "popular files are drawn again");
+        let paths: BTreeSet<&str> = t.entries.iter().map(|e| &**t.path(e)).collect();
+        assert_eq!(table.len(), paths.len() + 1, "the drawn paths and the host");
+        for e in &t.entries {
+            assert_eq!(t.host(e), "spec.example.com");
+            let id = FileId::parse_path(t.path(e)).expect("a SPECWeb path");
+            assert_eq!(e.size_bytes, id.size_bytes(), "{}", t.path(e));
+        }
+        assert!(paths.len() < t.len() / 2, "popular files are drawn again");
+    }
+
+    /// Every SPECWeb trace is this draw sequence: a seed must keep giving
+    /// the same paths and sizes (FNV-1a-64 of one `path size` line each).
+    #[test]
+    fn seeded_draws_are_pinned() {
+        let mut g = SpecWebGenerator::for_target_rate(400.0);
+        let mut rng = StdRng::seed_from_u64(2003);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..1_000 {
+            let r = g.next_request(&mut rng);
+            for b in format!("{} {}\n", g.path(r.file), r.size_bytes).bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, SEEDED_DRAWS_FNV1A64, "got {digest:#018x}");
     }
 
     #[test]

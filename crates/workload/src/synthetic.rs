@@ -3,16 +3,13 @@
 //! §4.1 uses "a constant synthetic workload with each request accessing a
 //! file of the size of 6 KBytes".
 
-use std::sync::Arc;
-
 use crate::{GeneratedRequest, RequestGenerator};
 
 /// Default synthetic response size (the paper's 6 KB).
 pub const DEFAULT_SIZE_BYTES: u64 = 6 * 1024;
 
-/// Generates requests that rotate over `file_count` identical-size files.
-/// Each path is formatted on its file's first request; later requests for
-/// the file share that string.
+/// Generates requests that rotate over `file_count` identical-size files,
+/// `/file0000.html`, `/file0001.html`, and so on.
 ///
 /// ```rust
 /// use gage_workload::synthetic::SyntheticGenerator;
@@ -23,16 +20,15 @@ pub const DEFAULT_SIZE_BYTES: u64 = 6 * 1024;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let r = g.next_request(&mut rng);
 /// assert_eq!(r.size_bytes, 6144);
-/// assert_eq!(&*r.path, "/file0000.html");
-/// assert_eq!(&*g.next_request(&mut rng).path, "/file0001.html");
+/// assert_eq!(g.path(r.file), "/file0000.html");
+/// let r = g.next_request(&mut rng);
+/// assert_eq!(g.path(r.file), "/file0001.html");
 /// ```
 #[derive(Debug, Clone)]
 pub struct SyntheticGenerator {
     size_bytes: u64,
     file_count: u32,
     next: u32,
-    /// Path of file `i`, filled in rotation order on its first request.
-    paths: Vec<Arc<str>>,
 }
 
 impl SyntheticGenerator {
@@ -48,7 +44,6 @@ impl SyntheticGenerator {
             size_bytes,
             file_count,
             next: 0,
-            paths: Vec::new(),
         }
     }
 
@@ -65,20 +60,16 @@ impl SyntheticGenerator {
 
 impl RequestGenerator for SyntheticGenerator {
     fn next_request(&mut self, _rng: &mut dyn rand::RngCore) -> GeneratedRequest {
-        let i = self.next;
+        let file = self.next;
         self.next = (self.next + 1) % self.file_count;
-        let path = match self.paths.get(i as usize) {
-            Some(path) => Arc::clone(path),
-            None => {
-                let path: Arc<str> = Arc::from(format!("/file{i:04}.html"));
-                self.paths.push(Arc::clone(&path));
-                path
-            }
-        };
         GeneratedRequest {
-            path,
+            file,
             size_bytes: self.size_bytes,
         }
+    }
+
+    fn path(&self, file: u32) -> String {
+        format!("/file{file:04}.html")
     }
 }
 
@@ -93,7 +84,10 @@ mod tests {
         let mut g = SyntheticGenerator::new(100, 3);
         let mut rng = StdRng::seed_from_u64(0);
         let paths: Vec<String> = (0..6)
-            .map(|_| g.next_request(&mut rng).path.to_string())
+            .map(|_| {
+                let r = g.next_request(&mut rng);
+                g.path(r.file)
+            })
             .collect();
         assert_eq!(
             paths,

@@ -50,7 +50,7 @@ fn main() {
     let mut class_counts = [0u32; 4];
     let mut class_bytes = [0u64; 4];
     for e in &trace.entries {
-        if let Some(id) = FileId::parse_path(&e.path) {
+        if let Some(id) = FileId::parse_path(trace.path(e)) {
             class_counts[id.class as usize] += 1;
             class_bytes[id.class as usize] += e.size_bytes;
         }

@@ -96,9 +96,10 @@ fn unknown_host_requests_are_counted_not_crashed() {
     let horizon = 3.0;
     let mut site = synthetic_site("real.example.com", 100.0, 50.0, horizon, 1);
     // Corrupt half the trace entries to an unregistered host.
+    let ghost = site.trace.intern("ghost.example.com");
     for (i, e) in site.trace.entries.iter_mut().enumerate() {
         if i % 2 == 0 {
-            e.host = "ghost.example.com".into();
+            e.host = ghost;
         }
     }
     let offered = site.trace.len() as u64;
@@ -118,8 +119,9 @@ fn unknown_host_requests_are_counted_not_crashed() {
 /// b's Host, so the RDN classifies it into b's queue.
 fn cross_host_sites(a_rate: f64, a_horizon: f64) -> Vec<SiteSpec> {
     let mut a = synthetic_site("a.example.com", 100.0, a_rate, a_horizon, 1);
+    let b_host = a.trace.intern("b.example.com");
     for e in &mut a.trace.entries {
-        e.host = "b.example.com".into();
+        e.host = b_host;
     }
     let b = synthetic_site("b.example.com", 100.0, 20.0, 3.0, 2);
     vec![a, b]
