@@ -17,6 +17,7 @@ use gage_core::node::{NodeScheduler, RpnId};
 use gage_core::resource::{Grps, ResourceVector};
 use gage_core::scheduler::RequestScheduler;
 use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
+use gage_des::SimTime;
 use gage_obs::Tracer;
 
 fn build_scheduler(
@@ -90,8 +91,9 @@ fn report_application() {
             .collect(),
     };
     let mut s = build_scheduler(100, 0, SparePolicy::ProportionalToReservation);
+    let mut tracer = Tracer::disabled();
     time_it("on_report_100_subscribers", || {
-        s.on_report(std::hint::black_box(&report))
+        s.on_report(SimTime::ZERO, std::hint::black_box(&report), &mut tracer)
     });
 }
 

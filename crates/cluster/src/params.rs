@@ -9,6 +9,7 @@
 //! ~550 static 6 KB requests per second.
 
 use gage_core::config::SchedulerConfig;
+use gage_core::scheduler::WATCHDOG_GRACE_CYCLES;
 use gage_des::SimDuration;
 
 /// Per-operation costs charged to the RDN's CPU (paper Table 3, columns
@@ -282,9 +283,8 @@ pub struct ClusterParams {
     /// Report-watchdog grace window, in accounting cycles: a node whose
     /// last report is older than `watchdog_grace_cycles * accounting_cycle`
     /// is written off (scheduler stops dispatching to it) until a report
-    /// arrives again. The default 4.5 preserves the historical behaviour
-    /// (a 3.5-cycle deadline checked one cycle late): with the default
-    /// 100 ms cycle a crashed node is written off after ~450 ms.
+    /// arrives again. The default is gage-core's
+    /// [`WATCHDOG_GRACE_CYCLES`], which `gage-rt` uses too.
     pub watchdog_grace_cycles: f64,
     /// Client-side timeout/retry policy (the `failed` conservation bucket).
     pub client_retry: ClientRetryParams,
@@ -307,7 +307,7 @@ impl Default for ClusterParams {
             rpn_speed: 1.0,
             secondary_rdns: 0,
             dynamic: None,
-            watchdog_grace_cycles: 4.5,
+            watchdog_grace_cycles: WATCHDOG_GRACE_CYCLES,
             client_retry: ClientRetryParams::default(),
             lanes: 1,
         }

@@ -1,7 +1,9 @@
 //! The front-end role: the RDN peers that emulate the handshake, classify,
-//! queue and dispatch (paper §3.1–3.3), plus the report watchdog, the
-//! accounting gossip between peers and the ACK bridge of spliced
-//! connections.
+//! queue and dispatch (paper §3.1–3.3), run the report watchdog, exchange
+//! accounting gossip and bridge the ACKs of spliced connections. The
+//! control decisions themselves (dispatch, the watchdog, bounce refunds)
+//! are [`RequestScheduler`]'s; this module charges their CPU, turns them
+//! into events and keeps each front's routes.
 
 use gage_collections::SlabKey;
 use gage_core::accounting::UsageReport;
@@ -69,16 +71,14 @@ pub struct DispatchMeta {
 /// One front-end RDN: the per-peer slice of dispatch state. Every front
 /// owns a full request scheduler (non-owned subscribers' reservations
 /// masked to zero) over its share of RPN capacity, its own connection
-/// table, CPU/interrupt metrics, report watchdog and accounting table —
-/// fronts never share mutable state, they exchange only messages.
+/// table, CPU/interrupt metrics, report watchdog (inside the scheduler)
+/// and accounting table — fronts never share mutable state, they exchange
+/// only messages.
 #[derive(Debug)]
 pub(super) struct RdnFront {
     pub(super) scheduler: RequestScheduler<PendingRequest>,
     pub(super) conn_table: ConnTable,
     pub(super) metrics: RdnMetrics,
-    /// When each RPN's last report addressed here arrived (watchdog
-    /// input).
-    last_report: Vec<SimTime>,
     /// Conflict-free per-(origin RDN, subscriber) usage rows, converged
     /// by gossip.
     acct: AcctTable,
@@ -121,7 +121,6 @@ impl RdnFront {
             scheduler,
             conn_table: ConnTable::new(),
             metrics: RdnMetrics::default(),
-            last_report: vec![SimTime::ZERO; params.rpn_count],
             acct: AcctTable::new(),
             epoch,
             dead_since: None,
@@ -291,29 +290,27 @@ impl World {
             self.rebalance_shards(ctx);
         }
         // Watchdog: a node that has gone silent for `watchdog_grace_cycles`
-        // accounting cycles is declared down, excluded from dispatch (its
-        // in-flight work is written off) and its splice routes are purged.
-        // Each live front judges silence by its own report stream.
+        // accounting cycles is written off by the scheduler (no dispatch,
+        // in-flight work written off), and its splice routes are purged
+        // here. Each live front judges silence by its own report stream.
         let grace = self.params.watchdog_grace();
         let cycle = self.params.scheduler.scheduling_cycle_secs;
         for f in 0..self.fronts.len() {
             if self.fronts[f].dead() {
                 continue;
             }
-            for r in 0..self.rpns.len() {
-                let rpn = RpnId(r as u16);
-                if self.fronts[f].scheduler.nodes().is_up(rpn)
-                    && ctx.now().saturating_since(self.fronts[f].last_report[r]) > grace
-                {
-                    self.fronts[f].scheduler.nodes_mut().set_up(rpn, false);
-                    self.tracer.emit(TraceEvent::NodeDown { rpn: r as u16 });
-                    let purged = self.fronts[f].conn_table.purge_rpn(rpn);
-                    if purged > 0 {
-                        self.tracer.emit(TraceEvent::RoutesPurged {
-                            rpn: r as u16,
-                            count: purged as u32,
-                        });
-                    }
+            let front = &mut self.fronts[f];
+            while let Some(rpn) =
+                front
+                    .scheduler
+                    .write_off_silent(ctx.now(), grace, &mut self.tracer)
+            {
+                let purged = front.conn_table.purge_rpn(rpn);
+                if purged > 0 {
+                    self.tracer.emit(TraceEvent::RoutesPurged {
+                        rpn: rpn.0,
+                        count: purged as u32,
+                    });
                 }
             }
             // Move the scratch buffer out while dispatching
@@ -369,20 +366,12 @@ impl World {
                     .record(ctx.now(), f64::from(line.completed));
             }
         }
-        let r = report.rpn.0 as usize;
+        // The report restarts its node's silence clock, and brings the node
+        // back if the watchdog had written it off.
         let front = &mut self.fronts[f];
-        if r < front.last_report.len() {
-            front.last_report[r] = ctx.now();
-            // A report from a node the watchdog had written off means it is
-            // back: either a rebooted node re-announcing itself (its first
-            // post-recovery report) or a live node whose reports were merely
-            // lost. Either way the node rejoins the dispatch set.
-            if !front.scheduler.nodes().is_up(report.rpn) && !self.rpns[r].dead {
-                front.scheduler.nodes_mut().set_up(report.rpn, true);
-                self.tracer.emit(TraceEvent::NodeUp { rpn: report.rpn.0 });
-            }
-        }
-        front.scheduler.on_report(&report);
+        front
+            .scheduler
+            .on_report(ctx.now(), &report, &mut self.tracer);
         // Fold the report into this front's own accounting rows (it is
         // the single writer of origin `f`); gossip carries them to peers.
         for line in &report.per_subscriber {
@@ -486,17 +475,15 @@ impl World {
         self.fronts[f].conn_table.remove(request.conn);
         match self.params.mode {
             GageMode::Enabled => {
-                self.fronts[f]
-                    .scheduler
-                    .void_dispatch(meta.sub, RpnId(rpn_idx), meta.predicted);
-                self.tracer.emit(TraceEvent::DispatchRequeued {
-                    sub: meta.sub.0,
-                    req: request.req,
-                    rpn: rpn_idx,
-                });
                 request.enqueued_at = ctx.now();
-                let front = &mut self.fronts[f];
-                if let Err(req) = front.scheduler.requeue(meta.sub, request, &mut self.tracer) {
+                let bounced = self.fronts[f].scheduler.bounce(
+                    meta.sub,
+                    RpnId(rpn_idx),
+                    meta.predicted,
+                    request,
+                    &mut self.tracer,
+                );
+                if let Err(req) = bounced {
                     self.refuse(ctx, f, req.site, req.pending);
                 }
             }
@@ -568,7 +555,7 @@ impl World {
         }
         self.fronts[f].dead_since = None;
         self.tracer.emit(TraceEvent::RdnRecover { rdn });
-        self.fronts[f].last_report = vec![ctx.now(); self.rpns.len()];
+        self.fronts[f].scheduler.restart_report_clocks(ctx.now());
         // Shards whose ownership never left this front (no peer adopted
         // them inside the grace window): the rebalance pass only acts on
         // ownership *changes*.

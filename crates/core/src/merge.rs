@@ -199,17 +199,6 @@ impl AcctTable {
     pub fn get(&self, origin: u16, sub: u32) -> Option<&UsageCell> {
         self.cells.get(&key(origin, sub))
     }
-
-    /// Total completed requests for `sub` summed across all origins —
-    /// the cluster-wide view this RDN currently holds.
-    #[must_use]
-    pub fn total_completed(&self, sub: u32) -> u64 {
-        self.cells
-            .iter()
-            .filter(|(k, _)| **k as u32 == sub)
-            .map(|(_, c)| c.completed)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -307,7 +296,6 @@ mod tests {
         // Re-delivering either payload changes nothing (idempotence).
         assert_eq!(a.merge_rows(&rows_b), 0);
         assert_eq!(a.merge_rows(&rows_a), 0);
-        assert_eq!(a.total_completed(1), 3);
     }
 
     /// Satellite: any permutation + duplication + dropped-prefix of a

@@ -8,6 +8,7 @@
 //! message subtracts the RPN's reported usage.
 
 use crate::resource::ResourceVector;
+use gage_des::{SimDuration, SimTime};
 use std::fmt;
 
 /// Identifier of a back-end request processing node.
@@ -32,9 +33,12 @@ struct RpnState {
     /// every change of `outstanding` so the picks read it instead of
     /// dividing per node per dispatch.
     frac: f64,
-    /// False once the node is declared failed (e.g. by a report watchdog);
-    /// down nodes receive no dispatches from either pass.
+    /// False once the report watchdog has written the node off; down
+    /// nodes receive no dispatches from either pass.
     up: bool,
+    /// When the node's last accounting report arrived (the watchdog's
+    /// silence clock).
+    last_report: SimTime,
 }
 
 impl RpnState {
@@ -98,6 +102,7 @@ impl NodeScheduler {
             outstanding: ResourceVector::ZERO,
             frac: ResourceVector::ZERO.max_fraction_of(window),
             up: true,
+            last_report: SimTime::ZERO,
         });
         id
     }
@@ -125,12 +130,41 @@ impl NodeScheduler {
 
     /// Marks a node up or down. Down nodes are never picked; their
     /// outstanding estimate is cleared (their in-flight work is lost).
-    pub fn set_up(&mut self, rpn: RpnId, up: bool) {
+    /// Only the report watchdog in [`crate::scheduler::RequestScheduler`]
+    /// flips liveness, so every transition carries its `NodeDown` or
+    /// `NodeUp` trace record.
+    pub(crate) fn set_up(&mut self, rpn: RpnId, up: bool) {
         let st = &mut self.rpns[rpn.0 as usize];
         st.up = up;
         if !up {
             st.set_outstanding(ResourceVector::ZERO);
         }
+    }
+
+    /// Restarts `rpn`'s silence clock at `now`. Returns false for an
+    /// unregistered node.
+    pub(crate) fn heard_from(&mut self, rpn: RpnId, now: SimTime) -> bool {
+        let Some(st) = self.rpns.get_mut(rpn.0 as usize) else {
+            return false;
+        };
+        st.last_report = now;
+        true
+    }
+
+    /// Restarts every node's silence clock at `now`.
+    pub(crate) fn restart_report_clocks(&mut self, now: SimTime) {
+        for st in &mut self.rpns {
+            st.last_report = now;
+        }
+    }
+
+    /// The lowest-numbered up node whose last report is more than `grace`
+    /// old at `now`.
+    pub(crate) fn first_silent(&self, now: SimTime, grace: SimDuration) -> Option<RpnId> {
+        self.rpns
+            .iter()
+            .position(|st| st.up && now.saturating_since(st.last_report) > grace)
+            .map(|i| RpnId(i as u16))
     }
 
     /// True if the node is currently considered alive.

@@ -64,11 +64,6 @@ impl<R> SubscriberQueues<R> {
         }
     }
 
-    /// Number of subscriber queues.
-    pub fn subscriber_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Appends a request to `sub`'s queue.
     ///
     /// # Errors
@@ -205,7 +200,6 @@ mod tests {
         assert!(!q.all_empty());
         assert!(q.is_empty(s(1)));
         assert_eq!(q.len(s(2)), 1);
-        assert_eq!(q.subscriber_count(), 3);
     }
 
     #[test]

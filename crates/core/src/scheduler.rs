@@ -16,8 +16,19 @@
 //!    `SparePolicy` in [`crate::config`]).
 //!
 //! The scheduler is generic over the request payload `R`, so the simulated
-//! cluster threads packet-level state through it while the tokio variant
-//! threads live sockets.
+//! cluster threads packet-level state through it while the live variant
+//! threads sockets.
+//!
+//! It is also the RDN's whole control plane, sans IO: every input is a
+//! method that takes the current instant where it matters and returns its
+//! decisions, with its trace records emitted into the caller's
+//! [`Tracer`]. Arrivals go through [`RequestScheduler::enqueue`],
+//! scheduling ticks through [`RequestScheduler::run_cycle_into`],
+//! accounting reports through [`RequestScheduler::on_report`], the report
+//! watchdog through [`RequestScheduler::write_off_silent`], and dispatches
+//! that bounced off a dead node through [`RequestScheduler::bounce`]. The
+//! simulator and `gage-rt` drive the same methods, so a node is written
+//! off, and comes back, by one rule on both transports.
 
 use crate::accounting::{SubscriberAccount, UsageReport};
 use crate::config::{SchedulerConfig, SparePolicy};
@@ -26,7 +37,15 @@ use crate::node::{NodeScheduler, RpnId};
 use crate::queue::SubscriberQueues;
 use crate::resource::{Grps, ResourceVector};
 use crate::subscriber::{SubscriberId, SubscriberRegistry};
+use gage_des::{SimDuration, SimTime};
 use gage_obs::{TraceEvent, Tracer};
+
+/// The report watchdog's default grace, in accounting cycles: a node
+/// whose last report is older than this many of its accounting cycles is
+/// written off until its next report arrives. 4.5 is a 3.5-cycle deadline
+/// checked one cycle late; with a 100 ms cycle a crashed node is written
+/// off after ~450 ms.
+pub const WATCHDOG_GRACE_CYCLES: f64 = 4.5;
 
 /// Request payloads that can stamp a run-wide request id into trace
 /// records.
@@ -34,7 +53,7 @@ use gage_obs::{TraceEvent, Tracer};
 /// The scheduler is generic over its request payload `R`; to thread
 /// per-request identity into its `Enqueue`/`Drop`/`Dispatch` emissions it
 /// asks the payload for a scalar tag. Payload types without a natural id
-/// (unit, borrowed strings in doc examples) return 0. That is not
+/// (borrowed strings in doc examples) return 0. That is not
 /// anonymous: 0 is an ordinary request id, so the span reconstructor
 /// rejects a dump whose records for id 0 have no `req_arrival` before them.
 pub trait TraceTag {
@@ -51,18 +70,6 @@ impl TraceTag for u64 {
 impl TraceTag for u32 {
     fn trace_tag(&self) -> u64 {
         u64::from(*self)
-    }
-}
-
-impl TraceTag for usize {
-    fn trace_tag(&self) -> u64 {
-        *self as u64
-    }
-}
-
-impl TraceTag for () {
-    fn trace_tag(&self) -> u64 {
-        0
     }
 }
 
@@ -197,11 +204,6 @@ impl<R: TraceTag> RequestScheduler<R> {
         &self.cfg
     }
 
-    /// Number of subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.reservations.len()
-    }
-
     /// Queues a classified request for `sub`, tracing an `Enqueue` (or,
     /// when full, a `Drop`) record into `tracer`.
     ///
@@ -227,16 +229,38 @@ impl<R: TraceTag> RequestScheduler<R> {
         }
     }
 
-    /// Puts a dispatched-but-undelivered request back at the *front* of
-    /// `sub`'s queue (it keeps its place in line), tracing as
-    /// [`RequestScheduler::enqueue`] does. Pair with
-    /// [`RequestScheduler::void_dispatch`] to refund the booking first.
+    /// Pulls back a dispatch that bounced off a dead node: refunds its
+    /// booking (balance, in-flight prediction and node window), traces a
+    /// `DispatchRequeued` record and puts the request back at the *front*
+    /// of `sub`'s queue, where it keeps its place in line. The requeue is
+    /// traced as [`RequestScheduler::enqueue`] traces an arrival. Until
+    /// the watchdog writes the node off, the next cycle may pick it again,
+    /// so a request can bounce once per cycle.
     ///
     /// # Errors
     ///
-    /// Returns the request back if the queue is full — the bounced request
-    /// becomes an ordinary drop the caller owns.
-    pub fn requeue(&mut self, sub: SubscriberId, request: R, tracer: &mut Tracer) -> Result<(), R> {
+    /// Returns the request back if the queue has filled since — the
+    /// bounced request becomes an ordinary drop the caller owns.
+    pub fn bounce(
+        &mut self,
+        sub: SubscriberId,
+        rpn: RpnId,
+        predicted: ResourceVector,
+        request: R,
+        tracer: &mut Tracer,
+    ) -> Result<(), R> {
+        self.void_dispatch(sub, rpn, predicted);
+        tracer.emit(TraceEvent::DispatchRequeued {
+            sub: sub.0,
+            req: request.trace_tag(),
+            rpn: rpn.0,
+        });
+        self.requeue(sub, request, tracer)
+    }
+
+    /// Puts a dispatched-but-undelivered request back at the front of
+    /// `sub`'s queue, tracing as [`RequestScheduler::enqueue`] does.
+    fn requeue(&mut self, sub: SubscriberId, request: R, tracer: &mut Tracer) -> Result<(), R> {
         let req = request.trace_tag();
         match self.queues.requeue_front(sub, request) {
             Ok(_) => {
@@ -254,11 +278,10 @@ impl<R: TraceTag> RequestScheduler<R> {
         }
     }
 
-    /// Undoes the accounting of a dispatch that never reached its node
-    /// (e.g. the node crashed with the request in flight): refunds the
-    /// subscriber's balance, retires the in-flight prediction and frees the
-    /// node window. The request itself can then be re-queued.
-    pub fn void_dispatch(&mut self, sub: SubscriberId, rpn: RpnId, predicted: ResourceVector) {
+    /// Undoes the accounting of a dispatch that never reached its node:
+    /// refunds the subscriber's balance, retires the in-flight prediction
+    /// and frees the node window.
+    fn void_dispatch(&mut self, sub: SubscriberId, rpn: RpnId, predicted: ResourceVector) {
         self.ensure_rpn_arrays();
         let Some(acc) = self.accounts.get_mut(sub.0 as usize) else {
             return; // unknown subscriber: nothing was booked
@@ -574,9 +597,46 @@ impl<R: TraceTag> RequestScheduler<R> {
         }
     }
 
-    /// Applies an RPN accounting message: reconciles balances, retires
+    /// Report watchdog: writes off the lowest-numbered up node that has
+    /// been silent for more than `grace` at `now`, traces its `NodeDown`
+    /// and returns it. The node receives no dispatches and its in-flight
+    /// estimate is cleared until its next report arrives
+    /// ([`RequestScheduler::on_report`]). Call it until it returns `None`;
+    /// a caller that keeps routes per node purges the returned node's
+    /// before the next call.
+    pub fn write_off_silent(
+        &mut self,
+        now: SimTime,
+        grace: SimDuration,
+        tracer: &mut Tracer,
+    ) -> Option<RpnId> {
+        let rpn = self.nodes.first_silent(now, grace)?;
+        self.nodes.set_up(rpn, false);
+        tracer.emit(TraceEvent::NodeDown { rpn: rpn.0 });
+        Some(rpn)
+    }
+
+    /// Restarts every node's silence clock at `now`, for a front end that
+    /// reboots: it gives each node a full grace before judging it.
+    pub fn restart_report_clocks(&mut self, now: SimTime) {
+        self.nodes.restart_report_clocks(now);
+    }
+
+    /// Applies an RPN accounting message that arrived at `now`. The report
+    /// restarts its node's silence clock; a node the watchdog had written
+    /// off is back (a rebooted node re-announcing itself, or a live one
+    /// whose reports were lost), so it rejoins the dispatch set with a
+    /// `NodeUp` record. Then the report reconciles balances, retires
     /// in-flight predictions, frees node windows and updates estimators.
-    pub fn on_report(&mut self, report: &UsageReport) {
+    /// A report from an unregistered node is ignored.
+    pub fn on_report(&mut self, now: SimTime, report: &UsageReport, tracer: &mut Tracer) {
+        if !self.nodes.heard_from(report.rpn, now) {
+            return;
+        }
+        if !self.nodes.is_up(report.rpn) {
+            self.nodes.set_up(report.rpn, true);
+            tracer.emit(TraceEvent::NodeUp { rpn: report.rpn.0 });
+        }
         self.ensure_rpn_arrays();
         for line in &report.per_subscriber {
             let i = line.subscriber.0 as usize;
@@ -642,7 +702,7 @@ mod tests {
         remaining: u32,
     ) {
         let pred = s.predicted_usage(sub);
-        s.on_report(&UsageReport {
+        let report = UsageReport {
             rpn,
             total: pred * f64::from(n),
             outstanding_predicted: pred * f64::from(remaining),
@@ -652,7 +712,8 @@ mod tests {
                 settled_predicted: pred * f64::from(n),
                 completed: n,
             }],
-        });
+        };
+        s.on_report(SimTime::ZERO, &report, &mut Tracer::disabled());
     }
 
     /// Completion with nothing left outstanding on the node.
@@ -881,7 +942,7 @@ mod tests {
 
         // Report actual usage far below generic.
         let actual = ResourceVector::new(1_800.0, 0.0, 6_000.0);
-        s.on_report(&UsageReport {
+        let report = UsageReport {
             rpn,
             total: actual,
             outstanding_predicted: ResourceVector::ZERO,
@@ -891,7 +952,8 @@ mod tests {
                 settled_predicted: d[0].predicted,
                 completed: 1,
             }],
-        });
+        };
+        s.on_report(SimTime::ZERO, &report, &mut t);
         assert_eq!(s.nodes().outstanding(rpn), ResourceVector::ZERO);
         assert!(s.predicted_usage(sub).cpu_us < ResourceVector::generic_request().cpu_us);
         assert_eq!(s.counters(sub).completed, 1);
@@ -900,18 +962,26 @@ mod tests {
     #[test]
     fn unknown_subscriber_in_report_ignored() {
         let mut s = scheduler(&[10.0], 1);
-        s.on_report(&UsageReport {
+        let line = SubscriberUsage {
+            subscriber: SubscriberId(99),
+            actual: ResourceVector::generic_request(),
+            settled_predicted: ResourceVector::generic_request(),
+            completed: 1,
+        };
+        let mut report = UsageReport {
             rpn: RpnId(0),
             total: ResourceVector::ZERO,
             outstanding_predicted: ResourceVector::ZERO,
-            per_subscriber: vec![SubscriberUsage {
-                subscriber: SubscriberId(99),
-                actual: ResourceVector::generic_request(),
-                settled_predicted: ResourceVector::generic_request(),
-                completed: 1,
-            }],
-        });
+            per_subscriber: vec![line],
+        };
+        s.on_report(SimTime::ZERO, &report, &mut Tracer::disabled());
         // No panic, no counter movement.
+        assert_eq!(s.counters(SubscriberId(0)).completed, 0);
+        // Nor for a known subscriber's line from a node that was never
+        // registered.
+        report.rpn = RpnId(7);
+        report.per_subscriber[0].subscriber = SubscriberId(0);
+        s.on_report(SimTime::ZERO, &report, &mut Tracer::disabled());
         assert_eq!(s.counters(SubscriberId(0)).completed, 0);
     }
 
@@ -1050,18 +1120,67 @@ mod tests {
         assert!(s.nodes().outstanding(rpn).cpu_us > 0.0);
 
         // The node crashed with the dispatch in flight: refund + requeue.
-        s.void_dispatch(sub, rpn, d[0].predicted);
+        let mut t = Tracer::enabled(16);
+        s.enqueue(sub, 43, &mut t).unwrap();
+        s.bounce(sub, rpn, d[0].predicted, d[0].request, &mut t)
+            .unwrap();
         assert_eq!(s.nodes().outstanding(rpn), ResourceVector::ZERO);
         assert_eq!(s.balance(sub), balance_after + d[0].predicted);
         assert_eq!(s.counters(sub).dispatched, 0, "booking undone");
-        s.requeue(sub, d[0].request, &mut t).unwrap();
-        assert_eq!(s.backlog(sub), 1);
+        assert_eq!(s.backlog(sub), 2);
+        let events: Vec<TraceEvent> = t.ring().unwrap().iter().map(|r| r.event).collect();
+        assert_eq!(
+            events[1..],
+            [
+                TraceEvent::DispatchRequeued {
+                    sub: 0,
+                    req: 42,
+                    rpn: rpn.0
+                },
+                TraceEvent::Enqueue {
+                    sub: 0,
+                    req: 42,
+                    backlog: 2
+                },
+            ]
+        );
 
-        // The request dispatches again on a later cycle.
+        // The bounced request kept its place at the head of the line and
+        // dispatches again on a later cycle.
         let d2 = s.run_cycle(0.010, &mut t);
-        assert_eq!(d2.len(), 1);
         assert_eq!(d2[0].request, 42);
-        assert_eq!(s.counters(sub).dispatched, 1);
+        assert_eq!(s.counters(sub).dispatched, d2.len() as u64);
+    }
+
+    #[test]
+    fn watchdog_writes_off_silent_nodes_until_they_report() {
+        let mut t = Tracer::enabled(16);
+        let mut s = scheduler(&[100.0], 3);
+        let grace = SimDuration::from_millis(450);
+        let at = SimTime::from_millis;
+        let report = |s: &mut RequestScheduler<u64>, ms, rpn, t: &mut Tracer| {
+            s.on_report(at(ms), &UsageReport::empty(RpnId(rpn)), t);
+        };
+        report(&mut s, 300, 1, &mut t);
+        assert_eq!(s.write_off_silent(at(450), grace, &mut t), None);
+        // Lowest-numbered first, one per call.
+        assert_eq!(s.write_off_silent(at(451), grace, &mut t), Some(RpnId(0)));
+        assert_eq!(s.write_off_silent(at(451), grace, &mut t), Some(RpnId(2)));
+        assert_eq!(s.write_off_silent(at(451), grace, &mut t), None);
+        assert_eq!(s.nodes().live_capacity_per_sec(), capacity());
+        // A written-off node that reports is back, its clock restarted.
+        report(&mut s, 500, 2, &mut t);
+        assert!(s.nodes().is_up(RpnId(2)));
+        assert_eq!(s.write_off_silent(at(751), grace, &mut t), Some(RpnId(1)));
+        assert_eq!(s.write_off_silent(at(951), grace, &mut t), Some(RpnId(2)));
+        // A rebooted front gives every node a full grace again.
+        report(&mut s, 1_000, 0, &mut t);
+        s.restart_report_clocks(at(1_200));
+        assert_eq!(s.write_off_silent(at(1_650), grace, &mut t), None);
+        let events: Vec<TraceEvent> = t.ring().unwrap().iter().map(|r| r.event).collect();
+        let down = |rpn| TraceEvent::NodeDown { rpn };
+        let up = |rpn| TraceEvent::NodeUp { rpn };
+        assert_eq!(events, [down(0), down(2), up(2), down(1), down(2), up(0)]);
     }
 
     #[test]

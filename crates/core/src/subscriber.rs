@@ -112,11 +112,6 @@ impl SubscriberRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &Subscriber> {
         self.subscribers.iter()
     }
-
-    /// Sum of all reservations.
-    pub fn total_reservation(&self) -> Grps {
-        Grps(self.subscribers.iter().map(|s| s.reservation.0).sum())
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,6 @@ mod tests {
         assert_eq!(reg.classify_host("a.com"), Some(a));
         assert_eq!(reg.classify_host("b.com"), Some(b));
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.total_reservation(), Grps(150.0));
     }
 
     #[test]

@@ -10,10 +10,10 @@ use crate::time::{SimDuration, SimTime};
 
 /// A time series accumulated into fixed-width bins.
 ///
-/// Values recorded at time `t` are added to bin `t / bin_width`. The series
-/// can later be re-aggregated over any averaging interval that is a multiple
-/// of the bin width — exactly what Figure 3's deviation-vs-averaging-interval
-/// sweep needs.
+/// Values recorded at time `t` are added to bin `t / bin_width`; callers
+/// read the bins back and sum them over any averaging interval that is a
+/// multiple of the bin width, as Figure 3's deviation-vs-averaging-interval
+/// sweep does.
 ///
 /// ```rust
 /// use gage_des::stats::BinnedSeries;
@@ -67,31 +67,6 @@ impl BinnedSeries {
     pub fn total(&self) -> f64 {
         self.bins.iter().sum()
     }
-
-    /// Re-aggregates into windows of `bins_per_window` consecutive bins,
-    /// returning the per-window sums. A trailing partial window is dropped,
-    /// so every reported window covers a full interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins_per_window` is zero.
-    pub fn window_sums(&self, bins_per_window: usize) -> Vec<f64> {
-        assert!(bins_per_window > 0, "window must span at least one bin");
-        self.bins
-            .chunks_exact(bins_per_window)
-            .map(|w| w.iter().sum())
-            .collect()
-    }
-
-    /// Per-window *rates*: window sums divided by the window length in
-    /// seconds. See [`BinnedSeries::window_sums`].
-    pub fn window_rates(&self, bins_per_window: usize) -> Vec<f64> {
-        let window_secs = self.bin_width.as_secs_f64() * bins_per_window as f64;
-        self.window_sums(bins_per_window)
-            .into_iter()
-            .map(|s| s / window_secs)
-            .collect()
-    }
 }
 
 /// Mean absolute relative deviation of a sequence of observed rates from a
@@ -106,13 +81,11 @@ pub fn deviation_pct(observed: &[f64], target: f64) -> Option<f64> {
     Some(100.0 * sum / observed.len() as f64)
 }
 
-/// Accumulates busy time for a serially-used resource (e.g. the RDN CPU) so
-/// utilization can be reported over arbitrary spans, and per-bin so a
-/// utilization-vs-time curve can be extracted.
+/// Accumulates busy time for a serially-used resource (e.g. the RDN CPU)
+/// per bin, so a utilization-vs-time curve can be extracted.
 #[derive(Debug, Clone)]
 pub struct BusyTracker {
     series: BinnedSeries,
-    total_busy: SimDuration,
 }
 
 impl BusyTracker {
@@ -120,7 +93,6 @@ impl BusyTracker {
     pub fn new(bin_width: SimDuration) -> Self {
         BusyTracker {
             series: BinnedSeries::new(bin_width),
-            total_busy: SimDuration::ZERO,
         }
     }
 
@@ -131,22 +103,6 @@ impl BusyTracker {
     /// (true here: µs-scale work vs. ≥100 ms bins).
     pub fn add(&mut self, t: SimTime, busy: SimDuration) {
         self.series.record(t, busy.as_secs_f64());
-        self.total_busy += busy;
-    }
-
-    /// Total busy time charged so far.
-    pub fn total_busy(&self) -> SimDuration {
-        self.total_busy
-    }
-
-    /// Overall utilization in `[0, 1]` across `elapsed` of wall time.
-    /// Returns 0 for a zero elapsed span.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            (self.total_busy.as_secs_f64() / elapsed.as_secs_f64()).min(1.0)
-        }
     }
 
     /// Per-bin utilization in `[0, 1]`.
@@ -165,14 +121,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn binned_series_window_sums_and_rates() {
+    fn binned_series_bins_and_total() {
         let mut s = BinnedSeries::new(SimDuration::from_millis(500));
-        // 4 full bins: 1, 2, 3, 4 plus one trailing partial.
         for (ms, v) in [(0, 1.0), (600, 2.0), (1100, 3.0), (1900, 4.0), (2100, 9.0)] {
             s.record(SimTime::from_millis(ms), v);
         }
-        assert_eq!(s.window_sums(2), vec![3.0, 7.0]); // 1s windows, partial dropped
-        assert_eq!(s.window_rates(2), vec![3.0, 7.0]); // per-second
+        assert_eq!(s.bins(), &[1.0, 2.0, 3.0, 4.0, 9.0]);
         assert_eq!(s.total(), 19.0);
     }
 
@@ -201,7 +155,5 @@ mod tests {
         let u = b.per_bin_utilization();
         assert!((u[0] - 0.3).abs() < 1e-9);
         assert!((u[1] - 0.6).abs() < 1e-9);
-        assert!((b.utilization(SimDuration::from_millis(200)) - 0.45).abs() < 1e-9);
-        assert_eq!(b.utilization(SimDuration::ZERO), 0.0);
     }
 }

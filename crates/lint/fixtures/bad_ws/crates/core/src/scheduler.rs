@@ -17,8 +17,3 @@ pub fn stubs() {
 pub fn justified(v: Option<u32>) -> u32 {
     v.expect("validated at construction") // lint:allow(hot-path-panic)
 }
-
-pub fn rogue_liveness(nodes: &mut NodeScheduler) {
-    nodes.set_up(RpnId(0), false);
-    nodes.set_up(RpnId(0), true); // lint:allow(watchdog-set-up)
-}

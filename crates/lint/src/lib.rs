@@ -26,9 +26,12 @@
 //! | `obs-no-adhoc-print` | gage-core::scheduler, gage-cluster::sim (with its role modules), gage-net::splice, gage-obs | `print!`, `eprint!`, `stdout()`, `stderr()` (instrumented modules report through `Tracer`/`Registry`) |
 //! | `crate-attrs` | every lib crate | missing `#![forbid(unsafe_code)]` / `#![warn(missing_docs)]` |
 //! | `float-eq` | gage-core | `==`/`!=` on float literals or resource/credit fields |
-//! | `watchdog-set-up` | everywhere except gage-core::node, gage-cluster::{sim,faults} and the `sim` role modules | `.set_up(` (node-liveness flips outside the watchdog/FaultPlan skip hysteresis and the NodeDown/NodeUp trace) |
 //! | `trace-kind-exhaustive` | gage-obs::spans | wildcard `_ =>` match arms (the span reconstructor must handle every `TraceEvent` variant explicitly so new kinds fail to compile, not silently vanish from timelines) |
 //! | `dep-version` | every `Cargo.toml` | wildcard versions, literal versions outside `[workspace.dependencies]`, duplicated versions |
+//!
+//! An invariant the type system can hold gets no rule: node liveness
+//! changes only through gage-core's report watchdog, which traces every
+//! transition, because `NodeScheduler::set_up` is `pub(crate)`.
 //!
 //! # Cross-file analyses
 //!

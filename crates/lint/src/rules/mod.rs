@@ -70,10 +70,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "exact float equality in resource/credit math",
     },
     RuleInfo {
-        id: "watchdog-set-up",
-        summary: "node-liveness flips outside the watchdog/FaultPlan modules",
-    },
-    RuleInfo {
         id: "trace-kind-exhaustive",
         summary: "wildcard `_ =>` arms in trace reconstructors",
     },
@@ -152,14 +148,6 @@ pub const OBS_MODULES: &[(&str, &[&str])] = &[
 /// (crate, module stems) that fold raw trace records back into structured
 /// timelines; these must match every `TraceEvent` variant explicitly.
 pub const TRACE_EXHAUSTIVE_MODULES: &[(&str, &[&str])] = &[("gage-obs", &["spans"])];
-
-/// (crate, module stems) allowed to flip node liveness with
-/// `NodeScheduler::set_up`.
-pub const SET_UP_MODULES: &[(&str, &[&str])] = &[
-    ("gage-core", &["node"]),
-    ("gage-cluster", SIM_MODULES),
-    ("gage-cluster", &["faults"]),
-];
 
 /// Float-carrying field names whose equality comparison is almost always a
 /// bug in resource/credit math.

@@ -74,7 +74,6 @@ fn check_tokens(krate: &CrateModel, file: &FileModel, sink: &mut Sink) {
     let btree_hot = rules::in_scope(rules::HOT_PATH_BTREE_MODULES, pkg, &file.stem);
     let obs = rules::in_scope(rules::OBS_MODULES, pkg, &file.stem);
     let reconstructor = rules::in_scope(rules::TRACE_EXHAUSTIVE_MODULES, pkg, &file.stem);
-    let liveness_ok = rules::in_scope(rules::SET_UP_MODULES, pkg, &file.stem);
     let float_crate = pkg == "gage-core";
 
     for i in 0..file.toks.len() {
@@ -194,15 +193,6 @@ fn check_tokens(krate: &CrateModel, file: &FileModel, sink: &mut Sink) {
                     sink,
                     "hot-path-panic",
                     "`expect` can panic mid-connection; handle the None/Err case".to_string(),
-                );
-            }
-            if !liveness_ok && open && name == "set_up" {
-                at(
-                    sink,
-                    "watchdog-set-up",
-                    "direct node-liveness flip; only the watchdog and FaultPlan modules may \
-                     call set_up (transitions must carry NodeDown/NodeUp traces)"
-                        .to_string(),
                 );
             }
         }

@@ -10,14 +10,13 @@ use std::path::Path;
 use gage_lint::rules::SIM_MODULES;
 
 /// A file tripping every stem-scoped rule that covers the simulator: an
-/// ordered tree, ad-hoc output and a node-liveness flip.
+/// ordered tree and ad-hoc output.
 const PLANTED: &str = "//! Scratch fixture.\n\
     \n\
-    pub fn f(nodes: &mut Nodes) {\n\
+    pub fn f() {\n\
     \x20   let _m: BTreeMap<u32, u32> = BTreeMap::new();\n\
     \x20   print!(\"x\");\n\
     \x20   println!(\"x\");\n\
-    \x20   nodes.set_up(0, false);\n\
     }\n";
 
 /// Lints a one-file `gage-cluster` holding `body` at `rel` and returns its

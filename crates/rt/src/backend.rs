@@ -11,16 +11,16 @@
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gage_core::accounting::{SubscriberUsage, UsageReport};
 use gage_core::node::RpnId;
 use gage_core::resource::ResourceVector;
 use gage_core::subscriber::SubscriberId;
-use parking_lot::Mutex;
 
 use crate::http::{read_request_head, write_error_response, write_ok_response};
+use crate::lock;
 use crate::proto::{send_msg, ControlMsg};
 
 /// Service cost calibration for a back end.
@@ -107,7 +107,7 @@ pub struct BackendHandle {
 impl BackendHandle {
     /// Total requests served so far.
     pub fn served(&self) -> u64 {
-        self.accounting.lock().served
+        lock(&self.accounting).served
     }
 
     /// Stops the server: the accept loop exits after the next connection
@@ -190,6 +190,7 @@ pub fn spawn_backend_on(
                 };
                 let register = ControlMsg::Register {
                     http_addr: http_addr.to_string(),
+                    accounting_cycle: cycle,
                 };
                 if send_msg(&mut control, &register).is_err() {
                     continue;
@@ -216,7 +217,7 @@ pub fn spawn_backend_on(
 }
 
 fn drain_report(accounting: &Mutex<Accounting>) -> UsageReport {
-    let mut acc = accounting.lock();
+    let mut acc = lock(accounting);
     let per_sub = std::mem::take(&mut acc.per_sub);
     let per_subscriber = per_sub
         .into_iter()
@@ -261,24 +262,24 @@ fn serve_one(
         .and_then(|v| parse_pred(v))
         .unwrap_or(ResourceVector::ZERO);
 
-    accounting.lock().outstanding_predicted += predicted;
+    lock(accounting).outstanding_predicted += predicted;
 
     // CPU phase: hold the node's CPU for the calibrated burn.
     let cpu_us = cost.cpu_us(size);
     {
-        let _held = cpu.lock();
+        let _held = lock(cpu);
         std::thread::sleep(Duration::from_micros(cpu_us));
     }
     // Disk phase.
     if cost.disk_us > 0 {
-        let _held = disk.lock();
+        let _held = lock(disk);
         std::thread::sleep(Duration::from_micros(cost.disk_us));
     }
     // Network phase: stream the response.
     write_ok_response(&mut stream, size as usize)?;
 
     let actual = ResourceVector::new(cpu_us as f64, cost.disk_us as f64, size as f64);
-    let mut acc = accounting.lock();
+    let mut acc = lock(accounting);
     acc.outstanding_predicted = (acc.outstanding_predicted - predicted).clamped_nonnegative();
     acc.total += actual;
     acc.served += 1;

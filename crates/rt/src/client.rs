@@ -4,12 +4,11 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::http::{read_response, RequestHead};
+use crate::lock;
 
 /// Load-generation parameters for one site.
 #[derive(Debug, Clone)]
@@ -115,13 +114,13 @@ pub fn run_load(cfg: ClientConfig) -> LoadStats {
             std::thread::sleep(wait);
         }
         n += 1;
-        stats.lock().attempted += 1;
+        lock(&stats).attempted += 1;
         let stats = Arc::clone(&stats);
         let cfg = cfg.clone();
         workers.push(std::thread::spawn(move || {
             let started = Instant::now();
             let (outcome, retried) = request_with_retries(&cfg);
-            let mut s = stats.lock();
+            let mut s = lock(&stats);
             s.retries += retried;
             s.record(started, outcome);
         }));
@@ -129,7 +128,7 @@ pub fn run_load(cfg: ClientConfig) -> LoadStats {
     for w in workers {
         let _ = w.join();
     }
-    let final_stats = stats.lock().clone();
+    let final_stats = lock(&stats).clone();
     final_stats
 }
 
@@ -168,7 +167,7 @@ pub fn replay_trace(
         if let Some(wait) = at.checked_sub(start.elapsed()) {
             std::thread::sleep(wait);
         }
-        stats.lock().attempted += 1;
+        lock(&stats).attempted += 1;
         let stats = Arc::clone(&stats);
         let host = trace.host(e).to_owned();
         let path = Arc::clone(trace.path(e));
@@ -176,13 +175,13 @@ pub fn replay_trace(
         workers.push(std::thread::spawn(move || {
             let started = Instant::now();
             let outcome = timed_request(target, &path, &host, size, timeout);
-            stats.lock().record(started, outcome);
+            lock(&stats).record(started, outcome);
         }));
     }
     for w in workers {
         let _ = w.join();
     }
-    let out = stats.lock().clone();
+    let out = lock(&stats).clone();
     out
 }
 

@@ -7,25 +7,30 @@
 //! dispatch to which back end. Dispatched connections are spliced
 //! (application-level relay) to the chosen back end. Accounting reports
 //! arrive over a control listener and reconcile the scheduler's balances.
+//!
+//! The control decisions are the scheduler's, as in the simulator: before
+//! each cycle its report watchdog writes off a back end that has gone
+//! silent, a report brings it back, and a dispatch whose back end refuses
+//! the connection bounces back to the head of its queue.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gage_core::classify::request_host;
 use gage_core::config::SchedulerConfig;
 use gage_core::node::{NodeScheduler, RpnId};
 use gage_core::resource::{Grps, ResourceVector};
-use gage_core::scheduler::{RequestScheduler, SubscriberCounters};
+use gage_core::scheduler::{Dispatch, RequestScheduler, SubscriberCounters, WATCHDOG_GRACE_CYCLES};
 use gage_core::subscriber::{SubscriberId, SubscriberRegistry};
-use gage_des::SimTime;
+use gage_des::{SimDuration, SimTime};
 use gage_obs::{Histogram, Registry, TraceEvent, Tracer};
-use parking_lot::Mutex;
 
-use crate::backend::format_pred;
+use crate::backend::{format_pred, BackendConfig};
 use crate::http::{read_request_head, write_error_response, RequestHead};
+use crate::lock;
 use crate::proto::{recv_msg, ControlMsg};
 use crate::relay::splice;
 
@@ -101,23 +106,40 @@ impl gage_core::scheduler::TraceTag for QueuedConn {
     }
 }
 
-/// Live latency histograms shared between the worker threads and
-/// [`FrontendHandle::registry`].
-#[derive(Debug, Default)]
-struct FrontendStats {
-    /// Queue wait (enqueue → dispatch), milliseconds.
-    queue_wait_ms: Mutex<Histogram>,
-    /// Dispatch-to-relay-close service time, milliseconds.
-    service_ms: Mutex<Histogram>,
-}
-
-/// The scheduler, its trace sink and the request-id counter, behind the
-/// one lock that every enqueue, cycle and report already takes.
+/// The scheduler, its trace sink, the request-id counter and the live
+/// latency histograms, behind the one lock that every enqueue, cycle and
+/// report already takes.
 #[derive(Debug)]
 struct Front {
     scheduler: RequestScheduler<QueuedConn>,
     tracer: Tracer,
     next_req: u64,
+    /// When the front end started. The scheduler's `now`, for the report
+    /// watchdog and for trace timestamps, is the time since.
+    started: Instant,
+    /// The longest accounting cycle a registered back end has announced.
+    longest_cycle: Option<Duration>,
+    /// Queue wait (enqueue → dispatch) per subscriber, milliseconds.
+    queue_wait_ms: Vec<Histogram>,
+    /// Dispatch-to-relay-close service time, milliseconds.
+    service_ms: Histogram,
+}
+
+impl Front {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.started.elapsed().as_nanos() as u64)
+    }
+
+    /// How long a back end may stay silent before the watchdog writes it
+    /// off: [`WATCHDOG_GRACE_CYCLES`] of the longest accounting cycle
+    /// announced so far, or of the back ends' default cycle until one
+    /// registers.
+    fn watchdog_grace(&self) -> SimDuration {
+        let cycle = self
+            .longest_cycle
+            .unwrap_or(BackendConfig::default().accounting_cycle);
+        SimDuration::from_secs_f64(cycle.as_secs_f64()).mul_f64(WATCHDOG_GRACE_CYCLES)
+    }
 }
 
 type SharedFront = Arc<Mutex<Front>>;
@@ -131,25 +153,27 @@ pub struct FrontendHandle {
     pub control_addr: SocketAddr,
     front: SharedFront,
     stop: Arc<AtomicBool>,
-    stats: Arc<FrontendStats>,
 }
 
 impl FrontendHandle {
     /// Lifetime counters for one subscriber.
     pub fn counters(&self, sub: SubscriberId) -> SubscriberCounters {
-        self.front.lock().scheduler.counters(sub)
+        lock(&self.front).scheduler.counters(sub)
     }
 
-    /// Live metrics snapshot: queue-wait and service-time histograms (with
+    /// Live metrics snapshot: each subscriber's queue wait as
+    /// `sub{i}.queue_wait_ms` (the simulator's name, observed at every
+    /// dispatch, a re-dispatch after a bounce included) and the
+    /// dispatch-to-close service time as `frontend.service_ms`, with
     /// p50/p95/p99 in [`Registry::snapshot_json`] and
-    /// [`Registry::to_table`]).
+    /// [`Registry::to_table`].
     pub fn registry(&self) -> Registry {
+        let front = lock(&self.front);
         let mut reg = Registry::new();
-        reg.set_histogram(
-            "frontend.queue_wait_ms",
-            self.stats.queue_wait_ms.lock().clone(),
-        );
-        reg.set_histogram("frontend.service_ms", self.stats.service_ms.lock().clone());
+        for (i, wait) in front.queue_wait_ms.iter().enumerate() {
+            reg.set_histogram(&format!("sub{i}.queue_wait_ms"), wait.clone());
+        }
+        reg.set_histogram("frontend.service_ms", front.service_ms.clone());
         reg
     }
 
@@ -159,7 +183,7 @@ impl FrontendHandle {
     /// Records are stamped with nanoseconds since the front end started,
     /// quantized to the scheduler tick that most recently ran.
     pub fn trace_dump(&self) -> Option<String> {
-        self.front.lock().tracer.dump()
+        lock(&self.front).tracer.dump()
     }
 
     /// Stops the server: both accept loops exit after the next connection
@@ -219,11 +243,14 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
         scheduler: RequestScheduler::new(&registry, cfg.scheduler, nodes),
         tracer,
         next_req: 0,
+        started: Instant::now(),
+        longest_cycle: None,
+        queue_wait_ms: vec![Histogram::default(); registry.len()],
+        service_ms: Histogram::default(),
     }));
     let registry = Arc::new(registry);
     let backends = Arc::new(cfg.backends.clone());
     let stop = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(FrontendStats::default());
 
     // Accept loop: classify and enqueue.
     {
@@ -246,13 +273,11 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
         });
     }
 
-    // Scheduling cycle.
+    // Scheduling cycle: the report watchdog, then the dispatch pass.
     {
         let front = Arc::clone(&front);
         let backends = Arc::clone(&backends);
         let stop = Arc::clone(&stop);
-        let stats = Arc::clone(&stats);
-        let started = Instant::now();
         let cycle = Duration::from_secs_f64(cfg.scheduler.scheduling_cycle_secs);
         std::thread::spawn(move || loop {
             std::thread::sleep(cycle);
@@ -260,28 +285,33 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
                 break;
             }
             let dispatches = {
-                let mut guard = front.lock();
+                let mut guard = lock(&front);
+                let now = guard.now();
+                let grace = guard.watchdog_grace();
                 let Front {
-                    scheduler, tracer, ..
+                    scheduler,
+                    tracer,
+                    queue_wait_ms,
+                    ..
                 } = &mut *guard;
                 // Advance the trace clock once per tick: record timestamps
                 // are nanoseconds since start, quantized to the cycle.
-                tracer.set_now(SimTime::from_nanos(started.elapsed().as_nanos() as u64));
-                scheduler.run_cycle(cycle.as_secs_f64(), tracer)
+                tracer.set_now(now);
+                while scheduler.write_off_silent(now, grace, tracer).is_some() {}
+                let dispatches = scheduler.run_cycle(cycle.as_secs_f64(), tracer);
+                for d in &dispatches {
+                    if let Some(wait) = queue_wait_ms.get_mut(d.subscriber.0 as usize) {
+                        wait.observe(d.request.enqueued.elapsed().as_secs_f64() * 1e3);
+                    }
+                }
+                dispatches
             };
             for d in dispatches {
                 let Some(&addr) = backends.get(d.rpn.0 as usize) else {
                     continue;
                 };
-                stats
-                    .queue_wait_ms
-                    .lock()
-                    .observe(d.request.enqueued.elapsed().as_secs_f64() * 1e3);
                 let front = Arc::clone(&front);
-                let stats = Arc::clone(&stats);
-                std::thread::spawn(move || {
-                    dispatch_one(d.request, d.subscriber, d.predicted, addr, &front, &stats);
-                });
+                std::thread::spawn(move || dispatch_one(d, addr, &front));
             }
         });
     }
@@ -311,7 +341,6 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
         control_addr,
         front,
         stop,
-        stats,
     })
 }
 
@@ -372,11 +401,12 @@ fn classify_and_enqueue(
     };
     let size = head.size_hint().unwrap_or(6 * 1024);
     let rejected = {
-        let mut guard = front.lock();
+        let mut guard = lock(front);
         let Front {
             scheduler,
             tracer,
             next_req,
+            ..
         } = &mut *guard;
         let req = *next_req;
         *next_req += 1;
@@ -401,28 +431,22 @@ fn classify_and_enqueue(
     Ok(())
 }
 
-/// Relays one dispatched connection to its back end and traces how it
-/// ended: served once the relay returns, failed on either 502.
-fn dispatch_one(
-    mut conn: QueuedConn,
-    sub: SubscriberId,
-    predicted: ResourceVector,
-    backend_addr: SocketAddr,
-    front: &Mutex<Front>,
-    stats: &FrontendStats,
-) {
+/// Relays one dispatched connection to its back end and traces it served
+/// once the relay returns. A back end that refuses the connection or the
+/// head bounces the dispatch: the scheduler refunds it and puts it back at
+/// the head of its queue, or, if that queue has filled since, the client
+/// is answered 503 as at arrival.
+fn dispatch_one(dispatch: Dispatch<QueuedConn>, backend_addr: SocketAddr, front: &Mutex<Front>) {
+    let Dispatch {
+        subscriber: sub,
+        rpn,
+        predicted,
+        request: mut conn,
+        ..
+    } = dispatch;
     let started = Instant::now();
-    let failed = TraceEvent::RequestFailed {
-        sub: sub.0,
-        req: conn.req,
-        attempts: 1,
-    };
-    let Ok(mut upstream) = TcpStream::connect(backend_addr) else {
-        let _ = write_error_response(&mut conn.stream, "502 Bad Gateway");
-        front.lock().tracer.emit(failed);
-        return;
-    };
-    // Forward the head with Gage's bookkeeping headers.
+    // Forward the head with Gage's bookkeeping headers, keeping the
+    // client's own for a re-dispatch.
     let mut head = conn.head.clone();
     head.headers
         .insert("x-gage-sub".to_string(), sub.0.to_string());
@@ -430,21 +454,35 @@ fn dispatch_one(
         .insert("x-gage-pred".to_string(), format_pred(predicted));
     head.headers
         .insert("x-size".to_string(), conn.size.to_string());
-    if upstream.write_all(&head.to_bytes()).is_err() {
-        let _ = write_error_response(&mut conn.stream, "502 Bad Gateway");
-        front.lock().tracer.emit(failed);
+    let upstream = TcpStream::connect(backend_addr).and_then(|mut upstream| {
+        upstream.write_all(&head.to_bytes())?;
+        Ok(upstream)
+    });
+    let Ok(upstream) = upstream else {
+        conn.enqueued = Instant::now();
+        let mut guard = lock(front);
+        let Front {
+            scheduler, tracer, ..
+        } = &mut *guard;
+        if let Err(mut conn) = scheduler.bounce(sub, rpn, predicted, conn, tracer) {
+            tracer.emit(TraceEvent::ReqDropped {
+                sub: sub.0,
+                req: conn.req,
+            });
+            drop(guard);
+            let _ = write_error_response(&mut conn.stream, "503 Service Unavailable");
+        }
         return;
-    }
+    };
     // Application-level splice until both sides close.
     let _ = splice(&conn.stream, &upstream);
-    let served = TraceEvent::ReqServed {
+    let mut front = lock(front);
+    front.tracer.emit(TraceEvent::ReqServed {
         sub: sub.0,
         req: conn.req,
-    };
-    front.lock().tracer.emit(served);
-    stats
+    });
+    front
         .service_ms
-        .lock()
         .observe(started.elapsed().as_secs_f64() * 1e3);
 }
 
@@ -457,19 +495,34 @@ fn control_conn(
     let mut rpn: Option<RpnId> = None;
     while let Some(msg) = recv_msg(&mut reader)? {
         match msg {
-            ControlMsg::Register { http_addr } => {
+            ControlMsg::Register {
+                http_addr,
+                accounting_cycle,
+            } => {
                 rpn = http_addr
                     .parse::<SocketAddr>()
                     .ok()
                     .and_then(|addr| backends.iter().position(|b| *b == addr))
                     .map(|i| RpnId(i as u16));
+                if rpn.is_some() {
+                    let mut front = lock(front);
+                    let longest = front
+                        .longest_cycle
+                        .map_or(accounting_cycle, |c| c.max(accounting_cycle));
+                    front.longest_cycle = Some(longest);
+                }
             }
             ControlMsg::Report { mut report } => {
                 let Some(rpn) = rpn else {
                     continue; // unregistered peer: ignore
                 };
                 report.rpn = rpn;
-                front.lock().scheduler.on_report(&report);
+                let mut guard = lock(front);
+                let now = guard.now();
+                let Front {
+                    scheduler, tracer, ..
+                } = &mut *guard;
+                scheduler.on_report(now, &report, tracer);
             }
         }
     }

@@ -2,11 +2,12 @@
 //! back-end servers and an open-loop load client, all on real TCP sockets
 //! with thread-per-connection concurrency.
 //!
-//! This crate demonstrates the same control plane as the simulated cluster
+//! This crate runs the same control plane as the simulated cluster
 //! (`gage-cluster`) — host-based classification, per-subscriber queues, the
-//! `gage-core` WRR credit scheduler, least-loaded node selection and
-//! accounting-cycle usage reports — against live sockets, suitable for a
-//! local multi-process evaluation:
+//! `gage-core` WRR credit scheduler, least-loaded node selection,
+//! accounting-cycle usage reports and the report watchdog that routes
+//! around a silent back end — against live sockets, suitable for a local
+//! multi-process evaluation:
 //!
 //! ```text
 //! gage-rpn  --listen 127.0.0.1:9001 --report-to 127.0.0.1:8100 &
@@ -49,3 +50,13 @@ pub mod relay;
 pub use backend::{BackendConfig, BackendHandle};
 pub use client::{ClientConfig, LoadStats};
 pub use frontend::{FrontendConfig, FrontendHandle, SiteConfig};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, taking its data even if a thread panicked while holding
+/// it. Every critical section here leaves its data consistent between
+/// statements, so one panicked connection thread must not take the whole
+/// server down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

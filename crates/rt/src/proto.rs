@@ -2,6 +2,7 @@
 //! persistent TCP connection.
 
 use std::io::{BufRead, Read, Write};
+use std::time::Duration;
 
 use gage_core::accounting::UsageReport;
 
@@ -15,10 +16,16 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlMsg {
     /// First message on the control connection: which HTTP address this
-    /// back end serves on (the front end maps it to an `RpnId`).
+    /// back end serves on (the front end maps it to an `RpnId`), and how
+    /// often it reports (the front end's report watchdog allows
+    /// `gage_core::scheduler::WATCHDOG_GRACE_CYCLES` of the longest cycle
+    /// any back end announces).
     Register {
         /// The back end's HTTP listen address, e.g. `127.0.0.1:9001`.
         http_addr: String,
+        /// The back end's accounting cycle, sent in whole microseconds; a
+        /// `register` without a positive one is malformed.
+        accounting_cycle: Duration,
     },
     /// An accounting-cycle usage report.
     Report {
@@ -30,12 +37,21 @@ pub enum ControlMsg {
 
 impl ControlMsg {
     /// Serializes to the tagged wire object, e.g.
-    /// `{"type":"register","http_addr":"127.0.0.1:9001"}`.
+    /// `{"type":"register","http_addr":"127.0.0.1:9001","accounting_cycle_us":100000}`.
     pub fn to_json(&self) -> gage_json::Json {
         match self {
-            ControlMsg::Register { http_addr } => gage_json::Json::obj([
+            ControlMsg::Register {
+                http_addr,
+                accounting_cycle,
+            } => gage_json::Json::obj([
                 ("type", gage_json::Json::str("register")),
                 ("http_addr", gage_json::Json::str(http_addr)),
+                (
+                    "accounting_cycle_us",
+                    gage_json::Json::from(
+                        u64::try_from(accounting_cycle.as_micros()).unwrap_or(u64::MAX),
+                    ),
+                ),
             ]),
             ControlMsg::Report { report } => gage_json::Json::obj([
                 ("type", gage_json::Json::str("report")),
@@ -49,6 +65,9 @@ impl ControlMsg {
         match v.get("type")?.as_str()? {
             "register" => Some(ControlMsg::Register {
                 http_addr: v.get("http_addr")?.as_str()?.to_string(),
+                accounting_cycle: Some(v.get("accounting_cycle_us")?.as_u64()?)
+                    .filter(|&us| us > 0)
+                    .map(Duration::from_micros)?,
             }),
             "report" => Some(ControlMsg::Report {
                 report: UsageReport::from_json(v.get("report")?)?,
@@ -79,7 +98,8 @@ where
 ///
 /// # Errors
 ///
-/// Propagates transport errors; malformed lines, and lines longer than
+/// Propagates transport errors; malformed lines (a `register` without a
+/// positive accounting cycle among them), and lines longer than
 /// [`MAX_LINE_BYTES`], are reported as `InvalidData`.
 pub fn recv_msg<R>(reader: &mut R) -> std::io::Result<Option<ControlMsg>>
 where
@@ -178,6 +198,26 @@ mod tests {
     }
 
     #[test]
+    fn a_register_needs_a_positive_accounting_cycle() {
+        let register = ControlMsg::Register {
+            http_addr: "127.0.0.1:9001".into(),
+            accounting_cycle: Duration::from_millis(100),
+        };
+        let line = format!("{}\n", register.to_json());
+        assert!(line.contains(r#""accounting_cycle_us":100000"#), "{line}");
+        assert_eq!(
+            recv_msg(&mut line.as_bytes()).expect("valid"),
+            Some(register)
+        );
+        let zero = line.replace("100000", "0");
+        let missing = line.replace(r#","accounting_cycle_us":100000"#, "");
+        for bad in [zero, missing] {
+            let err = recv_msg(&mut bad.as_bytes()).expect_err(&bad);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad}");
+        }
+    }
+
+    #[test]
     fn rejects_unknown_type() {
         let doc = gage_json::parse(r#"{"type":"launch_missiles"}"#).expect("parses");
         assert!(ControlMsg::from_json(&doc).is_none());
@@ -193,6 +233,7 @@ mod tests {
                 &mut stream,
                 &ControlMsg::Register {
                     http_addr: "127.0.0.1:9001".into(),
+                    accounting_cycle: Duration::from_millis(50),
                 },
             )
             .expect("send");
@@ -204,7 +245,8 @@ mod tests {
         assert_eq!(
             msg,
             ControlMsg::Register {
-                http_addr: "127.0.0.1:9001".into()
+                http_addr: "127.0.0.1:9001".into(),
+                accounting_cycle: Duration::from_millis(50),
             }
         );
         // EOF after the client hangs up.

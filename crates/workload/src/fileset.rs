@@ -96,30 +96,6 @@ impl FileSet {
     }
 }
 
-/// Mean response size implied by the class mix (bytes). Useful for network
-/// capacity planning in the harnesses.
-pub fn mean_response_bytes() -> f64 {
-    // Mean file index is uniform-ish under SPECWeb's intra-class weights;
-    // we approximate with the Zipf weights used by the generator, but the
-    // simple mean over files is within a few percent and documented as such.
-    let mut mean = 0.0;
-    for (c, p) in CLASS_MIX.iter().enumerate() {
-        let class_mean: f64 = (0..FILES_PER_CLASS)
-            .map(|f| {
-                FileId {
-                    dir: 0,
-                    class: c as u32,
-                    file: f,
-                }
-                .size_bytes() as f64
-            })
-            .sum::<f64>()
-            / f64::from(FILES_PER_CLASS);
-        mean += p * class_mean;
-    }
-    mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,14 +157,6 @@ mod tests {
     fn class_mix_sums_to_one() {
         let s: f64 = CLASS_MIX.iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_response_size_is_heavy_tailed() {
-        let m = mean_response_bytes();
-        // Dominated by class 1 (5 KB mean × 0.5) plus the class 2/3 tail:
-        // roughly 14–16 KB.
-        assert!(m > 10_000.0 && m < 20_000.0, "mean {m}");
     }
 
     #[test]

@@ -5,9 +5,6 @@
 
 use crate::{GeneratedRequest, RequestGenerator};
 
-/// Default synthetic response size (the paper's 6 KB).
-pub const DEFAULT_SIZE_BYTES: u64 = 6 * 1024;
-
 /// Generates requests that rotate over `file_count` identical-size files,
 /// `/file0000.html`, `/file0001.html`, and so on.
 ///
@@ -45,16 +42,6 @@ impl SyntheticGenerator {
             file_count,
             next: 0,
         }
-    }
-
-    /// The paper's 6 KB single-file workload.
-    pub fn paper_default() -> Self {
-        SyntheticGenerator::new(DEFAULT_SIZE_BYTES, 1)
-    }
-
-    /// Response size of every request.
-    pub fn size_bytes(&self) -> u64 {
-        self.size_bytes
     }
 }
 
@@ -100,14 +87,6 @@ mod tests {
                 "/file0002.html"
             ]
         );
-    }
-
-    #[test]
-    fn paper_default_is_6kb() {
-        let mut g = SyntheticGenerator::paper_default();
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(g.next_request(&mut rng).size_bytes, 6144);
-        assert_eq!(g.size_bytes(), 6144);
     }
 
     #[test]
