@@ -21,8 +21,7 @@
 //! performance is measured by the separate `simbench` package at the
 //! repository root, not here.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod common;
 pub mod fig3;

@@ -28,6 +28,10 @@ impl std::fmt::Display for Timing {
 ///
 /// The batch size is calibrated so one batch takes roughly a millisecond,
 /// then `SAMPLES` batches are measured and summarized.
+#[expect(
+    clippy::print_stdout,
+    reason = "the harness = false benches report through this one line"
+)]
 pub fn time_it<F, R>(name: &str, mut op: F) -> Timing
 where
     F: FnMut() -> R,
@@ -63,7 +67,7 @@ where
         median_ns,
         mean_ns,
     };
-    println!("{t}"); // lint:allow(no-print)
+    println!("{t}");
     t
 }
 

@@ -19,8 +19,14 @@
 //! * `2`: a usage error, for which [`run`] prints `<prog>: <reason>` and
 //!   the usage on stderr.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::str::FromStr;
 
@@ -100,18 +106,23 @@ pub fn run<T>(usage: &str, parse_args: impl FnOnce(&mut Args) -> Result<T, Strin
 
 /// [`run`] short of exiting: the options, or the exit status once the
 /// usage or the error is printed.
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the exit contract prints the usage and usage errors"
+)]
 fn outcome<T>(
     usage: &str,
     args: Vec<String>,
     parse_args: impl FnOnce(&mut Args) -> Result<T, String>,
 ) -> Result<T, i32> {
     if args.iter().any(|arg| is("-h|--help", arg)) {
-        println!("usage: {usage}"); // lint:allow(no-print)
+        println!("usage: {usage}");
         return Err(0);
     }
     parse(args, parse_args).map_err(|reason| {
         let prog = usage.split(' ').next().unwrap_or(usage);
-        eprintln!("{prog}: {reason}\nusage: {usage}"); // lint:allow(no-print)
+        eprintln!("{prog}: {reason}\nusage: {usage}");
         2
     })
 }

@@ -255,7 +255,7 @@ impl FaultPlan {
     pub fn random_churn(&mut self, rpns: u16, from: SimTime, to: SimTime, pairs: u32) -> &mut Self {
         assert!(rpns > 0, "need at least one node to churn");
         assert!(to > from, "empty churn window");
-        let mut rng = SimRng::seed_from(self.seed).split("churn");
+        let mut rng = SimRng::stream(self.seed, "churn");
         let span_ns = to.saturating_since(from).as_nanos();
         for i in 0..pairs {
             let rpn = rng.index(rpns as usize) as u16;
@@ -326,7 +326,8 @@ impl FaultState {
     /// The no-plan state: no windows, draws never happen.
     pub(crate) fn inactive() -> Self {
         FaultState {
-            rng: SimRng::seed_from(0), // lint:allow(rng-stream-discipline) inactive placeholder, never drawn from; install() re-seeds
+            // A placeholder, never drawn from: `install` re-seeds it.
+            rng: SimRng::stream(0, "faults"),
             loss_windows: Vec::new(),
             link_faults: Vec::new(),
             rdn_partitions: Vec::new(),
@@ -335,7 +336,7 @@ impl FaultState {
 
     /// Installs a plan's windows and re-seeds the draw stream.
     pub(crate) fn install(&mut self, plan: &FaultPlan) {
-        self.rng = SimRng::seed_from(plan.seed).split("faults");
+        self.rng = SimRng::stream(plan.seed, "faults");
         self.loss_windows = plan.loss_windows.clone();
         self.link_faults = plan.link_faults.clone();
         self.rdn_partitions = plan.rdn_partitions.clone();

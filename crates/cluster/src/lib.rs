@@ -59,8 +59,7 @@
 //! assert!(report.subscribers[0].served > 30.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod cache;
 pub mod faults;

@@ -525,6 +525,10 @@ impl ClusterSim {
     /// # Panics
     ///
     /// Panics if any event names an RPN or RDN out of range.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         let n = self.sim.model().rpns.len();
         let n_rdn = self.sim.model().fronts.len();

@@ -1,9 +1,10 @@
 //! Determinism regression: two `ClusterSim` runs with the same seed must
 //! produce byte-identical metrics. The paper's tables are reproduced from
 //! single runs, so any nondeterminism (hash iteration order, wall clocks,
-//! unseeded entropy — the things `gage-lint` bans) would silently
-//! invalidate them. The digest covers every per-subscriber series at full
-//! f64 bit precision, not just summary rates.
+//! unseeded entropy — the things the root `clippy.toml` bans and the
+//! vendored `rand` leaves out) would silently invalidate them. The digest
+//! covers every per-subscriber series at full f64 bit precision, not just
+//! summary rates.
 
 use gage_cluster::metrics::deviation_for_interval;
 use gage_cluster::params::{ClusterParams, ServiceCostModel};

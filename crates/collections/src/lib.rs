@@ -17,8 +17,14 @@
 //!
 //! Both structures are dependency-free and `forbid(unsafe_code)`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod detmap;
 mod slab;

@@ -49,8 +49,17 @@
 //! assert_eq!(dispatched.len(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Credit math compares floats with a tolerance. `float_cmp` has no test
+// exemption, and the unit tests compare exact results on purpose.
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 pub mod accounting;
 pub mod classify;

@@ -162,10 +162,12 @@ impl<R: TraceTag> RequestScheduler<R> {
     ///
     /// Panics if `cfg` fails validation (see
     /// [`SchedulerConfig::validate`]); configuration is programmer input.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction-time validation of programmer-supplied config, not on the per-request path"
+    )]
     pub fn new(registry: &SubscriberRegistry, cfg: SchedulerConfig, nodes: NodeScheduler) -> Self {
-        // Construction-time validation of programmer-supplied config,
-        // not on the per-request path.
-        cfg.validate().expect("invalid scheduler config"); // lint:allow(hot-path-panic)
+        cfg.validate().expect("invalid scheduler config");
         let n = registry.len();
         // Accounts must span however many RPNs get added later; size arrays
         // lazily via ensure_rpn_arrays on dispatch instead.

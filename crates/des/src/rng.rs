@@ -6,19 +6,20 @@ use rand::{Rng, RngCore, SeedableRng};
 /// A deterministic random stream.
 ///
 /// Each simulation component should own its own `SimRng`, obtained via
-/// [`SimRng::split`], so that adding randomness consumption in one component
-/// does not perturb the sequence seen by another (a classic source of
-/// irreproducible simulations).
+/// [`SimRng::stream`] or [`SimRng::split`], so that adding randomness
+/// consumption in one component does not perturb the sequence seen by
+/// another (a classic source of irreproducible simulations). Outside this
+/// crate every stream is named: `SimRng::seed_from` is crate-private, so
+/// an unnamed root stream elsewhere fails to compile.
 ///
 /// ```rust
 /// use gage_des::SimRng;
 /// use rand::RngCore;
-/// let mut root = SimRng::seed_from(7);
-/// let mut a = root.split("clients");
-/// let mut b = root.split("disk");
+/// let mut a = SimRng::stream(7, "clients");
+/// let mut b = SimRng::stream(7, "disk");
 /// // Independent deterministic streams:
 /// let xs: Vec<u64> = (0..3).map(|_| a.next_u64()).collect();
-/// let mut a2 = SimRng::seed_from(7).split("clients");
+/// let mut a2 = SimRng::stream(7, "clients");
 /// let xs2: Vec<u64> = (0..3).map(|_| a2.next_u64()).collect();
 /// assert_eq!(xs, xs2);
 /// let _ = b.next_u64();
@@ -30,10 +31,16 @@ pub struct SimRng {
 
 impl SimRng {
     /// Creates a stream from a 64-bit seed.
-    pub fn seed_from(seed: u64) -> Self {
+    pub(crate) fn seed_from(seed: u64) -> Self {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// The stream named `label` under `seed`: the same bits as
+    /// `seed_from(seed).split(label)`.
+    pub fn stream(seed: u64, label: &str) -> Self {
+        SimRng::seed_from(seed).split(label)
     }
 
     /// Derives an independent child stream named by `label`.

@@ -57,7 +57,7 @@ fn cancellation_is_exact() {
             .enumerate()
             .map(|(i, &t)| (i, q.schedule(SimTime::from_millis(t), i)))
             .collect();
-        let mut expect: std::collections::HashSet<usize> = (0..times.len()).collect();
+        let mut expect: std::collections::BTreeSet<usize> = (0..times.len()).collect();
         for (i, id) in &ids {
             if cancel_mask.get(*i).copied().unwrap_or(false) {
                 assert!(q.cancel(*id));
@@ -65,7 +65,7 @@ fn cancellation_is_exact() {
             }
         }
         assert_eq!(q.len(), expect.len());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some(ev) = q.pop() {
             assert!(seen.insert(ev.event), "duplicate delivery");
         }

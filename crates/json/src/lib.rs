@@ -11,15 +11,21 @@
 //! Design points:
 //!
 //! * Objects preserve **insertion order** (a `Vec` of pairs, not a hash
-//!   map), so serialization is deterministic — the same discipline
-//!   `gage-lint` enforces on the simulation crates.
+//!   map), so serialization is deterministic — the same discipline the
+//!   root `clippy.toml`'s `HashMap` ban holds the simulation crates to.
 //! * Numbers are `f64`, which is exact for every integer the workspace
 //!   exchanges (ids, counters, microsecond offsets < 2^53).
 //! * The parser is a strict recursive-descent over the RFC 8259 grammar
 //!   with a depth limit; errors carry the byte offset.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::fmt;
 

@@ -192,6 +192,10 @@ impl TcpEndpoint {
         !self.retransmit.is_empty()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "only called once a SYN has named the peer: connect sets it, and a listener leaves Listen only through on_listen"
+    )]
     fn remote_ep(&self) -> Endpoint {
         self.remote.expect("remote endpoint not yet known")
     }

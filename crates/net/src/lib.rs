@@ -42,8 +42,14 @@
 //! assert_eq!(map.client_to_server_ack(SeqNum::new(1001)), SeqNum::new(99_001));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod addr;
 pub mod endpoint;

@@ -61,7 +61,6 @@ impl SpliceMap {
     /// marking the start of the spliced connection's life cycle. `req` is
     /// the logical request id the splice serves, threading the connection
     /// into that request's causal timeline.
-    #[allow(clippy::too_many_arguments)]
     pub fn new_traced(
         client: Endpoint,
         cluster: Endpoint,

@@ -142,17 +142,16 @@ impl TcpHeader {
 
     /// Parses a header from the front of `data`, or `None` if too short.
     pub fn parse(data: &[u8]) -> Option<Self> {
-        if data.len() < TCP_HEADER_LEN {
-            return None;
-        }
-        // Fixed offsets are safe: length was checked above.
+        // Indexing a fixed-size array by constants: rustc rejects an
+        // out-of-bounds offset at compile time (`unconditional_panic`).
+        let h: &[u8; TCP_HEADER_LEN] = data.get(..TCP_HEADER_LEN)?.try_into().ok()?;
         Some(TcpHeader {
-            src_port: Port::new(u16::from_be_bytes([data[0], data[1]])), // lint:allow(hot-path-index)
-            dst_port: Port::new(u16::from_be_bytes([data[2], data[3]])), // lint:allow(hot-path-index)
-            seq: SeqNum::new(u32::from_be_bytes([data[4], data[5], data[6], data[7]])), // lint:allow(hot-path-index)
-            ack: SeqNum::new(u32::from_be_bytes([data[8], data[9], data[10], data[11]])), // lint:allow(hot-path-index)
-            flags: TcpFlags::from_bits(data[13]), // lint:allow(hot-path-index)
-            window: u16::from_be_bytes([data[14], data[15]]), // lint:allow(hot-path-index)
+            src_port: Port::new(u16::from_be_bytes([h[0], h[1]])),
+            dst_port: Port::new(u16::from_be_bytes([h[2], h[3]])),
+            seq: SeqNum::new(u32::from_be_bytes([h[4], h[5], h[6], h[7]])),
+            ack: SeqNum::new(u32::from_be_bytes([h[8], h[9], h[10], h[11]])),
+            flags: TcpFlags::from_bits(h[13]),
+            window: u16::from_be_bytes([h[14], h[15]]),
         })
     }
 

@@ -147,8 +147,10 @@ fn main() -> ExitCode {
         println!("total            {}", kept.len());
         return ExitCode::SUCCESS;
     }
-    // Write through a handle so a downstream `head` closing the pipe ends
-    // the program quietly instead of panicking mid-print.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a locked handle lets a downstream `head` closing the pipe end the program quietly instead of panicking mid-print"
+    )]
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     if overwritten > 0

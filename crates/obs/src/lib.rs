@@ -31,8 +31,14 @@
 //! the measured tracing overhead, and §13 for the span model and the
 //! conformance-window definition.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod audit;
 mod registry;

@@ -20,8 +20,8 @@
 //!
 //! The fold is one `match` on [`TraceEvent`] that names every variant — no
 //! `_ =>` wildcard — so a newly added trace kind is a compile error here
-//! until someone decides how the auditor should treat it (enforced by the
-//! `trace-kind-exhaustive` lint rule).
+//! until someone decides how the auditor should treat it (`fold` denies
+//! `clippy::wildcard_enum_match_arm`).
 
 use crate::{TraceEvent, TraceRecord, TraceRing};
 
@@ -249,6 +249,10 @@ pub fn reconstruct(ring: &TraceRing) -> Result<SpanReport, String> {
 
 /// Folds one record into the report, or into the state of the request it
 /// is about.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 fn fold(
     report: &mut SpanReport,
     states: &mut Vec<Option<SpanState>>,

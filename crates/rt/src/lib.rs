@@ -36,8 +36,7 @@
 //! * [`harness`] — in-process spawning of all three roles for tests and
 //!   examples.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod backend;
 pub mod client;

@@ -20,8 +20,7 @@
 //! * [`specweb`] — the SPECWeb99-shaped request generator,
 //! * [`trace`] — timestamped request traces with JSON save/load.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod arrival;
 pub mod fileset;

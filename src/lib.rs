@@ -18,8 +18,7 @@
 //! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for
 //! the system inventory and experiment index.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub use gage_cluster as cluster;
 pub use gage_core as core;

@@ -197,7 +197,7 @@ fn conn_table_matches_model() {
     for _ in 0..32 {
         let n_ops = rng.gen_range(1..300);
         let mut table = ConnTable::new();
-        let mut model: std::collections::HashMap<u16, Route> = std::collections::HashMap::new();
+        let mut model: std::collections::BTreeMap<u16, Route> = std::collections::BTreeMap::new();
         let cluster = Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), Port::HTTP);
         let tuple = |k: u16| {
             FourTuple::new(
