@@ -34,7 +34,6 @@ fn build_scheduler(
     let cfg = SchedulerConfig {
         spare_policy: policy,
         queue_capacity: backlog.max(1),
-        ..Default::default()
     };
     let mut sched = RequestScheduler::new(&registry, cfg, NodeScheduler::new(0.3));
     for _ in 0..8 {
@@ -58,7 +57,7 @@ fn scheduling_cycle_vs_subscribers() {
         });
         time_it(&format!("build+run_cycle_{n}_subs"), || {
             let mut s = build_scheduler(n, 4, SparePolicy::ProportionalToReservation);
-            s.run_cycle(0.010, &mut Tracer::disabled())
+            s.run_cycle(&mut Tracer::disabled())
         });
     }
 }
@@ -71,7 +70,7 @@ fn spare_policy_cost() {
     ] {
         time_it(&format!("build+run_cycle_spare_{name}"), || {
             let mut s = build_scheduler(100, 16, policy);
-            s.run_cycle(0.010, &mut Tracer::disabled())
+            s.run_cycle(&mut Tracer::disabled())
         });
     }
 }

@@ -264,7 +264,7 @@ pub struct ClusterParams {
     pub shard_overrides: Vec<(u32, u16)>,
     /// QoS layer on or off.
     pub mode: GageMode,
-    /// Scheduler tunables (scheduling cycle, spare policy, …).
+    /// Scheduler settings: queue capacity and spare policy.
     pub scheduler: SchedulerConfig,
     /// Accounting cycle: how often each RPN reports usage (paper Figure 3
     /// sweeps 50 ms – 2 s).

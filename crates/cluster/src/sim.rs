@@ -108,6 +108,7 @@ use std::net::Ipv4Addr;
 
 use gage_collections::SlabKey;
 use gage_core::accounting::UsageReport;
+use gage_core::config::SCHEDULING_CYCLE_SECS;
 use gage_core::merge::AcctRow;
 use gage_core::node::RpnId;
 use gage_core::resource::Grps;
@@ -308,17 +309,9 @@ impl ClusterSim {
     ///
     /// Panics if `params.rpn_count` or `params.rdn_count` is zero or a
     /// site host is duplicated.
-    pub fn new(mut params: ClusterParams, mut sites: Vec<SiteSpec>, seed: u64) -> Self {
+    pub fn new(params: ClusterParams, mut sites: Vec<SiteSpec>, seed: u64) -> Self {
         assert!(params.rpn_count > 0, "need at least one RPN");
         assert!(params.rdn_count > 0, "need at least one RDN");
-        // The in-flight window must cover the feedback delay (a
-        // bandwidth-delay-product argument): with a window shorter than the
-        // accounting cycle, dispatch is capped at window/cycle regardless
-        // of actual capacity.
-        let min_lookahead = params.accounting_cycle.as_secs_f64() * 1.2;
-        if params.scheduler.node_lookahead_secs < min_lookahead {
-            params.scheduler.node_lookahead_secs = min_lookahead;
-        }
         let mut registry = SubscriberRegistry::new();
         for s in &sites {
             registry
@@ -368,9 +361,8 @@ impl ClusterSim {
         }
         let mut sim = Simulation::new(world, seed);
         if sim.model().params.mode == GageMode::Enabled {
-            let cycle = sim.model().params.scheduler.scheduling_cycle_secs;
             sim.schedule_at(
-                SimTime::ZERO + SimDuration::from_secs_f64(cycle),
+                SimTime::ZERO + SimDuration::from_secs_f64(SCHEDULING_CYCLE_SECS),
                 Ev::SchedTick,
             );
             // All RPNs report on the same accounting-cycle boundary, as on

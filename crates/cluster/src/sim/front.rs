@@ -7,6 +7,7 @@
 
 use gage_collections::SlabKey;
 use gage_core::accounting::UsageReport;
+use gage_core::config::{NODE_LOOKAHEAD_SECS, SCHEDULING_CYCLE_SECS};
 use gage_core::conn_table::{ConnTable, Route};
 use gage_core::merge::{AcctDelta, AcctRow, AcctTable};
 use gage_core::node::{NodeScheduler, RpnId};
@@ -98,6 +99,12 @@ impl RdnFront {
     /// zero until shard ownership unmasks the owned ones
     /// ([`World::unmask_owned`]). Both [`super::ClusterSim::new`] and a
     /// crash build fronts here.
+    ///
+    /// Each node's in-flight window is [`NODE_LOOKAHEAD_SECS`] of its
+    /// capacity, widened to 1.2 accounting cycles when those are longer.
+    /// The window must cover the feedback delay (a bandwidth-delay-product
+    /// argument): with a window shorter than the accounting cycle, dispatch
+    /// is capped at window/cycle regardless of actual capacity.
     pub(super) fn boot(
         params: &ClusterParams,
         registry: &SubscriberRegistry,
@@ -109,7 +116,8 @@ impl RdnFront {
             1e6 * share,
             NETWORK.rpn_egress_bytes_per_sec * share,
         );
-        let mut nodes = NodeScheduler::new(params.scheduler.node_lookahead_secs);
+        let lookahead = NODE_LOOKAHEAD_SECS.max(params.accounting_cycle.as_secs_f64() * 1.2);
+        let mut nodes = NodeScheduler::new(lookahead);
         for _ in 0..params.rpn_count {
             nodes.add_rpn(capacity);
         }
@@ -294,7 +302,6 @@ impl World {
         // in-flight work written off), and its splice routes are purged
         // here. Each live front judges silence by its own report stream.
         let grace = self.params.watchdog_grace();
-        let cycle = self.params.scheduler.scheduling_cycle_secs;
         for f in 0..self.fronts.len() {
             if self.fronts[f].dead() {
                 continue;
@@ -319,7 +326,7 @@ impl World {
             let mut dispatches = std::mem::take(&mut self.dispatch_buf);
             self.fronts[f]
                 .scheduler
-                .run_cycle_into(cycle, &mut dispatches, &mut self.tracer);
+                .run_cycle_into(&mut dispatches, &mut self.tracer);
             for d in dispatches.drain(..) {
                 if d.funded_by_spare {
                     self.spare_dispatches += 1;
@@ -342,7 +349,10 @@ impl World {
                 cascades: s.cascades,
             });
         }
-        ctx.schedule_in(SimDuration::from_secs_f64(cycle), Ev::SchedTick);
+        ctx.schedule_in(
+            SimDuration::from_secs_f64(SCHEDULING_CYCLE_SECS),
+            Ev::SchedTick,
+        );
     }
 
     pub(super) fn on_report(
@@ -618,5 +628,32 @@ impl World {
             .iter()
             .map(|f| f.scheduler.degrade_scale())
             .fold(f64::INFINITY, f64::min)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A front's node window spans 1.2 accounting cycles, and never less
+    /// than `NODE_LOOKAHEAD_SECS`, on every boot.
+    #[test]
+    fn node_window_covers_the_accounting_cycle() {
+        let registry = SubscriberRegistry::new();
+        for (cycle_ms, window_secs) in [(2_000, 2.4), (100, 0.3)] {
+            let params = ClusterParams {
+                accounting_cycle: SimDuration::from_millis(cycle_ms),
+                ..Default::default()
+            };
+            for epoch in [0, 1] {
+                let front = RdnFront::boot(&params, &registry, epoch);
+                let window = front.scheduler.nodes().window(RpnId(0));
+                assert!(
+                    (window.cpu_us - 1e6 * window_secs).abs() < 1e-3,
+                    "{cycle_ms} ms cycle, epoch {epoch}: window {} µs of CPU",
+                    window.cpu_us
+                );
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@ use gage_cluster::params::{
     ClusterParams, DiskPolicy, GageMode, ServiceCostModel, NETWORK, RPN_COSTS,
 };
 use gage_cluster::sim::{ClusterSim, SiteSpec};
-use gage_core::config::SchedulerConfig;
+use gage_core::config::{SchedulerConfig, SCHEDULING_CYCLE_SECS};
 use gage_core::resource::Grps;
 use gage_des::{SimDuration, SimTime};
 use gage_workload::{ArrivalProcess, SyntheticGenerator, Trace};
@@ -211,7 +211,7 @@ fn a_response_leaves_when_its_service_ends() {
     let nic_us = (SIZE + 200 + 54 * packets) as f64 / NETWORK.rpn_egress_bytes_per_sec * 1e6;
     // The three-hop first leg, the dispatch and the response.
     let hops_ms = 5.0 * NETWORK.hop_latency.as_secs_f64() * 1e3;
-    let cycle_ms = params.scheduler.scheduling_cycle_secs * 1e3;
+    let cycle_ms = SCHEDULING_CYCLE_SECS * 1e3;
     let bound_ms = cycle_ms + (cpu_us + nic_us) / 1e3 + hops_ms;
     let sites = vec![SiteSpec {
         host: host.to_string(),

@@ -378,17 +378,6 @@ impl<K: Hash + Eq, V> DetMap<K, V> {
             .map(|n| &n.value)
     }
 
-    /// Mutable access to the value filed under `key`.
-    #[inline]
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let hash = self.hash_of(key);
-        let (_, slot) = self.find(hash, key)?;
-        self.slots
-            .get_mut(slot as usize)
-            .and_then(|s| s.as_mut())
-            .map(|n| &mut n.value)
-    }
-
     /// True if `key` is present.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {

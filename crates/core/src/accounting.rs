@@ -139,8 +139,6 @@ pub struct SubscriberAccount {
     pub dispatched: u64,
     /// Lifetime completed requests (from reports).
     pub completed: u64,
-    /// Lifetime actual usage accumulated from reports.
-    pub total_actual: ResourceVector,
 }
 
 impl SubscriberAccount {
@@ -151,7 +149,6 @@ impl SubscriberAccount {
             estimated: vec![ResourceVector::ZERO; rpn_count],
             dispatched: 0,
             completed: 0,
-            total_actual: ResourceVector::ZERO,
         }
     }
 
@@ -174,7 +171,6 @@ impl SubscriberAccount {
         // actual.
         self.balance += retire - usage.actual;
         self.completed += u64::from(usage.completed);
-        self.total_actual += usage.actual;
     }
 
     /// Predicted usage still in flight across all RPNs.
@@ -235,7 +231,6 @@ mod tests {
         let actual = pred * 4.0; // request was 4x heavier than predicted
         acc.apply_usage(RpnId(0), &usage(actual, pred, 1));
         assert!(acc.balance.any_negative(), "debt carried forward");
-        assert_eq!(acc.total_actual, actual);
     }
 
     #[test]

@@ -5,9 +5,14 @@
 //! weighted average resource consumption of the past requests that belong to
 //! the same queue". This module implements that estimator as an
 //! exponentially-weighted moving average over completed requests, seeded
-//! with a configurable prior (the generic request cost by default).
+//! with the generic request cost.
 
 use crate::resource::ResourceVector;
+
+/// Weight of a new observation: moderately reactive, so after a shift in
+/// a queue's request mix its prediction moves about nine tenths of the
+/// way in ten completions.
+const ALPHA: f64 = 0.2;
 
 /// EWMA predictor of a queue's per-request resource usage.
 ///
@@ -15,36 +20,19 @@ use crate::resource::ResourceVector;
 /// use gage_core::estimator::UsageEstimator;
 /// use gage_core::resource::ResourceVector;
 ///
-/// let mut e = UsageEstimator::new(ResourceVector::generic_request(), 0.5);
+/// let mut e = UsageEstimator::default();
 /// assert_eq!(e.predict().cpu_us, 10_000.0);
-/// e.observe(ResourceVector::new(2_000.0, 0.0, 6_000.0));
-/// // Halfway between prior and observation:
-/// assert_eq!(e.predict().cpu_us, 6_000.0);
+/// e.observe(ResourceVector::new(5_000.0, 0.0, 2_048.0));
+/// // A fifth of the way from the generic request to the observation:
+/// assert_eq!(e.predict().cpu_us, 9_000.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct UsageEstimator {
     estimate: ResourceVector,
-    /// Weight of a new observation, in `(0, 1]`.
-    alpha: f64,
     observations: u64,
 }
 
 impl UsageEstimator {
-    /// Creates an estimator starting at `prior`, with observation weight
-    /// `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not in `(0, 1]`.
-    pub fn new(prior: ResourceVector, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        UsageEstimator {
-            estimate: prior,
-            alpha,
-            observations: 0,
-        }
-    }
-
     /// The current per-request prediction.
     pub fn predict(&self) -> ResourceVector {
         self.estimate
@@ -52,7 +40,7 @@ impl UsageEstimator {
 
     /// Feeds the measured usage of one completed request.
     pub fn observe(&mut self, actual: ResourceVector) {
-        self.estimate = self.estimate * (1.0 - self.alpha) + actual * self.alpha;
+        self.estimate = self.estimate * (1.0 - ALPHA) + actual * ALPHA;
         self.observations += 1;
     }
 
@@ -63,9 +51,13 @@ impl UsageEstimator {
 }
 
 impl Default for UsageEstimator {
-    /// Generic-request prior with a moderately reactive weight.
+    /// An estimator that has seen nothing yet and predicts the generic
+    /// request.
     fn default() -> Self {
-        UsageEstimator::new(ResourceVector::generic_request(), 0.2)
+        UsageEstimator {
+            estimate: ResourceVector::generic_request(),
+            observations: 0,
+        }
     }
 }
 
@@ -75,7 +67,7 @@ mod tests {
 
     #[test]
     fn converges_to_stable_workload() {
-        let mut e = UsageEstimator::new(ResourceVector::generic_request(), 0.3);
+        let mut e = UsageEstimator::default();
         let actual = ResourceVector::new(1_800.0, 0.0, 6_000.0);
         for _ in 0..50 {
             e.observe(actual);
@@ -85,20 +77,6 @@ mod tests {
         assert!(p.disk_us.abs() < 1.0);
         assert!((p.net_bytes - 6_000.0).abs() < 1.0);
         assert_eq!(e.observations(), 50);
-    }
-
-    #[test]
-    fn alpha_one_tracks_immediately() {
-        let mut e = UsageEstimator::new(ResourceVector::ZERO, 1.0);
-        let v = ResourceVector::new(5.0, 6.0, 7.0);
-        e.observe(v);
-        assert_eq!(e.predict(), v);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn zero_alpha_rejected() {
-        let _ = UsageEstimator::new(ResourceVector::ZERO, 0.0);
     }
 
     #[test]

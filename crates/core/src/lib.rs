@@ -22,7 +22,8 @@
 //! * [`merge`] — the conflict-free replicated accounting table peer RDNs
 //!   gossip to survive report loss, duplication and crashes,
 //! * [`conn_table`] — the four-tuple connection table for L2 bridging,
-//! * [`config`] — scheduler tunables and spare-sharing policies.
+//! * [`config`] — the scheduling cycle, the node lookahead, and the
+//!   queue capacity and spare-sharing policy callers choose.
 //!
 //! # Example
 //!
@@ -45,7 +46,7 @@
 //! let mut tracer = Tracer::disabled();
 //! sched.enqueue(site1, "GET /catalog", &mut tracer).unwrap();
 //! sched.enqueue(site2, "GET /cart", &mut tracer).unwrap();
-//! let dispatched = sched.run_cycle(0.010, &mut tracer);
+//! let dispatched = sched.run_cycle(&mut tracer);
 //! assert_eq!(dispatched.len(), 2);
 //! ```
 

@@ -28,7 +28,7 @@
 //! See DESIGN.md §16 for the protocol walkthrough and the convergence
 //! argument.
 
-use gage_collections::DetMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::resource::ResourceVector;
 
@@ -109,20 +109,15 @@ pub struct AcctDelta {
 /// freshest copies of every peer's rows it has seen.
 #[derive(Debug, Clone, Default)]
 pub struct AcctTable {
-    cells: DetMap<u64, UsageCell>,
-}
-
-fn key(origin: u16, sub: u32) -> u64 {
-    (u64::from(origin) << 32) | u64::from(sub)
+    /// Rows keyed by `(origin RDN, subscriber)`.
+    cells: BTreeMap<(u16, u32), UsageCell>,
 }
 
 impl AcctTable {
     /// An empty table.
     #[must_use]
     pub fn new() -> Self {
-        AcctTable {
-            cells: DetMap::new(),
-        }
+        AcctTable::default()
     }
 
     /// Number of rows (origin × subscriber pairs) present.
@@ -141,14 +136,7 @@ impl AcctTable {
     /// row for `sub`. A newer `epoch` resets the row (boot discipline);
     /// the same epoch accumulates monotonically.
     pub fn accumulate(&mut self, origin: u16, sub: u32, epoch: u32, delta: AcctDelta) {
-        let k = key(origin, sub);
-        let cell = match self.cells.get_mut(&k) {
-            Some(c) => c,
-            None => {
-                self.cells.insert(k, UsageCell::ZERO);
-                self.cells.get_mut(&k).unwrap_or_else(|| unreachable!())
-            }
-        };
+        let cell = self.cells.entry((origin, sub)).or_insert(UsageCell::ZERO);
         if epoch != cell.epoch {
             *cell = UsageCell {
                 epoch,
@@ -163,11 +151,10 @@ impl AcctTable {
 
     /// Merges one received row. Returns `true` when the table changed.
     pub fn merge_row(&mut self, origin: u16, sub: u32, cell: &UsageCell) -> bool {
-        let k = key(origin, sub);
-        match self.cells.get_mut(&k) {
-            Some(mine) => mine.merge_from(cell),
-            None => {
-                self.cells.insert(k, *cell);
+        match self.cells.entry((origin, sub)) {
+            Entry::Occupied(mut mine) => mine.get_mut().merge_from(cell),
+            Entry::Vacant(slot) => {
+                slot.insert(*cell);
                 true
             }
         }
@@ -185,19 +172,16 @@ impl AcctTable {
     /// a gossip payload and for convergence equality checks.
     #[must_use]
     pub fn rows(&self) -> Vec<AcctRow> {
-        let mut out: Vec<AcctRow> = self
-            .cells
+        self.cells
             .iter()
-            .map(|(k, v)| ((k >> 32) as u16, *k as u32, *v))
-            .collect();
-        out.sort_by_key(|(origin, sub, _)| (u64::from(*origin) << 32) | u64::from(*sub));
-        out
+            .map(|(&(origin, sub), cell)| (origin, sub, *cell))
+            .collect()
     }
 
     /// This table's row for `(origin, sub)`, if any.
     #[must_use]
     pub fn get(&self, origin: u16, sub: u32) -> Option<&UsageCell> {
-        self.cells.get(&key(origin, sub))
+        self.cells.get(&(origin, sub))
     }
 }
 

@@ -10,20 +10,10 @@
 use crate::subscriber::SubscriberId;
 use std::collections::VecDeque;
 
-/// Outcome of an enqueue attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Enqueued {
-    /// The request was queued.
-    Accepted,
-    /// The queue was full; the request was dropped (returned to the caller
-    /// by [`SubscriberQueues::enqueue`]).
-    Dropped,
-}
-
 /// The per-subscriber FIFO queues of the RDN.
 ///
 /// ```rust
-/// use gage_core::queue::{SubscriberQueues, Enqueued};
+/// use gage_core::queue::SubscriberQueues;
 /// use gage_core::subscriber::SubscriberId;
 ///
 /// let mut q: SubscriberQueues<&str> = SubscriberQueues::new(2, 2);
@@ -74,7 +64,7 @@ impl<R> SubscriberQueues<R> {
     /// # Panics
     ///
     /// Panics if `sub` is out of range.
-    pub fn enqueue(&mut self, sub: SubscriberId, request: R) -> Result<Enqueued, R> {
+    pub fn enqueue(&mut self, sub: SubscriberId, request: R) -> Result<(), R> {
         let idx = sub.0 as usize;
         let q = &mut self.queues[idx];
         if q.len() >= self.capacity {
@@ -84,7 +74,7 @@ impl<R> SubscriberQueues<R> {
         q.push_back(request);
         self.accepted[idx] += 1;
         self.total += 1;
-        Ok(Enqueued::Accepted)
+        Ok(())
     }
 
     /// Puts a previously-dequeued request back at the *head* of `sub`'s
@@ -100,7 +90,7 @@ impl<R> SubscriberQueues<R> {
     /// # Panics
     ///
     /// Panics if `sub` is out of range.
-    pub fn requeue_front(&mut self, sub: SubscriberId, request: R) -> Result<Enqueued, R> {
+    pub fn requeue_front(&mut self, sub: SubscriberId, request: R) -> Result<(), R> {
         let idx = sub.0 as usize;
         let q = &mut self.queues[idx];
         if q.len() >= self.capacity {
@@ -109,7 +99,7 @@ impl<R> SubscriberQueues<R> {
         }
         q.push_front(request);
         self.total += 1;
-        Ok(Enqueued::Accepted)
+        Ok(())
     }
 
     /// Removes the head of `sub`'s queue.

@@ -5,7 +5,8 @@
 //! Each cycle runs two passes:
 //!
 //! 1. **Reserved pass** — visiting queues cyclically, each queue's balance
-//!    is credited with `reservation × elapsed`, then requests are dispatched
+//!    is credited with one cycle of its reservation
+//!    (`reservation × SCHEDULING_CYCLE_SECS`), then requests are dispatched
 //!    (to the least-loaded RPN with room) until the balance goes negative or
 //!    the queue empties. Per-request costs are *predicted* by the
 //!    subscriber's [`UsageEstimator`].
@@ -31,7 +32,7 @@
 //! off, and comes back, by one rule on both transports.
 
 use crate::accounting::{SubscriberAccount, UsageReport};
-use crate::config::{SchedulerConfig, SparePolicy};
+use crate::config::{SchedulerConfig, SparePolicy, SCHEDULING_CYCLE_SECS};
 use crate::estimator::UsageEstimator;
 use crate::node::{NodeScheduler, RpnId};
 use crate::queue::SubscriberQueues;
@@ -46,6 +47,10 @@ use gage_obs::{TraceEvent, Tracer};
 /// checked one cycle late; with a 100 ms cycle a crashed node is written
 /// off after ~450 ms.
 pub const WATCHDOG_GRACE_CYCLES: f64 = 4.5;
+
+/// How much unused credit a queue may accumulate, in seconds of its
+/// reservation. Bounds post-idle bursts.
+const BALANCE_CAP_SECS: f64 = 0.050;
 
 /// Request payloads that can stamp a run-wide request id into trace
 /// records.
@@ -125,13 +130,13 @@ pub struct SubscriberCounters {
 /// sched.nodes_mut().add_rpn(ResourceVector::new(1e6, 1e6, 12.5e6));
 /// let mut tracer = Tracer::disabled();
 /// sched.enqueue(gold, 7, &mut tracer).unwrap();
-/// let dispatches = sched.run_cycle(0.010, &mut tracer);
+/// let dispatches = sched.run_cycle(&mut tracer);
 /// assert_eq!(dispatches.len(), 1);
 /// assert_eq!(dispatches[0].request, 7);
 /// ```
 #[derive(Debug)]
 pub struct RequestScheduler<R> {
-    cfg: SchedulerConfig,
+    spare_policy: SparePolicy,
     reservations: Vec<Grps>,
     queues: SubscriberQueues<R>,
     accounts: Vec<SubscriberAccount>,
@@ -143,7 +148,6 @@ pub struct RequestScheduler<R> {
     /// Fractional spare-dispatch credit per subscriber (weighted
     /// round-robin deficit counters).
     spare_deficit: Vec<f64>,
-    completed: Vec<u64>,
     /// Cycles run since construction, for `SchedCycle` records.
     cycles: u64,
     /// Scratch weight-per-subscriber buffer for the spare pass, kept
@@ -160,14 +164,8 @@ impl<R: TraceTag> RequestScheduler<R> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails validation (see
-    /// [`SchedulerConfig::validate`]); configuration is programmer input.
-    #[expect(
-        clippy::expect_used,
-        reason = "construction-time validation of programmer-supplied config, not on the per-request path"
-    )]
+    /// Panics if `cfg.queue_capacity` is zero.
     pub fn new(registry: &SubscriberRegistry, cfg: SchedulerConfig, nodes: NodeScheduler) -> Self {
-        cfg.validate().expect("invalid scheduler config");
         let n = registry.len();
         // Accounts must span however many RPNs get added later; size arrays
         // lazily via ensure_rpn_arrays on dispatch instead.
@@ -175,17 +173,12 @@ impl<R: TraceTag> RequestScheduler<R> {
             reservations: registry.iter().map(|s| s.reservation).collect(),
             queues: SubscriberQueues::new(n, cfg.queue_capacity),
             accounts: (0..n).map(|_| SubscriberAccount::new(0)).collect(),
-            estimators: (0..n)
-                .map(|_| {
-                    UsageEstimator::new(ResourceVector::generic_request(), cfg.estimator_alpha)
-                })
-                .collect(),
+            estimators: vec![UsageEstimator::default(); n],
             nodes,
-            cfg,
+            spare_policy: cfg.spare_policy,
             rr_cursor: 0,
             spare_deficit: vec![0.0; n],
             spare_weights: vec![0.0; n],
-            completed: vec![0; n],
             cycles: 0,
             degrade_scale: 1.0,
         }
@@ -201,11 +194,6 @@ impl<R: TraceTag> RequestScheduler<R> {
         &self.nodes
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.cfg
-    }
-
     /// Queues a classified request for `sub`, tracing an `Enqueue` (or,
     /// when full, a `Drop`) record into `tracer`.
     ///
@@ -216,7 +204,7 @@ impl<R: TraceTag> RequestScheduler<R> {
     pub fn enqueue(&mut self, sub: SubscriberId, request: R, tracer: &mut Tracer) -> Result<(), R> {
         let req = request.trace_tag();
         match self.queues.enqueue(sub, request) {
-            Ok(_) => {
+            Ok(()) => {
                 tracer.emit(TraceEvent::Enqueue {
                     sub: sub.0,
                     req,
@@ -265,7 +253,7 @@ impl<R: TraceTag> RequestScheduler<R> {
     fn requeue(&mut self, sub: SubscriberId, request: R, tracer: &mut Tracer) -> Result<(), R> {
         let req = request.trace_tag();
         match self.queues.requeue_front(sub, request) {
-            Ok(_) => {
+            Ok(()) => {
                 tracer.emit(TraceEvent::Enqueue {
                     sub: sub.0,
                     req,
@@ -331,7 +319,7 @@ impl<R: TraceTag> RequestScheduler<R> {
             accepted: self.queues.accepted(sub),
             dropped: self.queues.dropped(sub),
             dispatched: self.accounts[i].dispatched,
-            completed: self.completed[i],
+            completed: self.accounts[i].completed,
         }
     }
 
@@ -371,30 +359,24 @@ impl<R: TraceTag> RequestScheduler<R> {
         }
     }
 
-    /// Runs one scheduling cycle. `elapsed_secs` is the time since the
-    /// previous cycle (normally the scheduling cycle length; the first call
-    /// may pass the cycle length too).
+    /// Runs one scheduling cycle, which credits every queue with
+    /// [`SCHEDULING_CYCLE_SECS`] of its reservation. The caller runs one
+    /// every [`SCHEDULING_CYCLE_SECS`].
     ///
     /// Returns the dispatch decisions in order. The caller must deliver each
     /// request to its RPN and later feed completions back via
     /// [`RequestScheduler::on_report`]. Each dispatch, any reservation
     /// rescale and a per-cycle summary are traced into `tracer`.
-    pub fn run_cycle(&mut self, elapsed_secs: f64, tracer: &mut Tracer) -> Vec<Dispatch<R>> {
+    pub fn run_cycle(&mut self, tracer: &mut Tracer) -> Vec<Dispatch<R>> {
         let mut dispatches = Vec::new();
-        self.run_cycle_into(elapsed_secs, &mut dispatches, tracer);
+        self.run_cycle_into(&mut dispatches, tracer);
         dispatches
     }
 
     /// As [`RequestScheduler::run_cycle`], but appends the decisions to a
     /// caller-held buffer. The 10 ms tick calls this with one long-lived
     /// `Vec` so the steady state allocates nothing per cycle.
-    pub fn run_cycle_into(
-        &mut self,
-        elapsed_secs: f64,
-        dispatches: &mut Vec<Dispatch<R>>,
-        tracer: &mut Tracer,
-    ) {
-        assert!(elapsed_secs >= 0.0, "time cannot run backwards");
+    pub fn run_cycle_into(&mut self, dispatches: &mut Vec<Dispatch<R>>, tracer: &mut Tracer) {
         self.ensure_rpn_arrays();
         let n = self.reservations.len();
         if n == 0 {
@@ -434,10 +416,10 @@ impl<R: TraceTag> RequestScheduler<R> {
             let i = (self.rr_cursor + step) % n;
             let sub = SubscriberId(i as u32);
             let reservation = self.reservations[i].per_second() * scale;
-            let cap = reservation * self.cfg.balance_cap_secs;
+            let cap = reservation * BALANCE_CAP_SECS;
             {
                 let acc = &mut self.accounts[i];
-                acc.balance = (acc.balance + reservation * elapsed_secs).capped_at(cap);
+                acc.balance = (acc.balance + reservation * SCHEDULING_CYCLE_SECS).capped_at(cap);
             }
             // Dispatch while the balance is non-negative (the dispatch that
             // drives it negative is still permitted, per the paper). The
@@ -455,29 +437,20 @@ impl<R: TraceTag> RequestScheduler<R> {
                 let Some(request) = self.queues.dequeue(sub) else {
                     break; // checked non-empty above, but never panic here
                 };
-                self.accounts[i].book_dispatch(rpn, predicted);
-                self.nodes.commit_dispatch(rpn, predicted);
-                tracer.emit(TraceEvent::Dispatch {
-                    sub: sub.0,
-                    req: request.trace_tag(),
-                    rpn: rpn.0,
-                    spare: false,
-                    predicted_cpu_us: predicted.cpu_us,
-                    balance_cpu_us: self.accounts[i].balance.cpu_us,
-                });
-                dispatches.push(Dispatch {
+                let dispatch = Dispatch {
                     subscriber: sub,
                     rpn,
                     predicted,
                     funded_by_spare: false,
                     request,
-                });
+                };
+                self.book(dispatch, dispatches, tracer);
             }
         }
         self.rr_cursor = (self.rr_cursor + 1) % n;
 
         // ---- Pass 2: spare capacity ----
-        if self.cfg.spare_policy != SparePolicy::None {
+        if self.spare_policy != SparePolicy::None {
             self.run_spare_pass(dispatches, tracer);
         }
 
@@ -532,7 +505,7 @@ impl<R: TraceTag> RequestScheduler<R> {
                     self.spare_deficit[i] = 0.0;
                     continue;
                 }
-                let w = match self.cfg.spare_policy {
+                let w = match self.spare_policy {
                     SparePolicy::ProportionalToReservation => self.reservations[i].0,
                     SparePolicy::ProportionalToDemand => self.queues.len(sub) as f64,
                     SparePolicy::None => 0.0,
@@ -573,30 +546,39 @@ impl<R: TraceTag> RequestScheduler<R> {
                 let Some(request) = self.queues.dequeue(sub) else {
                     break; // checked non-empty above, but never panic here
                 };
-                self.accounts[i].book_dispatch(rpn, predicted);
-                self.nodes.commit_dispatch(rpn, predicted);
-                self.spare_deficit[i] -= 1.0;
-                any = true;
-                tracer.emit(TraceEvent::Dispatch {
-                    sub: sub.0,
-                    req: request.trace_tag(),
-                    rpn: rpn.0,
-                    spare: true,
-                    predicted_cpu_us: predicted.cpu_us,
-                    balance_cpu_us: self.accounts[i].balance.cpu_us,
-                });
-                dispatches.push(Dispatch {
+                let dispatch = Dispatch {
                     subscriber: sub,
                     rpn,
                     predicted,
                     funded_by_spare: true,
                     request,
-                });
+                };
+                self.book(dispatch, dispatches, tracer);
+                self.spare_deficit[i] -= 1.0;
+                any = true;
             }
             if !any {
                 return;
             }
         }
+    }
+
+    /// Books one dispatch decision: charges the subscriber's balance and
+    /// in-flight prediction, then the node window, traces its `Dispatch`
+    /// record and appends it to `dispatches`.
+    fn book(&mut self, d: Dispatch<R>, dispatches: &mut Vec<Dispatch<R>>, tracer: &mut Tracer) {
+        let acc = &mut self.accounts[d.subscriber.0 as usize];
+        acc.book_dispatch(d.rpn, d.predicted);
+        self.nodes.commit_dispatch(d.rpn, d.predicted);
+        tracer.emit(TraceEvent::Dispatch {
+            sub: d.subscriber.0,
+            req: d.request.trace_tag(),
+            rpn: d.rpn.0,
+            spare: d.funded_by_spare,
+            predicted_cpu_us: d.predicted.cpu_us,
+            balance_cpu_us: acc.balance.cpu_us,
+        });
+        dispatches.push(d);
     }
 
     /// Report watchdog: writes off the lowest-numbered up node that has
@@ -646,7 +628,6 @@ impl<R: TraceTag> RequestScheduler<R> {
                 continue; // unknown subscriber: ignore the line
             }
             self.accounts[i].apply_usage(report.rpn, line);
-            self.completed[i] += u64::from(line.completed);
             if line.completed > 0 {
                 // Feed the estimator the average per-request usage, once per
                 // completed request (bounded to keep report handling O(1)-ish).
@@ -727,7 +708,17 @@ mod tests {
     fn empty_scheduler_is_quiet() {
         let mut t = Tracer::disabled();
         let mut s = scheduler(&[], 1);
-        assert!(s.run_cycle(0.01, &mut t).is_empty());
+        assert!(s.run_cycle(&mut t).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "queue capacity must be positive")]
+    fn zero_queue_capacity_rejected() {
+        let cfg = SchedulerConfig {
+            queue_capacity: 0,
+            ..Default::default()
+        };
+        let _ = RequestScheduler::<u64>::new(&registry(&[1.0]), cfg, NodeScheduler::new(0.1));
     }
 
     #[test]
@@ -738,7 +729,7 @@ mod tests {
         for r in 0..10 {
             s.enqueue(sub, r, &mut t).unwrap();
         }
-        let d = s.run_cycle(0.010, &mut t);
+        let d = s.run_cycle(&mut t);
         // 100 GRPS * 10ms = 1 request of credit; spare pass drains the rest
         // because the cluster has plenty of headroom.
         assert!(!d.is_empty());
@@ -766,7 +757,7 @@ mod tests {
         // One 10ms cycle credits 1 generic request (100 GRPS * 10ms);
         // with no spare pass only ~1 dispatch (the balance may dip negative
         // once) should happen.
-        let d = s.run_cycle(0.010, &mut t);
+        let d = s.run_cycle(&mut t);
         assert!(
             (1..=2).contains(&d.len()),
             "got {} dispatches, expected 1-2",
@@ -774,7 +765,7 @@ mod tests {
         );
         assert!(s.balance(a).any_negative() || s.balance(a).all_nonnegative());
         // Next cycle restores credit and dispatches again.
-        let d2 = s.run_cycle(0.010, &mut t);
+        let d2 = s.run_cycle(&mut t);
         assert!(!d2.is_empty());
     }
 
@@ -804,7 +795,7 @@ mod tests {
             if cycle % 2 == 0 {
                 s.enqueue(meek, 10_000 + cycle, &mut t).unwrap();
             }
-            let d = s.run_cycle(0.010, &mut t);
+            let d = s.run_cycle(&mut t);
             for x in &d {
                 if x.subscriber == hog {
                     hog_dispatched += 1;
@@ -851,7 +842,7 @@ mod tests {
                 let _ = s.enqueue(b, next_id + 1, &mut t);
                 next_id += 2;
             }
-            let d = s.run_cycle(0.010, &mut t);
+            let d = s.run_cycle(&mut t);
             for x in &d {
                 served[x.subscriber.0 as usize] += 1;
                 in_flight.push_back(x.subscriber);
@@ -898,7 +889,7 @@ mod tests {
                 let _ = s.enqueue(sub, next, &mut t);
                 next += 1;
             }
-            let d = s.run_cycle(0.010, &mut t);
+            let d = s.run_cycle(&mut t);
             served += d.len() as u64;
             for x in &d {
                 complete(&mut s, x.subscriber, x.rpn, 1);
@@ -937,7 +928,7 @@ mod tests {
         let mut s = scheduler(&[100.0], 1);
         let sub = SubscriberId(0);
         s.enqueue(sub, 1, &mut t).unwrap();
-        let d = s.run_cycle(0.010, &mut t);
+        let d = s.run_cycle(&mut t);
         assert_eq!(d.len(), 1);
         let rpn = d[0].rpn;
         assert!(s.nodes().outstanding(rpn).cpu_us > 0.0);
@@ -1002,7 +993,7 @@ mod tests {
         for r in 0..6 {
             let _ = s.enqueue(sub, r, &mut t); // two overflow the 4-slot queue
         }
-        let d = s.run_cycle(0.010, &mut t);
+        let d = s.run_cycle(&mut t);
         let kinds: Vec<&'static str> = t.ring().unwrap().iter().map(|r| r.event.kind()).collect();
         assert_eq!(kinds.iter().filter(|k| **k == "enqueue").count(), 4);
         assert_eq!(kinds.iter().filter(|k| **k == "drop").count(), 2);
@@ -1037,7 +1028,7 @@ mod tests {
                     let _ = s.enqueue(b, next + 1, &mut t);
                     next += 2;
                 }
-                for x in s.run_cycle(0.010, &mut t) {
+                for x in s.run_cycle(&mut t) {
                     got[x.subscriber.0 as usize] += 1;
                     complete(s, x.subscriber, x.rpn, 1);
                 }
@@ -1090,10 +1081,7 @@ mod tests {
             s.enqueue(sub, r, &mut t).unwrap();
         }
         for _ in 0..50 {
-            assert!(
-                s.run_cycle(0.010, &mut t).is_empty(),
-                "no live node, no dispatch"
-            );
+            assert!(s.run_cycle(&mut t).is_empty(), "no live node, no dispatch");
         }
         assert_eq!(s.degrade_scale(), 0.0);
         assert!(
@@ -1104,7 +1092,7 @@ mod tests {
         s.nodes_mut().set_up(rpn, true);
         let mut drained = 0;
         for _ in 0..50 {
-            drained += s.run_cycle(0.010, &mut t).len();
+            drained += s.run_cycle(&mut t).len();
         }
         assert_eq!(drained, 5);
     }
@@ -1115,7 +1103,7 @@ mod tests {
         let mut s = scheduler(&[100.0], 2);
         let sub = SubscriberId(0);
         s.enqueue(sub, 42, &mut t).unwrap();
-        let d = s.run_cycle(0.010, &mut t);
+        let d = s.run_cycle(&mut t);
         assert_eq!(d.len(), 1);
         let balance_after = s.balance(sub);
         let rpn = d[0].rpn;
@@ -1149,7 +1137,7 @@ mod tests {
 
         // The bounced request kept its place at the head of the line and
         // dispatches again on a later cycle.
-        let d2 = s.run_cycle(0.010, &mut t);
+        let d2 = s.run_cycle(&mut t);
         assert_eq!(d2[0].request, 42);
         assert_eq!(s.counters(sub).dispatched, d2.len() as u64);
     }
@@ -1192,14 +1180,14 @@ mod tests {
         let sub = SubscriberId(0);
         // 10 idle seconds.
         for _ in 0..1000 {
-            let _ = s.run_cycle(0.010, &mut t);
+            let _ = s.run_cycle(&mut t);
         }
         // Burst arrives; with balance capped at 50ms of reservation the
         // reserved pass can fund at most ~5 requests + 1 cycle of credit.
         for r in 0..50 {
             s.enqueue(sub, r, &mut t).unwrap();
         }
-        let d = s.run_cycle(0.010, &mut t);
+        let d = s.run_cycle(&mut t);
         let reserved = d.iter().filter(|x| !x.funded_by_spare).count();
         assert!(
             reserved <= 8,

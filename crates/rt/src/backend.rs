@@ -19,7 +19,9 @@ use gage_core::node::RpnId;
 use gage_core::resource::ResourceVector;
 use gage_core::subscriber::SubscriberId;
 
-use crate::http::{read_request_head, write_error_response, write_ok_response};
+use crate::http::{
+    read_request_head, write_error_response, write_ok_response, DEFAULT_RESPONSE_SIZE,
+};
 use crate::lock;
 use crate::proto::{send_msg, ControlMsg};
 
@@ -63,8 +65,6 @@ pub struct BackendConfig {
     pub accounting_cycle: Duration,
     /// Service cost model.
     pub cost: BackendCost,
-    /// Default response size when the client sends no `X-Size` hint.
-    pub default_size: u64,
 }
 
 impl Default for BackendConfig {
@@ -74,7 +74,6 @@ impl Default for BackendConfig {
             report_to: None,
             accounting_cycle: Duration::from_millis(100),
             cost: BackendCost::default(),
-            default_size: 6 * 1024,
         }
     }
 }
@@ -169,9 +168,8 @@ pub fn spawn_backend_on(
             let cpu = Arc::clone(&cpu);
             let disk = Arc::clone(&disk);
             let cost = cfg.cost;
-            let default_size = cfg.default_size;
             std::thread::spawn(move || {
-                let _ = serve_one(stream, cost, default_size, &cpu, &disk, &accounting);
+                let _ = serve_one(stream, cost, &cpu, &disk, &accounting);
             });
         });
     }
@@ -241,7 +239,6 @@ fn drain_report(accounting: &Mutex<Accounting>) -> UsageReport {
 fn serve_one(
     mut stream: TcpStream,
     cost: BackendCost,
-    default_size: u64,
     cpu: &Mutex<()>,
     disk: &Mutex<()>,
     accounting: &Mutex<Accounting>,
@@ -250,7 +247,7 @@ fn serve_one(
         let _ = write_error_response(&mut stream, "400 Bad Request");
         return Ok(());
     };
-    let size = head.size_hint().unwrap_or(default_size);
+    let size = head.size_hint().unwrap_or(DEFAULT_RESPONSE_SIZE);
     let sub: Option<SubscriberId> = head
         .headers
         .get("x-gage-sub")

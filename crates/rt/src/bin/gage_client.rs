@@ -9,13 +9,14 @@ use std::time::Duration;
 
 use gage_cli::Args;
 use gage_rt::client::{run_load, ClientConfig};
+use gage_rt::http::DEFAULT_RESPONSE_SIZE;
 
 const USAGE: &str = "gage-client --target ADDR --host HOST --rate N --secs N [--size BYTES]";
 
 fn parse_args(args: &mut Args) -> Result<ClientConfig, String> {
     Ok(ClientConfig {
         duration: Duration::from_secs(args.opt("--secs")?.unwrap_or(5)),
-        size: args.opt("--size")?.unwrap_or(6 * 1024),
+        size: args.opt("--size")?.unwrap_or(DEFAULT_RESPONSE_SIZE),
         ..ClientConfig::new(
             args.opt("--target")?.ok_or("--target is required")?,
             args.opt::<String>("--host")?.ok_or("--host is required")?,

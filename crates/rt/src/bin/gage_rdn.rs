@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use gage_cli::Args;
 use gage_core::resource::Grps;
 use gage_core::subscriber::SubscriberId;
-use gage_rt::frontend::{spawn_frontend, FrontendConfig, SiteConfig, TRACE_CAPACITY};
+use gage_rt::frontend::{spawn_frontend, FrontendConfig, SiteConfig};
 
 const USAGE: &str = "gage-rdn --listen ADDR --control ADDR \
                      --site HOST=GRPS [--site ...] --backend ADDR [--backend ...] \
@@ -36,7 +36,7 @@ fn parse_args(args: &mut Args) -> Result<(FrontendConfig, Option<String>, Option
             .map(site)
             .collect::<Result<_, _>>()?,
         backends: args.all("--backend")?,
-        trace_capacity: trace.as_ref().map(|_| TRACE_CAPACITY),
+        trace: trace.is_some(),
         ..FrontendConfig::loopback(Vec::new(), Vec::new())
     };
     if cfg.sites.is_empty() || cfg.backends.is_empty() {

@@ -29,7 +29,6 @@ fn parse_args(args: &mut Args) -> Result<BackendConfig, String> {
                 .unwrap_or(d.cost.per_kib_cpu_us),
             disk_us: args.opt("--disk-us")?.unwrap_or(d.cost.disk_us),
         },
-        ..d
     })
 }
 

@@ -7,7 +7,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::http::{read_response, RequestHead};
+use crate::http::{read_response, RequestHead, DEFAULT_RESPONSE_SIZE};
 use crate::lock;
 
 /// Load-generation parameters for one site.
@@ -40,7 +40,7 @@ impl ClientConfig {
             host: host.into(),
             rate,
             duration: Duration::from_secs(5),
-            size: 6 * 1024,
+            size: DEFAULT_RESPONSE_SIZE,
             timeout: Duration::from_secs(10),
             retries: 2,
             backoff: 2.0,

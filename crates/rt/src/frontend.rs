@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gage_core::classify::request_host;
-use gage_core::config::SchedulerConfig;
+use gage_core::config::{SchedulerConfig, NODE_LOOKAHEAD_SECS, SCHEDULING_CYCLE_SECS};
 use gage_core::node::{NodeScheduler, RpnId};
 use gage_core::resource::{Grps, ResourceVector};
 use gage_core::scheduler::{Dispatch, RequestScheduler, SubscriberCounters, WATCHDOG_GRACE_CYCLES};
@@ -29,14 +29,19 @@ use gage_des::{SimDuration, SimTime};
 use gage_obs::{Histogram, Registry, TraceEvent, Tracer};
 
 use crate::backend::{format_pred, BackendConfig};
-use crate::http::{read_request_head, write_error_response, RequestHead};
+use crate::http::{read_request_head, write_error_response, RequestHead, DEFAULT_RESPONSE_SIZE};
 use crate::lock;
 use crate::proto::{recv_msg, ControlMsg};
 use crate::relay::splice;
 
-/// Trace ring size, in records, of `gage-rdn --trace` and of every
+/// Trace ring size, in records, of a front end spawned with
+/// [`FrontendConfig::trace`]: `gage-rdn --trace` and every
 /// [`crate::harness::deploy`] front end.
 pub const TRACE_CAPACITY: usize = 1 << 16;
+
+/// Each back end's capacity estimate, for load balancing and spare
+/// gating: one CPU, one disk channel and a 100 Mb/s NIC.
+const BACKEND_CAPACITY: ResourceVector = ResourceVector::new(1e6, 1e6, 12.5e6);
 
 /// One hosted site.
 #[derive(Debug, Clone)]
@@ -58,13 +63,9 @@ pub struct FrontendConfig {
     pub sites: Vec<SiteConfig>,
     /// Back-end HTTP addresses (index = `RpnId`).
     pub backends: Vec<SocketAddr>,
-    /// Scheduler tunables.
-    pub scheduler: SchedulerConfig,
-    /// Per-backend capacity estimate for load balancing / spare gating.
-    pub backend_capacity: ResourceVector,
-    /// Retained trace-record count for gage-obs tracing; `None` disables
-    /// tracing entirely (the hot path then pays a single branch).
-    pub trace_capacity: Option<usize>,
+    /// Records the last [`TRACE_CAPACITY`] gage-obs trace records when
+    /// set; when not, the hot path pays a single branch for tracing.
+    pub trace: bool,
     /// Deadline for reading a client's whole request head, counted from
     /// the accept. A client that stalls or dribbles its head is answered
     /// 408 and disconnected instead of pinning an accept thread.
@@ -79,9 +80,7 @@ impl FrontendConfig {
             control: "127.0.0.1:0".parse().expect("valid literal address"),
             sites,
             backends,
-            scheduler: SchedulerConfig::default(),
-            backend_capacity: ResourceVector::new(1e6, 1e6, 12.5e6),
-            trace_capacity: None,
+            trace: false,
             client_read_timeout: Duration::from_secs(10),
         }
     }
@@ -178,7 +177,7 @@ impl FrontendHandle {
     }
 
     /// Serializes the trace ring (header + one JSON record per line).
-    /// `None` when the front end was spawned without `trace_capacity`.
+    /// `None` when the front end was spawned without `trace`.
     ///
     /// Records are stamped with nanoseconds since the front end started,
     /// quantized to the scheduler tick that most recently ran.
@@ -219,13 +218,14 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
             .register(s.host.clone(), s.reservation)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     }
-    let mut nodes = NodeScheduler::new(cfg.scheduler.node_lookahead_secs);
+    let mut nodes = NodeScheduler::new(NODE_LOOKAHEAD_SECS);
     for _ in &cfg.backends {
-        nodes.add_rpn(cfg.backend_capacity);
+        nodes.add_rpn(BACKEND_CAPACITY);
     }
-    let mut tracer = match cfg.trace_capacity {
-        Some(capacity) => Tracer::enabled(capacity),
-        None => Tracer::disabled(),
+    let mut tracer = if cfg.trace {
+        Tracer::enabled(TRACE_CAPACITY)
+    } else {
+        Tracer::disabled()
     };
     // One `Reservation` record per site up front, mirroring the
     // simulator: dumps become self-describing for `gage-audit`. The
@@ -240,7 +240,7 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
         });
     }
     let front: SharedFront = Arc::new(Mutex::new(Front {
-        scheduler: RequestScheduler::new(&registry, cfg.scheduler, nodes),
+        scheduler: RequestScheduler::new(&registry, SchedulerConfig::default(), nodes),
         tracer,
         next_req: 0,
         started: Instant::now(),
@@ -278,7 +278,7 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
         let front = Arc::clone(&front);
         let backends = Arc::clone(&backends);
         let stop = Arc::clone(&stop);
-        let cycle = Duration::from_secs_f64(cfg.scheduler.scheduling_cycle_secs);
+        let cycle = Duration::from_secs_f64(SCHEDULING_CYCLE_SECS);
         std::thread::spawn(move || loop {
             std::thread::sleep(cycle);
             if stop.load(Ordering::SeqCst) {
@@ -298,7 +298,7 @@ pub fn spawn_frontend(cfg: FrontendConfig) -> std::io::Result<FrontendHandle> {
                 // are nanoseconds since start, quantized to the cycle.
                 tracer.set_now(now);
                 while scheduler.write_off_silent(now, grace, tracer).is_some() {}
-                let dispatches = scheduler.run_cycle(cycle.as_secs_f64(), tracer);
+                let dispatches = scheduler.run_cycle(tracer);
                 for d in &dispatches {
                     if let Some(wait) = queue_wait_ms.get_mut(d.subscriber.0 as usize) {
                         wait.observe(d.request.enqueued.elapsed().as_secs_f64() * 1e3);
@@ -399,7 +399,7 @@ fn classify_and_enqueue(
         let _ = write_error_response(&mut stream, "404 Not Found");
         return Ok(());
     };
-    let size = head.size_hint().unwrap_or(6 * 1024);
+    let size = head.size_hint().unwrap_or(DEFAULT_RESPONSE_SIZE);
     let rejected = {
         let mut guard = lock(front);
         let Front {

@@ -7,7 +7,7 @@ use std::time::Duration;
 use gage_core::resource::Grps;
 
 use crate::backend::{spawn_backend_on, BackendConfig, BackendCost, BackendHandle};
-use crate::frontend::{spawn_frontend, FrontendConfig, FrontendHandle, SiteConfig, TRACE_CAPACITY};
+use crate::frontend::{spawn_frontend, FrontendConfig, FrontendHandle, SiteConfig};
 
 /// A running in-process deployment.
 #[derive(Debug)]
@@ -44,8 +44,9 @@ impl Default for DeployOptions {
 
 /// Spawns back ends on ephemeral loopback ports and a front end wired to
 /// them, with accounting reports flowing. The front end records a trace
-/// ring of [`TRACE_CAPACITY`] records, as `gage-rdn --trace` does, so a
-/// test can audit the run from [`FrontendHandle::trace_dump`].
+/// ring of [`crate::frontend::TRACE_CAPACITY`] records, as
+/// `gage-rdn --trace` does, so a test can audit the run from
+/// [`FrontendHandle::trace_dump`].
 ///
 /// # Errors
 ///
@@ -70,7 +71,7 @@ pub fn deploy(opts: DeployOptions) -> std::io::Result<Deployment> {
         })
         .collect();
     let frontend = spawn_frontend(FrontendConfig {
-        trace_capacity: Some(TRACE_CAPACITY),
+        trace: true,
         ..FrontendConfig::loopback(sites, backend_addrs)
     })?;
 

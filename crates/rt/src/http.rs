@@ -8,6 +8,10 @@ use std::io::{Read, Write};
 /// Maximum accepted request-head size.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
+/// Response size, in bytes, for a request without an `X-Size` hint, and
+/// the size the load client asks for unless told otherwise.
+pub const DEFAULT_RESPONSE_SIZE: u64 = 6 * 1024;
+
 /// A parsed request head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestHead {

@@ -11,9 +11,7 @@ use gage_obs::audit::{audit_dump, AuditConfig, AuditReport};
 use gage_obs::{TraceEvent, TraceRing};
 use gage_rt::backend::{spawn_backend_on, BackendConfig, BackendCost};
 use gage_rt::client::{run_load, ClientConfig};
-use gage_rt::frontend::{
-    spawn_frontend, FrontendConfig, FrontendHandle, SiteConfig, TRACE_CAPACITY,
-};
+use gage_rt::frontend::{spawn_frontend, FrontendConfig, FrontendHandle, SiteConfig};
 use gage_rt::harness::{deploy, DeployOptions};
 use gage_rt::http::{read_response, RequestHead};
 
@@ -324,7 +322,7 @@ fn dispatches_bounce_off_a_refusing_back_end_until_it_is_written_off() {
         reservation: Grps(100.0),
     }];
     let frontend = spawn_frontend(FrontendConfig {
-        trace_capacity: Some(TRACE_CAPACITY),
+        trace: true,
         ..FrontendConfig::loopback(sites, vec![refusing, serving])
     })
     .expect("starts");

@@ -15,7 +15,7 @@
 //! * [`zipf`] — a from-scratch Zipf sampler (inverse CDF over a precomputed
 //!   table, searched from a guide table),
 //! * [`fileset`] — per-site SPECWeb99-shaped file populations,
-//! * [`arrival`] — open-loop arrival processes (constant, Poisson, on-off),
+//! * [`arrival`] — open-loop arrival processes (constant, Poisson),
 //! * [`synthetic`] — the fixed-size synthetic workload,
 //! * [`specweb`] — the SPECWeb99-shaped request generator,
 //! * [`trace`] — timestamped request traces with JSON save/load.
